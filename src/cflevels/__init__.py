@@ -17,23 +17,20 @@ from .ratings import (RatingRecord, RatingScale, RatingsMatrix, build_matrix,
                       co_rated_items, raters_of, user_mean_over)
 from .similarity import (METHOD_NAMES, PlusParams, SimilarityMethod,
                          StaticParams, apply_spcc, apply_static, apply_wpcc,
-                         make_method, pcc, plus_adjust, spcc, static_proposed,
-                         wpcc)
+                         make_method, pcc, plus_adjust)
 from .levels import (MIN_CO_RATED, NEGATIVE_FORMS, Band, LevelTable,
                      apply_dynamic, build_level_table, derive_dvi, derive_dvu,
-                     derive_step, dynamic_method, dynamic_sim, level_table_for)
+                     derive_step, dynamic_method, level_table_for)
 from .predict import (PREDICTION_MODES, Neighborhood, Prediction,
                       neighborhood_for_item, predict, recommend_top_n)
-from .cache import (SimilarityCache, cache_fingerprint, candidate_pairs,
-                    get_or_compute, load_cache, precompute, save_cache)
-from .evaluate import (CSV_COLUMNS, EvalReport, PredictionPair, SplitSpec,
-                       average_report, default_relevance_threshold,
-                       evaluate_split, hit_rate, kfold_split, mae, nmae,
-                       precision_recall_f1, render_csv, render_json, rmse,
-                       run_experiment, split_holdout)
+from .cache import SimilarityCache, cache_fingerprint, get_or_compute
+from .evaluate import (CSV_COLUMNS, EvalReport, PredictionPair, average_report,
+                       default_relevance_threshold, evaluate_split, hit_rate,
+                       kfold_split, mae, nmae, precision_recall_f1, render_csv,
+                       render_json, rmse, run_experiment, split_holdout)
 from .ingest import DatasetFormat, DatasetStats, FORMATS, dataset_stats, parse_ratings
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CfLevelsError", "ConfigError", "EmptyInputError", "EmptySetError",
@@ -43,15 +40,14 @@ __all__ = [
     "co_rated_items", "raters_of", "user_mean_over",
     "METHOD_NAMES", "PlusParams", "SimilarityMethod", "StaticParams",
     "apply_spcc", "apply_static", "apply_wpcc", "make_method", "pcc",
-    "plus_adjust", "spcc", "static_proposed", "wpcc",
+    "plus_adjust",
     "MIN_CO_RATED", "NEGATIVE_FORMS", "Band", "LevelTable", "apply_dynamic",
     "build_level_table", "derive_dvi", "derive_dvu", "derive_step",
-    "dynamic_method", "dynamic_sim", "level_table_for",
+    "dynamic_method", "level_table_for",
     "PREDICTION_MODES", "Neighborhood", "Prediction", "neighborhood_for_item",
     "predict", "recommend_top_n",
-    "SimilarityCache", "cache_fingerprint", "candidate_pairs", "get_or_compute",
-    "load_cache", "precompute", "save_cache",
-    "CSV_COLUMNS", "EvalReport", "PredictionPair", "SplitSpec",
+    "SimilarityCache", "cache_fingerprint", "get_or_compute",
+    "CSV_COLUMNS", "EvalReport", "PredictionPair",
     "average_report", "default_relevance_threshold", "evaluate_split",
     "hit_rate", "kfold_split", "mae", "nmae", "precision_recall_f1",
     "render_csv", "render_json", "rmse", "run_experiment", "split_holdout",

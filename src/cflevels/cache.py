@@ -1,23 +1,18 @@
-"""Precomputed pairwise similarities, keyed to one method + matrix pairing.
+"""Memoized pairwise similarities, keyed to one method + matrix pairing.
 
 A cache is stamped with a fingerprint of the method (name and parameters)
-and the matrix content, so a stale file can never silently feed scores
-into a different experiment. Pair keys are user index pairs (lo, hi) in
-the matrix's sorted user order.
+and the matrix content, so scores can never silently feed a different
+experiment. Pair keys are user index pairs (lo, hi) in the matrix's sorted
+user order.
 """
 
 from __future__ import annotations
 
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import FingerprintMismatchError
 from .ratings import RatingsMatrix
 from .similarity import SimilarityMethod
-
-_MAGIC = b"CFLV1"
-_RECORD = struct.Struct("<IId")
 
 
 @dataclass
@@ -26,7 +21,6 @@ class SimilarityCache:
 
     fingerprint: str
     store: dict[tuple[int, int], float] = field(default_factory=dict)
-    candidate_pairs: int = 0
 
     def __len__(self) -> int:
         return len(self.store)
@@ -36,68 +30,6 @@ def cache_fingerprint(sim: SimilarityMethod, m: RatingsMatrix) -> str:
     return f"{sim.key}|{m.content_hash()}"
 
 
-def candidate_pairs(m: RatingsMatrix) -> list[tuple[int, int]]:
-    """User index pairs that co-occur in at least one item's rater set.
-
-    Pairs with no item in common always score zero, so walking the
-    inverted index instead of all n*(n-1)/2 pairs skips them entirely.
-    """
-    pairs: set[tuple[int, int]] = set()
-    for idx_set in m._by_item:
-        idxs = sorted(idx_set)
-        for i, lo in enumerate(idxs):
-            for hi in idxs[i + 1:]:
-                pairs.add((lo, hi))
-    return sorted(pairs)
-
-
-def _default_selector(m: RatingsMatrix, lo: int, hi: int) -> bool:
-    # a single shared item can never produce a nonzero correlation
-    a = m._by_user[lo]
-    b = m._by_user[hi]
-    if len(b) < len(a):
-        a, b = b, a
-    shared = 0
-    for idx in a:
-        if idx in b:
-            shared += 1
-            if shared >= 2:
-                return True
-    return False
-
-
-def precompute(m: RatingsMatrix, sim: SimilarityMethod, pair_selector=None,
-               jobs: int = 1) -> SimilarityCache:
-    """Score every candidate pair the selector keeps; return a stamped cache.
-
-    ``pair_selector(m, lo, hi) -> bool`` filters candidate pairs before any
-    scoring happens; the default keeps pairs with at least two shared items.
-    ``jobs`` splits the scoring across threads; results are merged in key
-    order, so the cache contents do not depend on the thread count.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    selector = pair_selector if pair_selector is not None else _default_selector
-    users = m.users()
-    cands = candidate_pairs(m)
-    kept = [(lo, hi) for lo, hi in cands if selector(m, lo, hi)]
-
-    def score_pair(pair: tuple[int, int]) -> float:
-        lo, hi = pair
-        return sim.score(users[lo], users[hi], m)
-
-    cache = SimilarityCache(fingerprint=cache_fingerprint(sim, m),
-                            candidate_pairs=len(cands))
-    if jobs == 1 or len(kept) < 2:
-        scores = [score_pair(p) for p in kept]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(score_pair, kept))
-    for pair, s in zip(kept, scores):
-        cache.store[pair] = s
-    return cache
-
-
 def get_or_compute(cache: SimilarityCache, a: str, b: str, sim: SimilarityMethod,
                    m: RatingsMatrix) -> float:
     """Cached score for (a, b), computing and storing it on a miss."""
@@ -105,8 +37,8 @@ def get_or_compute(cache: SimilarityCache, a: str, b: str, sim: SimilarityMethod
     if cache.fingerprint != expected:
         raise FingerprintMismatchError(
             f"cache fingerprint {cache.fingerprint!r} does not match {expected!r}")
-    ia = m._user_index[a]
-    ib = m._user_index[b]
+    ia = m._require_user(a)
+    ib = m._require_user(b)
     key = (ia, ib) if ia <= ib else (ib, ia)
     hit = cache.store.get(key)
     if hit is not None:
@@ -114,34 +46,3 @@ def get_or_compute(cache: SimilarityCache, a: str, b: str, sim: SimilarityMethod
     s = sim.score(a, b, m)
     cache.store[key] = s
     return s
-
-
-def save_cache(cache: SimilarityCache, path: str) -> None:
-    """Write the cache to a compact little-endian binary file."""
-    fp = cache.fingerprint.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(fp)))
-        fh.write(fp)
-        for (lo, hi) in sorted(cache.store):
-            fh.write(_RECORD.pack(lo, hi, cache.store[(lo, hi)]))
-
-
-def load_cache(path: str, expected_fingerprint: str | None = None) -> SimilarityCache:
-    """Read a cache file back; verify the fingerprint when one is expected."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a similarity cache file")
-    off = len(_MAGIC)
-    (fp_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    fingerprint = data[off:off + fp_len].decode("utf-8")
-    off += fp_len
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise FingerprintMismatchError(
-            f"{path}: fingerprint {fingerprint!r} does not match {expected_fingerprint!r}")
-    store: dict[tuple[int, int], float] = {}
-    for lo, hi, s in _RECORD.iter_unpack(data[off:]):
-        store[(lo, hi)] = s
-    return SimilarityCache(fingerprint=fingerprint, store=store)

@@ -16,9 +16,8 @@ from dataclasses import replace
 from .cache import SimilarityCache, cache_fingerprint
 from .errors import (CfLevelsError, ConfigError, TooFewItemsError,
                      TooFewUsersError, UnknownItemError, UnknownUserError)
-from .evaluate import (HIT_DEFS, EvalReport, SplitSpec, average_report,
-                       kfold_split, render_csv, render_json, run_experiment,
-                       split_holdout)
+from .evaluate import (HIT_DEFS, EvalReport, average_report, kfold_split,
+                       render_csv, render_json, run_experiment, split_holdout)
 from .ingest import FORMATS, DatasetFormat, dataset_stats, parse_ratings
 from .levels import NEGATIVE_FORMS, build_level_table
 from .predict import PREDICTION_MODES, recommend_top_n
@@ -296,37 +295,30 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     matrix = load_matrix(args)
     methods = resolve_methods(args)
     ks = parse_k_sweep(args.k_sweep) if args.k_sweep else [args.k]
-    fold_ids: list[int | None]
     if args.folds is not None:
-        fold_ids = list(range(args.folds))
-        trains = [train for train, _ in kfold_split(matrix, args.folds, args.seed)]
+        splits = kfold_split(matrix, args.folds, args.seed)
     else:
-        fold_ids = [None]
-        trains = [split_holdout(matrix, args.train, args.seed)[0]]
+        splits = [split_holdout(matrix, args.train, args.seed)]
+    folds = range(len(splits))
 
-    caches = {}
-    for mi, method in enumerate(methods):
-        for fi, fold in enumerate(fold_ids):
-            caches[(mi, fold)] = SimilarityCache(
-                fingerprint=cache_fingerprint(method, trains[fi]))
-    del trains
+    caches = {(mi, fi): SimilarityCache(fingerprint=cache_fingerprint(method, train))
+              for mi, method in enumerate(methods)
+              for fi, (train, _) in enumerate(splits)}
 
     r = getattr(args, "r", None) or 20
     relevance = getattr(args, "relevance", None)
     hit_def = getattr(args, "hit_def", "correct")
 
-    def cell_report(cell: tuple[int, int, int | None]) -> EvalReport:
-        mi, k, fold = cell
-        if fold is None:
-            split = SplitSpec("holdout", train_ratio=args.train, seed=args.seed)
-        else:
-            split = SplitSpec("kfold", folds=args.folds, fold=fold, seed=args.seed)
-        return run_experiment(matrix, methods[mi], split, k=k, r=r,
+    def cell_report(cell: tuple[int, int, int]) -> EvalReport:
+        mi, k, fi = cell
+        train, test = splits[fi]
+        return run_experiment(train, test, methods[mi], k=k, r=r,
+                              fold=fi if args.folds is not None else None,
                               relevance=relevance, hit_def=hit_def,
                               prediction=args.prediction, metrics=metrics,
-                              cache=caches[(mi, fold)])
+                              cache=caches[(mi, fi)])
 
-    cells = [(mi, k, fold) for mi in range(len(methods)) for k in ks for fold in fold_ids]
+    cells = [(mi, k, fi) for mi in range(len(methods)) for k in ks for fi in folds]
     if args.jobs > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = dict(zip(cells, pool.map(cell_report, cells)))
@@ -336,7 +328,7 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     rows: list[EvalReport] = []
     for mi in range(len(methods)):
         for k in ks:
-            group = [reports[(mi, k, fold)] for fold in fold_ids]
+            group = [reports[(mi, k, fi)] for fi in folds]
             rows.extend(group)
             if args.folds is not None:
                 rows.append(average_report(group))
@@ -423,14 +415,34 @@ COMMANDS = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull so the final flush stays quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
-    """Run one command; exit code 0 ok, 1 runtime/data error, 2 usage error."""
+    """Run one command; exit code 0 ok, 1 runtime/data error, 2 usage error.
+
+    A stdout whose reader went away (``cflevels ... | head``) is not an
+    error of the run: it exits 0 and prints nothing to stderr.
+    """
     parser, by_name = build_parser()
     try:
         args = parser.parse_args(argv)
         apply_config(args, by_name[args.command])
         fill_defaults(args)
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 0
     except SystemExit as exc:
         if exc.code in (0, None):
             return 0

@@ -24,33 +24,6 @@ class PredictionPair(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """How to carve the matrix: one holdout, or one fold of a k-fold run."""
-
-    kind: str = "holdout"
-    train_ratio: float = 0.8
-    folds: int = 5
-    fold: int | None = None
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("holdout", "kfold"):
-            raise ValueError(f"unknown split kind {self.kind!r}")
-        if self.kind == "holdout":
-            if not 0.0 < self.train_ratio < 1.0:
-                raise ValueError(f"train_ratio must be in (0,1), got {self.train_ratio}")
-            if self.fold is not None:
-                raise ValueError("fold applies only to kfold splits")
-        else:
-            if self.folds < 2:
-                raise ValueError(f"folds must be >= 2, got {self.folds}")
-            if self.fold is None:
-                raise ValueError("kfold split needs a fold index")
-            if not 0 <= self.fold < self.folds:
-                raise ValueError(f"fold must be in [0,{self.folds}), got {self.fold}")
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Metric results for one experiment configuration.
 
@@ -239,34 +212,31 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
     return out
 
 
-def run_experiment(m: RatingsMatrix, method: SimilarityMethod, split: SplitSpec,
-                   k: int = 40, r: int = 20, relevance: float | None = None,
+def run_experiment(train: RatingsMatrix, test: list[RatingRecord],
+                   method: SimilarityMethod, *, k: int = 40, r: int = 20,
+                   fold: int | None = None, relevance: float | None = None,
                    hit_def: str = "correct", prediction: str = "resnick",
                    metrics: str = "all",
                    cache: SimilarityCache | None = None) -> EvalReport:
-    """One configuration end to end: split, predict, score, report.
+    """One configuration over a finished split: predict, score, report.
 
-    A kfold SplitSpec evaluates exactly the fold it names; sweeping folds is
-    the caller's loop. Identical arguments always produce an identical
-    report (timing aside).
+    ``(train, test)`` comes from :func:`split_holdout` or one entry of
+    :func:`kfold_split`; ``fold`` labels the report with that entry's index.
+    Identical arguments always produce an identical report (timing aside).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     started = time.perf_counter()
-    if split.kind == "holdout":
-        train, test = split_holdout(m, split.train_ratio, split.seed)
-    else:
-        train, test = kfold_split(m, split.folds, split.seed)[split.fold]
     if relevance is None:
-        relevance = default_relevance_threshold(m.scale)
+        relevance = default_relevance_threshold(train.scale)
     values = evaluate_split(train, test, method, k=k, r=r, relevance=relevance,
                             hit_def=hit_def, prediction=prediction,
                             metrics=metrics, cache=cache)
     params = dict(method.params)
-    if split.kind == "kfold":
-        params["fold"] = split.fold
+    if fold is not None:
+        params["fold"] = fold
     if metrics in ("all", "topn"):
         params["r"] = r
     return EvalReport(method=method.name, k=k, params=params,

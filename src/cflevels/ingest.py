@@ -60,16 +60,18 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                   skip_bad_lines: bool = False) -> list[RatingRecord]:
     """Read one record per data line, validating field count and scale.
 
-    Bad lines raise (with their line number) unless ``skip_bad_lines`` is
-    set, in which case each is logged and a final rejected count reported.
-    Whitespace-only lines are skipped; they carry no data either way.
+    Bad lines (too few fields, an empty user or item id, an unparsable or
+    out-of-scale rating) raise with their line number unless
+    ``skip_bad_lines`` is set, in which case each is logged and a final
+    rejected count reported. Whitespace-only lines are skipped; they carry
+    no data either way. A leading UTF-8 byte-order mark is dropped.
     """
     user_at = fmt.columns.index("user")
     item_at = fmt.columns.index("item")
     rating_at = fmt.columns.index("rating")
     records: list[RatingRecord] = []
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if lineno <= fmt.header_lines:
                 continue
@@ -81,6 +83,8 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                 if len(parts) < len(fmt.columns):
                     raise MalformedLineError(
                         f"{path}:{lineno}: expected {len(fmt.columns)} fields, got {len(parts)}")
+                if not parts[user_at] or not parts[item_at]:
+                    raise MalformedLineError(f"{path}:{lineno}: empty user or item id")
                 try:
                     value = float(parts[rating_at])
                 except ValueError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import TooFewItemsError, TooFewUsersError
 from .ratings import RatingsMatrix
-from .similarity import SimilarityMethod, _pcc_and_overlap
+from .similarity import SimilarityMethod
 
 MIN_CO_RATED = 5
 
@@ -129,24 +129,17 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
     raise ValueError(f"unknown negative_form {negative_form!r}; expected one of {', '.join(NEGATIVE_FORMS)}")
 
 
-def dynamic_sim(a: str, b: str, m: RatingsMatrix, table: LevelTable,
-                negative_form: str = "eq4") -> float:
-    """Multi-level adjusted correlation for a user pair."""
-    score, co = _pcc_and_overlap(a, b, m)
-    return apply_dynamic(score, co, table, negative_form)
-
-
 def dynamic_method(negative_form: str = "eq4") -> SimilarityMethod:
     """Configured dynamic method; derives (and caches) one table per matrix."""
     if negative_form not in NEGATIVE_FORMS:
         raise ValueError(f"unknown negative_form {negative_form!r}; expected one of {', '.join(NEGATIVE_FORMS)}")
     tables: weakref.WeakKeyDictionary[RatingsMatrix, LevelTable] = weakref.WeakKeyDictionary()
 
-    def score(a: str, b: str, m: RatingsMatrix) -> float:
+    def adjust(score: float, co_rated: int, m: RatingsMatrix) -> float:
         table = tables.get(m)
         if table is None:
             table = level_table_for(m)
             tables[m] = table
-        return dynamic_sim(a, b, m, table, negative_form)
+        return apply_dynamic(score, co_rated, table, negative_form)
 
-    return SimilarityMethod("dynamic", score, {"negative_form": negative_form})
+    return SimilarityMethod("dynamic", adjust, {"negative_form": negative_form})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cache import SimilarityCache, get_or_compute
 from .errors import UnknownUserError
 from .ratings import RatingsMatrix, raters_of
 from .similarity import SimilarityMethod
@@ -33,11 +34,9 @@ class Prediction:
 
 
 def _score(a: str, b: str, sim: SimilarityMethod, m: RatingsMatrix,
-           cache: "SimilarityCache | None") -> float:
+           cache: SimilarityCache | None) -> float:
     if cache is None:
         return sim.score(a, b, m)
-    from .cache import get_or_compute
-
     return get_or_compute(cache, a, b, sim, m)
 
 

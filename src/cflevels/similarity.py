@@ -1,10 +1,10 @@
 """Pairwise user-user similarity measures.
 
-Each measure comes in two layers: a scalar layer that applies the adjustment
-formula to an already-computed correlation (``apply_*`` / ``plus_adjust``),
-and a matrix layer that computes the base correlation from a
-:class:`~cflevels.ratings.RatingsMatrix` first. The scalar layer exists so
-the formulas can be tested and reused without a matrix in hand.
+Every measure is one adjustment formula (``apply_*`` / ``plus_adjust``)
+applied to a single base: the Pearson correlation of the pair and its
+co-rated item count. :class:`SimilarityMethod` pairs a formula with that
+base, so each configured method differs from plain Pearson only in how it
+adjusts the number.
 
 The base correlation is Pearson over the co-rated item set, with both means
 taken over that same set. Degenerate pairs (fewer than 2 co-rated items, or
@@ -24,23 +24,18 @@ from .ratings import RatingsMatrix
 
 @dataclass(frozen=True)
 class StaticParams:
-    """Thresholds for the statically adjusted measure (and the WPCC cutoff).
+    """Thresholds for the statically adjusted measure.
 
     t: minimum co-rated items for a positive adjustment.
     y: minimum correlation for a positive adjustment.
-    t_wpcc: WPCC significance-weighting cutoff, kept alongside because the
-        two measures are configured together per dataset.
     """
 
     t: int = 10
     y: float = 0.20
-    t_wpcc: int = 50
 
     def __post_init__(self) -> None:
         if self.t < 1:
             raise ValueError(f"co-rated threshold t must be >= 1, got {self.t}")
-        if self.t_wpcc < 1:
-            raise ValueError(f"WPCC threshold must be >= 1, got {self.t_wpcc}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ def pcc(a: str, b: str, m: RatingsMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar adjustment layer
+# adjustments
 # ---------------------------------------------------------------------------
 
 def apply_wpcc(score: float, co_rated: int, threshold: int) -> float:
@@ -130,25 +125,6 @@ def apply_static(score: float, co_rated: int, params: StaticParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# matrix layer
-# ---------------------------------------------------------------------------
-
-def wpcc(a: str, b: str, m: RatingsMatrix, threshold: int) -> float:
-    score, co = _pcc_and_overlap(a, b, m)
-    return apply_wpcc(score, co, threshold)
-
-
-def spcc(a: str, b: str, m: RatingsMatrix) -> float:
-    score, co = _pcc_and_overlap(a, b, m)
-    return apply_spcc(score, co)
-
-
-def static_proposed(a: str, b: str, m: RatingsMatrix, params: StaticParams) -> float:
-    score, co = _pcc_and_overlap(a, b, m)
-    return apply_static(score, co, params)
-
-
-# ---------------------------------------------------------------------------
 # configured methods
 # ---------------------------------------------------------------------------
 
@@ -156,26 +132,25 @@ METHOD_NAMES = ("pcc", "wpcc", "spcc", "plus", "static", "dynamic")
 
 
 class SimilarityMethod:
-    """A named similarity function with its parameters pinned.
+    """A named adjustment of the Pearson base with its parameters pinned.
 
-    ``score(a, b, m)`` is a pure function of the pair and the matrix, so a
-    method instance can be shared freely across threads. The ``key`` string
-    identifies the method + parameters for cache fingerprinting.
+    ``score(a, b, m)`` computes (Pearson, co-rated count) for the pair and
+    hands both to ``adjust(pcc, co_rated, m)``. Both are pure functions of
+    the pair and the matrix, so a method instance can be shared freely
+    across threads. ``key`` identifies the method + parameters for cache
+    fingerprinting.
     """
 
-    def __init__(self, name: str, fn: Callable[[str, str, RatingsMatrix], float],
+    def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
                  params: dict[str, object] | None = None) -> None:
         self.name = name
         self.params = dict(params or {})
-        self._fn = fn
+        self.adjust = adjust
+        inner = ",".join(f"{k}={self.params[k]!r}" for k in sorted(self.params))
+        self.key = f"{name}({inner})"
 
     def score(self, a: str, b: str, m: RatingsMatrix) -> float:
-        return self._fn(a, b, m)
-
-    @property
-    def key(self) -> str:
-        inner = ",".join(f"{k}={self.params[k]!r}" for k in sorted(self.params))
-        return f"{self.name}({inner})"
+        return self.adjust(*_pcc_and_overlap(a, b, m), m)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimilarityMethod({self.key})"
@@ -192,25 +167,19 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     below-threshold formula).
     """
     if name == "pcc":
-        return SimilarityMethod("pcc", pcc)
+        return SimilarityMethod("pcc", lambda s, co, m: s)
     if name == "wpcc":
-        return SimilarityMethod("wpcc", lambda a, b, m: wpcc(a, b, m, big_t), {"T": big_t})
+        return SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t), {"T": big_t})
     if name == "spcc":
-        return SimilarityMethod("spcc", spcc)
+        return SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co))
     if name == "plus":
-        params = PlusParams(alpha=alpha, beta=beta)
-        return SimilarityMethod(
-            "plus",
-            lambda a, b, m: plus_adjust(pcc(a, b, m), params),
-            {"alpha": alpha, "beta": beta},
-        )
+        plus = PlusParams(alpha=alpha, beta=beta)
+        return SimilarityMethod("plus", lambda s, co, m: plus_adjust(s, plus),
+                                {"alpha": alpha, "beta": beta})
     if name == "static":
-        params = StaticParams(t=t, y=y)
-        return SimilarityMethod(
-            "static",
-            lambda a, b, m: static_proposed(a, b, m, params),
-            {"t": t, "y": y},
-        )
+        static = StaticParams(t=t, y=y)
+        return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, static),
+                                {"t": t, "y": y})
     if name == "dynamic":
         from .levels import dynamic_method  # local import to avoid a cycle
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import _synth
 import oracles
-from cflevels import (RatingScale, SimilarityCache, SplitSpec, StaticParams,
+from cflevels import (RatingScale, SimilarityCache, StaticParams,
                       apply_static, build_level_table, build_matrix,
                       cache_fingerprint, hit_rate, mae, make_method,
                       neighborhood_for_item, nmae, precision_recall_f1,
@@ -137,8 +137,7 @@ def test_criterion_2_oracle_agreement(scale, sample_matrix):
         records = oracles.ratings_to_records(ratings)
         want = oracles.run_holdout_experiment(records, 0.8, seed, k=3, r=3,
                                               relevance=4.0, scale=(1.0, 5.0))
-        got = run_experiment(m, make_method("pcc"),
-                             SplitSpec("holdout", train_ratio=0.8, seed=seed),
+        got = run_experiment(*split_holdout(m, 0.8, seed), make_method("pcc"),
                              k=3, r=3, relevance=4.0)
         close(got.mae, want["mae"])
         close(got.nmae, want["nmae"])
@@ -278,13 +277,12 @@ def test_criterion_6_planted_clusters():
     assert 0.04 <= density <= 0.08, f"density {density:.3f} out of band"
 
     m = build_matrix(records, RatingScale(*_synth.SCALE))
-    split = SplitSpec("holdout", train_ratio=0.8, seed=42)
-    train, _ = split_holdout(m, 0.8, 42)
+    train, test = split_holdout(m, 0.8, 42)
     maes = {}
     for name in ("pcc", "dynamic"):
         method = make_method(name)
         cache = SimilarityCache(fingerprint=cache_fingerprint(method, train))
-        maes[name] = {k: run_experiment(m, method, split, k=k,
+        maes[name] = {k: run_experiment(train, test, method, k=k,
                                         metrics="accuracy", cache=cache).mae
                       for k in (20, 40, 80)}
     for k in (20, 40, 80):
@@ -292,7 +290,7 @@ def test_criterion_6_planted_clusters():
             f"k={k}: dynamic {maes['dynamic'][k]:.6f} > pcc {maes['pcc'][k]:.6f}")
 
     # deterministic under the seed: a fresh run reproduces the same numbers
-    rerun = run_experiment(m, make_method("dynamic"), split, k=40,
+    rerun = run_experiment(*split_holdout(m, 0.8, 42), make_method("dynamic"), k=40,
                            metrics="accuracy").mae
     assert rerun == maes["dynamic"][40]
 

@@ -1,0 +1,64 @@
+"""What the benchmark in ``perfbench/`` binds from the package.
+
+The traced benchmark wraps the functions named in the ``COARSE`` and ``HOT``
+tables of ``perfbench/tracer.py``, patches ``SimilarityMethod.score``, binds
+``predict`` and ``recommend_top_n`` arguments by name for its oracle check,
+and builds a matrix through top-level names in its set-up probe. A rename of
+any of these fails here instead of as a crashed benchmark run.
+"""
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import pytest
+
+import cflevels
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    # exec'd from source so that reading it leaves no bytecode cache behind
+    module = types.ModuleType("_perfbench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(module))
+    return module
+
+
+_tracer = load_tracer()
+
+
+@pytest.mark.parametrize("home,attr,name", _tracer.COARSE + _tracer.HOT,
+                         ids=[name for _, _, name in _tracer.COARSE + _tracer.HOT])
+def test_traced_boundary_resolves(home, attr, name):
+    assert callable(getattr(importlib.import_module(home), attr))
+
+
+def test_score_is_patchable_on_the_class():
+    cls = importlib.import_module("cflevels.similarity").SimilarityMethod
+    assert "score" in vars(cls)
+    sim = cflevels.make_method("dynamic")
+    assert sim.name == "dynamic"
+    assert sim.params["negative_form"] == "eq4"
+
+
+@pytest.mark.parametrize("fn,names", [
+    (cflevels.predict, ("a", "item", "k", "sim", "m", "cache", "mode")),
+    (cflevels.recommend_top_n, ("a", "r", "k", "sim", "m", "candidates", "cache", "mode")),
+], ids=["predict", "recommend_top_n"])
+def test_oracle_bound_parameter_names(fn, names):
+    assert tuple(inspect.signature(fn).parameters) == names
+
+
+def test_cache_first_argument_and_length(sample_matrix):
+    sim = cflevels.make_method("pcc")
+    cache = cflevels.SimilarityCache(cflevels.cache_fingerprint(sim, sample_matrix))
+    assert next(iter(inspect.signature(cflevels.get_or_compute).parameters)) == "cache"
+    cflevels.get_or_compute(cache, "u1", "u2", sim, sample_matrix)
+    assert len(cache) == 1
+
+
+def test_setup_probe_names():
+    for name in ("DatasetFormat", "RatingScale", "parse_ratings", "build_matrix"):
+        assert hasattr(cflevels, name)

@@ -1,88 +1,37 @@
-"""Similarity precomputation, cache transparency, and the on-disk format."""
+"""The fingerprinted pair cache: hits, misses, symmetry and transparency."""
 
 import random
 
 import pytest
 
 import oracles
-from cflevels import (FingerprintMismatchError, build_matrix, cache_fingerprint,
-                      candidate_pairs, get_or_compute, load_cache, make_method,
-                      pcc, precompute, save_cache)
+from cflevels import (FingerprintMismatchError, SimilarityCache, UnknownUserError,
+                      build_matrix, cache_fingerprint, get_or_compute,
+                      make_method, pcc)
 
 PCC = make_method("pcc")
 
 
-class TestCandidatePairs:
-    def test_sample_has_all_six(self, sample_matrix):
-        # every user pair of the sample shares at least one item
-        assert candidate_pairs(sample_matrix) == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-    def test_disjoint_users_excluded(self, scale):
-        m = build_matrix([("a", "i1", 3.0), ("b", "i1", 4.0), ("c", "i2", 2.0)], scale)
-        assert candidate_pairs(m) == [(0, 1)]
-
-    def test_empty_matrix(self, scale):
-        assert candidate_pairs(build_matrix([], scale)) == []
-
-
-class TestPrecompute:
-    def test_sample_default_policy(self, sample_matrix):
-        cache = precompute(sample_matrix, PCC)
-        assert cache.candidate_pairs == 6
-        # (u1, u3) overlap on one item only, so it stays out of the store
-        assert len(cache.store) == 5
-        assert (0, 2) not in cache.store
-
-    def test_custom_selector_keeps_everything(self, sample_matrix):
-        cache = precompute(sample_matrix, PCC, pair_selector=lambda m, lo, hi: True)
-        assert len(cache.store) == 6
-
-    def test_empty_matrix(self, scale):
-        cache = precompute(build_matrix([], scale), PCC)
-        assert len(cache.store) == 0 and cache.candidate_pairs == 0
-
-    def test_values_match_direct_scoring(self, sample_matrix):
-        cache = precompute(sample_matrix, PCC)
-        users = sample_matrix.users()
-        for (lo, hi), value in cache.store.items():
-            assert value == pcc(users[lo], users[hi], sample_matrix)
-
-    def test_two_runs_identical(self, sample_matrix):
-        a = precompute(sample_matrix, PCC)
-        b = precompute(sample_matrix, PCC)
-        assert a.fingerprint == b.fingerprint
-        assert a.store == b.store
-
-    def test_jobs_do_not_change_results(self, scale):
-        rng = random.Random(17)
-        ratings = oracles.random_ratings(rng, n_users=20, n_items=12, density=0.6)
-        m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        serial = precompute(m, PCC, jobs=1)
-        threaded = precompute(m, PCC, jobs=4)
-        assert serial.store == threaded.store
-
-    def test_jobs_validated(self, sample_matrix):
-        with pytest.raises(ValueError):
-            precompute(sample_matrix, PCC, jobs=0)
+def fresh_cache(m, sim=PCC):
+    return SimilarityCache(fingerprint=cache_fingerprint(sim, m))
 
 
 class TestGetOrCompute:
     def test_hit_returns_stored_value(self, sample_matrix):
-        cache = precompute(sample_matrix, PCC)
+        cache = fresh_cache(sample_matrix)
         cache.store[(0, 1)] = 0.123  # sentinel proves no recomputation
         got = get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
         assert got == 0.123
 
     def test_miss_computes_and_stores(self, sample_matrix):
-        cache = precompute(sample_matrix, PCC)
+        cache = fresh_cache(sample_matrix)
         assert (0, 2) not in cache.store
         got = get_or_compute(cache, "u1", "u3", PCC, sample_matrix)
         assert got == pcc("u1", "u3", sample_matrix)
         assert (0, 2) in cache.store
 
     def test_symmetric_keys(self, sample_matrix):
-        cache = precompute(sample_matrix, PCC)
+        cache = fresh_cache(sample_matrix)
         ab = get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
         ba = get_or_compute(cache, "u2", "u1", PCC, sample_matrix)
         assert ab == ba
@@ -92,47 +41,27 @@ class TestGetOrCompute:
         rng = random.Random(28)
         ratings = oracles.random_ratings(rng, n_users=15, n_items=10, density=0.6)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        cache = precompute(m, PCC)
+        cache = fresh_cache(m)
         users = sorted(ratings)
-        for i, a in enumerate(users):
-            for b in users[i + 1:]:
-                assert get_or_compute(cache, a, b, PCC, m) == pcc(a, b, m)
+        for _ in ("miss", "hit"):
+            for i, a in enumerate(users):
+                for b in users[i + 1:]:
+                    assert get_or_compute(cache, a, b, PCC, m) == pcc(a, b, m)
+        assert len(cache) == len(users) * (len(users) - 1) // 2
 
     def test_fingerprint_mismatch(self, sample_matrix, scale):
         other = build_matrix([("x", "i1", 3.0), ("y", "i1", 4.0)], scale)
-        cache = precompute(other, PCC)
+        cache = fresh_cache(other)
         with pytest.raises(FingerprintMismatchError):
             get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
-        wrong_method = precompute(sample_matrix, make_method("spcc"))
+        wrong_method = fresh_cache(sample_matrix, make_method("spcc"))
         with pytest.raises(FingerprintMismatchError):
             get_or_compute(wrong_method, "u1", "u2", PCC, sample_matrix)
 
-
-class TestCacheFile:
-    def test_round_trip(self, sample_matrix, tmp_path):
-        cache = precompute(sample_matrix, PCC)
-        path = str(tmp_path / "sims.cflv")
-        save_cache(cache, path)
-        loaded = load_cache(path)
-        assert loaded.fingerprint == cache.fingerprint
-        assert loaded.store == cache.store
-
-    def test_magic_bytes(self, sample_matrix, tmp_path):
-        path = tmp_path / "sims.cflv"
-        save_cache(precompute(sample_matrix, PCC), str(path))
-        assert path.read_bytes()[:5] == b"CFLV1"
-
-    def test_expected_fingerprint_checked(self, sample_matrix, tmp_path):
-        cache = precompute(sample_matrix, PCC)
-        path = str(tmp_path / "sims.cflv")
-        save_cache(cache, path)
-        expected = cache_fingerprint(PCC, sample_matrix)
-        assert load_cache(path, expected).store == cache.store
-        with pytest.raises(FingerprintMismatchError):
-            load_cache(path, "pcc()|somethingelse")
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTACACHE")
-        with pytest.raises(ValueError):
-            load_cache(str(path))
+    def test_unknown_user(self, sample_matrix):
+        cache = fresh_cache(sample_matrix)
+        with pytest.raises(UnknownUserError):
+            get_or_compute(cache, "u1", "nobody", PCC, sample_matrix)
+        with pytest.raises(UnknownUserError):
+            get_or_compute(cache, "nobody", "u1", PCC, sample_matrix)
+        assert len(cache) == 0

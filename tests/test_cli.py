@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -79,6 +82,29 @@ class TestExitCodes:
 
     def test_missing_ratings_file(self, tmp_path):
         assert main(["levels", "--ratings", str(tmp_path / "nope.txt")]) == 1
+
+    def test_closed_stdout_exits_quietly(self, bench_file, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["evaluate", "--ratings", bench_file]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_child_process(self, bench_file):
+        # block-buffered stdout, so the write only fails at the final flush
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from cflevels.cli import entry; entry()",
+             "evaluate", "--ratings", bench_file],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
 
     def test_range_checks(self, bench_file):
         base = ["evaluate", "--ratings", bench_file]

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from cflevels import (EmptyInputError, EvalReport, PredictionPair, RatingScale,
-                      SplitSpec, average_report, build_matrix,
+                      average_report, build_matrix,
                       default_relevance_threshold, hit_rate, kfold_split,
                       mae, make_method, nmae, precision_recall_f1, render_csv,
                       render_json, rmse, run_experiment, split_holdout)
@@ -165,8 +165,7 @@ class TestTopNMetrics:
 class TestRunExperiment:
     def test_sample_holdout_seed7_frozen(self, sample_matrix):
         # the 4x4 sample is too sparse to predict anything once split
-        rep = run_experiment(sample_matrix, make_method("pcc"),
-                             SplitSpec("holdout", train_ratio=0.8, seed=7),
+        rep = run_experiment(*split_holdout(sample_matrix, 0.8, 7), make_method("pcc"),
                              k=2, r=2, relevance=4.0)
         assert rep.mae is None and rep.nmae is None and rep.rmse is None
         assert rep.coverage == 3
@@ -180,8 +179,7 @@ class TestRunExperiment:
         want = oracles.run_holdout_experiment(records, 0.8, 11, k=5, r=5,
                                               relevance=4.0, scale=(1, 5))
         m = build_matrix(records, scale)
-        rep = run_experiment(m, make_method("pcc"),
-                             SplitSpec("holdout", train_ratio=0.8, seed=11),
+        rep = run_experiment(*split_holdout(m, 0.8, 11), make_method("pcc"),
                              k=5, r=5, relevance=4.0)
         assert rep.mae == pytest.approx(want["mae"], abs=1e-9)
         assert rep.nmae == pytest.approx(want["nmae"], abs=1e-9)
@@ -196,9 +194,8 @@ class TestRunExperiment:
         rng = random.Random(321)
         ratings = oracles.random_ratings(rng, n_users=25, n_items=18, density=0.4)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        spec = SplitSpec("holdout", train_ratio=0.75, seed=5)
-        a = run_experiment(m, make_method("dynamic"), spec, k=6, r=4)
-        b = run_experiment(m, make_method("dynamic"), spec, k=6, r=4)
+        a = run_experiment(*split_holdout(m, 0.75, 5), make_method("dynamic"), k=6, r=4)
+        b = run_experiment(*split_holdout(m, 0.75, 5), make_method("dynamic"), k=6, r=4)
         for field in ("method", "k", "params", "mae", "nmae", "rmse", "precision",
                       "recall", "f1", "hit_rate_pct", "coverage"):
             assert getattr(a, field) == getattr(b, field)
@@ -207,11 +204,11 @@ class TestRunExperiment:
         rng = random.Random(88)
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        spec = SplitSpec("holdout", train_ratio=0.8, seed=2)
-        accuracy = run_experiment(m, make_method("pcc"), spec, k=5, metrics="accuracy")
+        split = split_holdout(m, 0.8, 2)
+        accuracy = run_experiment(*split, make_method("pcc"), k=5, metrics="accuracy")
         assert accuracy.precision is None and accuracy.hit_rate_pct is None
         assert accuracy.mae is not None
-        topn = run_experiment(m, make_method("pcc"), spec, k=5, r=5, metrics="topn")
+        topn = run_experiment(*split, make_method("pcc"), k=5, r=5, metrics="topn")
         assert topn.mae is None and topn.rmse is None
         assert topn.precision is not None
         assert topn.params.get("r") == 5
@@ -220,29 +217,14 @@ class TestRunExperiment:
         rng = random.Random(99)
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.55)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        reports = [run_experiment(m, make_method("pcc"),
-                                  SplitSpec("kfold", folds=3, fold=f, seed=1),
-                                  k=5, metrics="accuracy")
-                   for f in range(3)]
-        assert [rep.params["fold"] for rep in reports] == [0, 1, 2]
         folds = kfold_split(m, 3, seed=1)
+        reports = [run_experiment(train, test, make_method("pcc"), fold=f,
+                                  k=5, metrics="accuracy")
+                   for f, (train, test) in enumerate(folds)]
+        assert [rep.params["fold"] for rep in reports] == [0, 1, 2]
         total_test = sum(len(test) for _, test in folds)
         total_misses = sum(rep.coverage for rep in reports)
         assert total_misses <= total_test
-
-    def test_split_spec_validated(self):
-        with pytest.raises(ValueError):
-            SplitSpec("bootstrap")
-        with pytest.raises(ValueError):
-            SplitSpec("holdout", train_ratio=1.5)
-        with pytest.raises(ValueError):
-            SplitSpec("holdout", fold=1)
-        with pytest.raises(ValueError):
-            SplitSpec("kfold", folds=1, fold=0)
-        with pytest.raises(ValueError):
-            SplitSpec("kfold", folds=5)
-        with pytest.raises(ValueError):
-            SplitSpec("kfold", folds=5, fold=5)
 
     def test_average_report(self):
         reports = [

@@ -80,6 +80,22 @@ class TestParseRatings:
             parse_ratings(path, FORMATS["epinions"])
         assert ":1:" in str(err.value)
 
+    def test_utf8_bom_not_part_of_first_user(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes("u1 i1 3\nu1 i2 4\n".encode("utf-8-sig"))
+        records = parse_ratings(str(path), FORMATS["epinions"])
+        assert [r.user for r in records] == ["u1", "u1"]
+        assert dataset_stats(records).users == 1
+
+    @pytest.mark.parametrize("line", ["::i1::4", "u2::::3"])
+    def test_empty_id_names_line(self, tmp_path, line):
+        path = write(tmp_path, "empty.dat", f"u1::i1::5\n{line}\n")
+        with pytest.raises(MalformedLineError) as err:
+            parse_ratings(path, FORMATS["movietweetings"])
+        assert ":2:" in str(err.value)
+        records = parse_ratings(path, FORMATS["movietweetings"], skip_bad_lines=True)
+        assert [(r.user, r.item) for r in records] == [("u1", "i1")]
+
     def test_skip_bad_lines_logs_and_continues(self, tmp_path, caplog):
         path = write(tmp_path, "mixed.txt", "a i1 3\nbroken\nb i2 9\nc i3 4\n")
         with caplog.at_level(logging.WARNING, logger="cflevels.ingest"):

@@ -6,9 +6,9 @@ import pytest
 
 import oracles
 from cflevels import (Band, TooFewItemsError, TooFewUsersError, apply_dynamic,
-                      build_level_table, build_matrix, derive_dvi, derive_dvu,
-                      derive_step, dynamic_method, dynamic_sim, level_table_for,
-                      make_method)
+                      build_level_table, build_matrix, co_rated_items, derive_dvi,
+                      derive_dvu, derive_step, dynamic_method, level_table_for,
+                      levels, make_method, pcc)
 
 # (users, items) -> (dvu, dvi, step, bands); frozen from the oracle
 FROZEN_TABLES = {
@@ -127,26 +127,31 @@ class TestDynamicSim:
         for _ in range(10):
             ratings = oracles.random_ratings(rng, n_users=14, n_items=24, density=0.6)
             m = build_matrix(oracles.ratings_to_records(ratings), scale)
-            table = level_table_for(m)
             users = sorted(ratings)
             for form in ("eq4", "eq8", "alg1"):
+                method = make_method("dynamic", negative_form=form)
                 for i, a in enumerate(users):
                     for b in users[i + 1:]:
                         want = oracles.dynamic_adjusted(
                             ratings, a, b, m.user_count, m.item_count, form)
-                        got = dynamic_sim(a, b, m, table, form)
+                        got = method.score(a, b, m)
                         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_method_wrapper_reuses_one_table(self, scale):
+    def test_method_wrapper_reuses_one_table(self, scale, monkeypatch):
         rng = random.Random(7)
         ratings = oracles.random_ratings(rng, n_users=16, n_items=30, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
         method = make_method("dynamic")
         table = level_table_for(m)
+        derived = []
+        monkeypatch.setattr(levels, "level_table_for",
+                            lambda mat: derived.append(mat) or table)
         users = sorted(ratings)
         for i, a in enumerate(users):
             for b in users[i + 1:]:
-                assert method.score(a, b, m) == dynamic_sim(a, b, m, table)
+                co = len(co_rated_items(a, b, m))
+                assert method.score(a, b, m) == apply_dynamic(pcc(a, b, m), co, table)
+        assert derived == [m]
 
     def test_method_requires_enough_users(self, sample_matrix):
         # the 4-user sample is below the 10-user derivation floor

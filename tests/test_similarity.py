@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from cflevels import (PlusParams, StaticParams, apply_spcc, apply_static,
-                      apply_wpcc, build_matrix, make_method, pcc, plus_adjust,
-                      spcc, static_proposed, wpcc)
+                      apply_wpcc, build_matrix, co_rated_items, make_method, pcc,
+                      plus_adjust)
 
 scores = st.floats(min_value=-1.0, max_value=1.0)
 counts = st.integers(min_value=0, max_value=500)
@@ -102,7 +102,8 @@ class TestWpcc:
                     continue
                 for threshold in (2, 3, 50):
                     want = oracles.weighted_pearson(oracles.SAMPLE_RATINGS, a, b, threshold)
-                    assert wpcc(a, b, sample_matrix, threshold) == pytest.approx(want, abs=1e-9)
+                    got = make_method("wpcc", big_t=threshold).score(a, b, sample_matrix)
+                    assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestSpcc:
@@ -122,7 +123,8 @@ class TestSpcc:
                 if a >= b:
                     continue
                 want = oracles.sigmoid_pearson(oracles.SAMPLE_RATINGS, a, b)
-                assert spcc(a, b, sample_matrix) == pytest.approx(want, abs=1e-9)
+                got = make_method("spcc").score(a, b, sample_matrix)
+                assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestPlusAdjust:
@@ -206,7 +208,7 @@ class TestStatic:
                     continue
                 for t, y in ((2, 0.1), (10, 0.2), (3, -0.9)):
                     want = oracles.static_adjusted(oracles.SAMPLE_RATINGS, a, b, t, y)
-                    got = static_proposed(a, b, sample_matrix, StaticParams(t=t, y=y))
+                    got = make_method("static", t=t, y=y).score(a, b, sample_matrix)
                     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -220,9 +222,12 @@ class TestMethodWrapper:
 
     def test_dispatch_matches_direct_calls(self, sample_matrix):
         direct = pcc("u1", "u2", sample_matrix)
+        co = len(co_rated_items("u1", "u2", sample_matrix))
         assert make_method("pcc").score("u1", "u2", sample_matrix) == direct
         assert make_method("wpcc", big_t=5).score("u1", "u2", sample_matrix) == \
-            wpcc("u1", "u2", sample_matrix, 5)
+            apply_wpcc(direct, co, 5)
+        assert make_method("plus").score("u1", "u2", sample_matrix) == \
+            plus_adjust(direct, PlusParams())
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
