@@ -9,12 +9,11 @@ under seeded holdout or k-fold splits.
 """
 
 from .errors import (CfLevelsError, ConfigError, EmptyInputError,
-                     EmptySetError, FingerprintMismatchError,
-                     MalformedLineError, OutOfScaleRatingError,
-                     TooFewItemsError, TooFewUsersError, UnknownItemError,
-                     UnknownUserError)
+                     FingerprintMismatchError, MalformedLineError,
+                     OutOfScaleRatingError, TooFewItemsError,
+                     TooFewUsersError, UnknownItemError, UnknownUserError)
 from .ratings import (RatingRecord, RatingScale, RatingsMatrix, build_matrix,
-                      co_rated_items, raters_of, user_mean_over)
+                      co_rated_items, raters_of)
 from .similarity import (METHOD_NAMES, PlusParams, SimilarityMethod,
                          StaticParams, apply_spcc, apply_static, apply_wpcc,
                          make_method, pcc, plus_adjust)
@@ -23,7 +22,7 @@ from .levels import (MIN_CO_RATED, NEGATIVE_FORMS, Band, LevelTable,
                      derive_step, dynamic_method, level_table_for)
 from .predict import (PREDICTION_MODES, Neighborhood, Prediction,
                       neighborhood_for_item, predict, recommend_top_n)
-from .cache import SimilarityCache, cache_fingerprint, get_or_compute
+from .cache import SimilarityCache, get_or_compute
 from .evaluate import (CSV_COLUMNS, EvalReport, PredictionPair, average_report,
                        default_relevance_threshold, evaluate_split, hit_rate,
                        kfold_split, mae, nmae, precision_recall_f1, render_csv,
@@ -33,11 +32,11 @@ from .ingest import DatasetFormat, DatasetStats, FORMATS, dataset_stats, parse_r
 __version__ = "0.1.0"
 
 __all__ = [
-    "CfLevelsError", "ConfigError", "EmptyInputError", "EmptySetError",
+    "CfLevelsError", "ConfigError", "EmptyInputError",
     "FingerprintMismatchError", "MalformedLineError", "OutOfScaleRatingError",
     "TooFewItemsError", "TooFewUsersError", "UnknownItemError", "UnknownUserError",
     "RatingRecord", "RatingScale", "RatingsMatrix", "build_matrix",
-    "co_rated_items", "raters_of", "user_mean_over",
+    "co_rated_items", "raters_of",
     "METHOD_NAMES", "PlusParams", "SimilarityMethod", "StaticParams",
     "apply_spcc", "apply_static", "apply_wpcc", "make_method", "pcc",
     "plus_adjust",
@@ -46,7 +45,7 @@ __all__ = [
     "dynamic_method", "level_table_for",
     "PREDICTION_MODES", "Neighborhood", "Prediction", "neighborhood_for_item",
     "predict", "recommend_top_n",
-    "SimilarityCache", "cache_fingerprint", "get_or_compute",
+    "SimilarityCache", "get_or_compute",
     "CSV_COLUMNS", "EvalReport", "PredictionPair",
     "average_report", "default_relevance_threshold", "evaluate_split",
     "hit_rate", "kfold_split", "mae", "nmae", "precision_recall_f1",

@@ -1,7 +1,7 @@
-"""Memoized pairwise similarities, keyed to one method + matrix pairing.
+"""Memoized pairwise similarities for one method over one matrix.
 
-A cache is stamped with a fingerprint of the method (name and parameters)
-and the matrix content, so scores can never silently feed a different
+A cache holds the method and matrix objects it was made for and serves only
+that exact pairing, so scores can never silently feed a different
 experiment. Pair keys are user index pairs (lo, hi) in the matrix's sorted
 user order.
 """
@@ -15,28 +15,25 @@ from .ratings import RatingsMatrix
 from .similarity import SimilarityMethod
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityCache:
-    """Scores for user index pairs, plus the fingerprint they belong to."""
+    """Scores for user index pairs of ``m`` under ``sim``."""
 
-    fingerprint: str
+    sim: SimilarityMethod
+    m: RatingsMatrix
     store: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.store)
 
 
-def cache_fingerprint(sim: SimilarityMethod, m: RatingsMatrix) -> str:
-    return f"{sim.key}|{m.content_hash()}"
-
-
 def get_or_compute(cache: SimilarityCache, a: str, b: str, sim: SimilarityMethod,
                    m: RatingsMatrix) -> float:
     """Cached score for (a, b), computing and storing it on a miss."""
-    expected = cache_fingerprint(sim, m)
-    if cache.fingerprint != expected:
+    if sim is not cache.sim or m is not cache.m:
         raise FingerprintMismatchError(
-            f"cache fingerprint {cache.fingerprint!r} does not match {expected!r}")
+            "a similarity cache serves only the method and matrix objects it was "
+            f"made for (made for {cache.sim.name!r}, asked for {sim.name!r})")
     ia = m._require_user(a)
     ib = m._require_user(b)
     key = (ia, ib) if ia <= ib else (ib, ia)

@@ -8,12 +8,13 @@ are filled in after the config file (if any) has been merged.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from .cache import SimilarityCache, cache_fingerprint
+from .cache import SimilarityCache
 from .errors import (CfLevelsError, ConfigError, TooFewItemsError,
                      TooFewUsersError, UnknownItemError, UnknownUserError)
 from .evaluate import (HIT_DEFS, EvalReport, average_report, kfold_split,
@@ -234,6 +235,14 @@ def fill_defaults(args: argparse.Namespace) -> None:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "r", None) is not None and args.r < 1:
         raise ConfigError(f"--r must be >= 1, got {args.r}")
+    if hasattr(args, "t") and args.t < 1:
+        raise ConfigError(f"--t must be >= 1, got {args.t}")
+    if hasattr(args, "big_t") and args.big_t < 1:
+        raise ConfigError(f"--T must be >= 1, got {args.big_t}")
+    for flag in ("alpha", "beta"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"--{flag} must be positive and finite, got {value}")
 
 
 def parse_k_sweep(text: str) -> list[int]:
@@ -301,7 +310,7 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
         splits = [split_holdout(matrix, args.train, args.seed)]
     folds = range(len(splits))
 
-    caches = {(mi, fi): SimilarityCache(fingerprint=cache_fingerprint(method, train))
+    caches = {(mi, fi): SimilarityCache(method, train)
               for mi, method in enumerate(methods)
               for fi, (train, _) in enumerate(splits)}
 
@@ -451,7 +460,7 @@ def main(argv=None) -> int:
             UnknownUserError, UnknownItemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CfLevelsError, OSError, ValueError) as exc:
+    except (CfLevelsError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,10 +17,6 @@ class UnknownItemError(CfLevelsError):
     """An item identifier is not present in the matrix."""
 
 
-class EmptySetError(CfLevelsError):
-    """A mean was requested over an empty item set."""
-
-
 class EmptyInputError(CfLevelsError):
     """A metric was requested over an empty list of prediction pairs."""
 
@@ -38,7 +34,7 @@ class MalformedLineError(CfLevelsError):
 
 
 class FingerprintMismatchError(CfLevelsError):
-    """A similarity cache was built for a different method or matrix."""
+    """A similarity cache was asked to serve a method or matrix it was not made for."""
 
 
 class ConfigError(CfLevelsError):

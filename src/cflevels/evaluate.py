@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cache import SimilarityCache, cache_fingerprint
+from .cache import SimilarityCache
 from .errors import EmptyInputError
 from .predict import predict, recommend_top_n
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
@@ -157,7 +157,7 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
     if metrics not in METRIC_GROUPS:
         raise ValueError(f"unknown metrics group {metrics!r}; expected one of {', '.join(METRIC_GROUPS)}")
     if cache is None:
-        cache = SimilarityCache(fingerprint=cache_fingerprint(method, train))
+        cache = SimilarityCache(method, train)
 
     out: dict = {"mae": None, "nmae": None, "rmse": None, "precision": None,
                  "recall": None, "f1": None, "hit_rate_pct": None, "coverage": 0}

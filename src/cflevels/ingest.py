@@ -60,18 +60,20 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                   skip_bad_lines: bool = False) -> list[RatingRecord]:
     """Read one record per data line, validating field count and scale.
 
-    Bad lines (too few fields, an empty user or item id, an unparsable or
-    out-of-scale rating) raise with their line number unless
-    ``skip_bad_lines`` is set, in which case each is logged and a final
-    rejected count reported. Whitespace-only lines are skipped; they carry
-    no data either way. A leading UTF-8 byte-order mark is dropped.
+    Bad lines (bytes that are not UTF-8, too few fields, an empty user or
+    item id, an unparsable or out-of-scale rating) raise with their line
+    number unless ``skip_bad_lines`` is set, in which case each is logged
+    and a final rejected count reported. Whitespace-only lines are skipped;
+    they carry no data either way. A leading UTF-8 byte-order mark is
+    dropped.
     """
     user_at = fmt.columns.index("user")
     item_at = fmt.columns.index("item")
     rating_at = fmt.columns.index("rating")
     records: list[RatingRecord] = []
     rejected = 0
-    with open(path, encoding="utf-8-sig") as fh:
+    # undecodable bytes become lone surrogates, so they fail on their own line
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if lineno <= fmt.header_lines:
                 continue
@@ -79,6 +81,8 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
             if not line.strip():
                 continue
             try:
+                if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                    raise MalformedLineError(f"{path}:{lineno}: not UTF-8 text")
                 parts = line.split(fmt.delimiter)
                 if len(parts) < len(fmt.columns):
                     raise MalformedLineError(

@@ -33,27 +33,24 @@ class Prediction:
     support: int
 
 
-def _score(a: str, b: str, sim: SimilarityMethod, m: RatingsMatrix,
-           cache: SimilarityCache | None) -> float:
-    if cache is None:
-        return sim.score(a, b, m)
-    return get_or_compute(cache, a, b, sim, m)
-
-
 def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
                           m: RatingsMatrix, cache=None) -> Neighborhood:
     """Rank the item's raters by similarity to ``a``; keep the top k positive.
 
     Users with similarity <= 0 never enter the neighborhood. Ties break on
-    user id ascending so the result is stable across runs.
+    user id ascending so the result is stable across runs. Scores come from
+    ``cache``, a :class:`SimilarityCache` for ``sim`` and ``m``; None scores
+    through a fresh one made for this call.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if cache is None:
+        cache = SimilarityCache(sim, m)
     scored = []
     for b in sorted(raters_of(item, m)):
         if b == a:
             continue
-        s = _score(a, b, sim, m, cache)
+        s = get_or_compute(cache, a, b, sim, m)
         if s > 0.0:
             scored.append((b, s))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -99,11 +96,15 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     by default every unrated item in the matrix is considered. Items with
     no computable prediction are dropped. Output is (item, value) pairs
     sorted by value descending, item id ascending, at most r of them.
+    Without a ``cache`` the call makes one for all its items, so each
+    (a, rater) pair is scored once.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if not m.has_user(a):
         raise UnknownUserError(f"unknown user {a!r}")
+    if cache is None:
+        cache = SimilarityCache(sim, m)
     rated = set(m.items_of(a))
     if candidates is None:
         pool = [i for i in m.items() if i not in rated]

@@ -8,12 +8,11 @@ accumulations are identical from run to run regardless of hash seeding.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import EmptySetError, OutOfScaleRatingError, UnknownItemError, UnknownUserError
+from .errors import OutOfScaleRatingError, UnknownUserError
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ class RatingsMatrix:
         self._user_means = tuple(
             math.fsum(row.values()) / len(row) for row in self._by_user
         )
-        self._content_hash: str | None = None
 
     # -- basic shape ---------------------------------------------------
 
@@ -139,15 +137,6 @@ class RatingsMatrix:
                 out.append(RatingRecord(u, self._items[ii], row[ii]))
         return out
 
-    def content_hash(self) -> str:
-        """SHA-256 over the canonical record listing; keys similarity caches."""
-        if self._content_hash is None:
-            h = hashlib.sha256()
-            for rec in self.records():
-                h.update(f"{rec.user}\t{rec.item}\t{rec.value!r}\n".encode())
-            self._content_hash = h.hexdigest()
-        return self._content_hash
-
     # -- index-level access for in-package hot paths --------------------
 
     def _require_user(self, user: str) -> int:
@@ -155,12 +144,6 @@ class RatingsMatrix:
         if ui is None:
             raise UnknownUserError(f"unknown user {user!r}")
         return ui
-
-    def _require_item(self, item: str) -> int:
-        ii = self._item_index.get(item)
-        if ii is None:
-            raise UnknownItemError(f"unknown item {item!r}")
-        return ii
 
     def _row(self, user_idx: int) -> dict[int, float]:
         return self._by_user[user_idx]
@@ -185,19 +168,6 @@ def co_rated_items(a: str, b: str, m: RatingsMatrix) -> set[str]:
     ai = m._require_user(a)
     bi = m._require_user(b)
     return {m.items()[ii] for ii in m._co_rated_idx(ai, bi)}
-
-
-def user_mean_over(a: str, items: Iterable[str], m: RatingsMatrix) -> float:
-    """Mean of ``a``'s ratings restricted to ``items`` (must all be rated by ``a``)."""
-    ui = m._require_user(a)
-    row = m._row(ui)
-    idx = sorted(m._require_item(i) for i in set(items))
-    if not idx:
-        raise EmptySetError(f"mean over empty item set requested for user {a!r}")
-    try:
-        return math.fsum(row[ii] for ii in idx) / len(idx)
-    except KeyError as exc:
-        raise ValueError(f"user {a!r} has not rated item index {exc}") from exc
 
 
 def raters_of(item: str, m: RatingsMatrix) -> set[str]:

@@ -137,8 +137,7 @@ class SimilarityMethod:
     ``score(a, b, m)`` computes (Pearson, co-rated count) for the pair and
     hands both to ``adjust(pcc, co_rated, m)``. Both are pure functions of
     the pair and the matrix, so a method instance can be shared freely
-    across threads. ``key`` identifies the method + parameters for cache
-    fingerprinting.
+    across threads.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
@@ -146,14 +145,12 @@ class SimilarityMethod:
         self.name = name
         self.params = dict(params or {})
         self.adjust = adjust
-        inner = ",".join(f"{k}={self.params[k]!r}" for k in sorted(self.params))
-        self.key = f"{name}({inner})"
 
     def score(self, a: str, b: str, m: RatingsMatrix) -> float:
         return self.adjust(*_pcc_and_overlap(a, b, m), m)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimilarityMethod({self.key})"
+        return f"SimilarityMethod({self.name!r}, {self.params!r})"
 
 
 def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,

@@ -18,7 +18,7 @@ import _synth
 import oracles
 from cflevels import (RatingScale, SimilarityCache, StaticParams,
                       apply_static, build_level_table, build_matrix,
-                      cache_fingerprint, hit_rate, mae, make_method,
+                      hit_rate, mae, make_method,
                       neighborhood_for_item, nmae, precision_recall_f1,
                       predict, rmse, run_experiment, split_holdout)
 from cflevels.cli import main
@@ -281,7 +281,7 @@ def test_criterion_6_planted_clusters():
     maes = {}
     for name in ("pcc", "dynamic"):
         method = make_method(name)
-        cache = SimilarityCache(fingerprint=cache_fingerprint(method, train))
+        cache = SimilarityCache(method, train)
         maes[name] = {k: run_experiment(train, test, method, k=k,
                                         metrics="accuracy", cache=cache).mae
                       for k in (20, 40, 80)}

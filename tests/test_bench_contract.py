@@ -53,7 +53,7 @@ def test_oracle_bound_parameter_names(fn, names):
 
 def test_cache_first_argument_and_length(sample_matrix):
     sim = cflevels.make_method("pcc")
-    cache = cflevels.SimilarityCache(cflevels.cache_fingerprint(sim, sample_matrix))
+    cache = cflevels.SimilarityCache(sim, sample_matrix)
     assert next(iter(inspect.signature(cflevels.get_or_compute).parameters)) == "cache"
     cflevels.get_or_compute(cache, "u1", "u2", sim, sample_matrix)
     assert len(cache) == 1

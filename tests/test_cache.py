@@ -1,4 +1,4 @@
-"""The fingerprinted pair cache: hits, misses, symmetry and transparency."""
+"""The pair cache bound to one method and matrix: hits, misses, symmetry, transparency."""
 
 import random
 
@@ -6,14 +6,13 @@ import pytest
 
 import oracles
 from cflevels import (FingerprintMismatchError, SimilarityCache, UnknownUserError,
-                      build_matrix, cache_fingerprint, get_or_compute,
-                      make_method, pcc)
+                      build_matrix, get_or_compute, make_method, pcc)
 
 PCC = make_method("pcc")
 
 
 def fresh_cache(m, sim=PCC):
-    return SimilarityCache(fingerprint=cache_fingerprint(sim, m))
+    return SimilarityCache(sim, m)
 
 
 class TestGetOrCompute:
@@ -57,6 +56,13 @@ class TestGetOrCompute:
         wrong_method = fresh_cache(sample_matrix, make_method("spcc"))
         with pytest.raises(FingerprintMismatchError):
             get_or_compute(wrong_method, "u1", "u2", PCC, sample_matrix)
+        # equal content is not enough: a cache serves only the objects it was made for
+        copy = build_matrix(oracles.SAMPLE_RECORDS, scale)
+        with pytest.raises(FingerprintMismatchError):
+            get_or_compute(fresh_cache(sample_matrix), "u1", "u2", PCC, copy)
+        with pytest.raises(FingerprintMismatchError):
+            get_or_compute(fresh_cache(sample_matrix), "u1", "u2", make_method("pcc"),
+                           sample_matrix)
 
     def test_unknown_user(self, sample_matrix):
         cache = fresh_cache(sample_matrix)

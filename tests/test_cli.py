@@ -117,6 +117,23 @@ class TestExitCodes:
         assert main(base + ["--methods", "pcc,xyz"]) == 2
         assert main(base + ["--scale-min", "5", "--scale-max", "5"]) == 2
         assert main(["topn", "--ratings", bench_file, "--r", "0"]) == 2
+        assert main(base + ["--method", "wpcc", "--T", "0"]) == 2
+        assert main(base + ["--method", "static", "--t", "0"]) == 2
+        assert main(base + ["--method", "plus", "--alpha", "0"]) == 2
+        assert main(base + ["--method", "plus", "--beta", "-1"]) == 2
+        assert main(base + ["--method", "plus", "--beta", "inf"]) == 2
+        assert main(base + ["--method", "plus", "--alpha", "nan"]) == 2
+
+    def test_overflowing_scores_are_a_runtime_error(self, bench_file, capsys):
+        # finite but huge similarity weights overflow the neighborhood sums
+        assert main(["evaluate", "--ratings", bench_file, "--method", "plus",
+                     "--alpha", "1e308"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_method_knobs_checked_before_the_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.txt")
+        assert main(["evaluate", "--ratings", missing, "--method", "static", "--t", "0"]) == 2
+        assert "--t" in capsys.readouterr().err
 
 
 class TestKSweepParsing:

@@ -96,6 +96,15 @@ class TestParseRatings:
         records = parse_ratings(path, FORMATS["movietweetings"], skip_bad_lines=True)
         assert [(r.user, r.item) for r in records] == [("u1", "i1")]
 
+    def test_non_utf8_bytes_name_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"u1 i1 5\nb\xe9 i1 3\nu2 i\xc3\xa9 4\n")  # Latin-1 on line 2
+        with pytest.raises(MalformedLineError) as err:
+            parse_ratings(str(path), FORMATS["epinions"])
+        assert ":2:" in str(err.value)
+        records = parse_ratings(str(path), FORMATS["epinions"], skip_bad_lines=True)
+        assert [(r.user, r.item) for r in records] == [("u1", "i1"), ("u2", "ié")]
+
     def test_skip_bad_lines_logs_and_continues(self, tmp_path, caplog):
         path = write(tmp_path, "mixed.txt", "a i1 3\nbroken\nb i2 9\nc i3 4\n")
         with caplog.at_level(logging.WARNING, logger="cflevels.ingest"):

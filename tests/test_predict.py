@@ -6,8 +6,10 @@ import random
 import pytest
 
 import oracles
-from cflevels import (RatingScale, UnknownUserError, build_matrix, make_method,
-                      neighborhood_for_item, pcc, predict, recommend_top_n)
+from cflevels import (RatingScale, SimilarityCache, SimilarityMethod,
+                      UnknownUserError, build_matrix, make_method,
+                      neighborhood_for_item, pcc, predict, raters_of,
+                      recommend_top_n)
 
 PCC = make_method("pcc")
 
@@ -212,3 +214,21 @@ class TestRecommendTopN:
                           ("b", "y", 4.0), ("b", "x", 4.0)], scale)
         got = recommend_top_n("a", 5, 5, PCC, m)
         assert [i for i, _ in got] == ["x", "y"]
+
+    def test_scores_each_pair_once_without_a_cache(self, scale):
+        rng = random.Random(31)
+        ratings = oracles.random_ratings(rng, n_users=12, n_items=15, density=0.5)
+        m = build_matrix(oracles.ratings_to_records(ratings), scale)
+        calls = []
+
+        def adjust(s, co, m_):
+            calls.append((s, co, m_))
+            return s
+
+        counting = SimilarityMethod("pcc", adjust)
+        a = m.users()[0]
+        got = recommend_top_n(a, 5, 3, counting, m)
+        unrated = set(m.items()) - m.items_of(a)
+        raters = set().union(*(raters_of(i, m) for i in unrated)) - {a}
+        assert len(calls) == len(raters)
+        assert got == recommend_top_n(a, 5, 3, counting, m, cache=SimilarityCache(counting, m))

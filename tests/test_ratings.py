@@ -1,14 +1,13 @@
 """Rating store construction, lookups, and canonical ordering."""
 
-import math
 import random
 
 import pytest
 
 import oracles
-from cflevels import (EmptySetError, OutOfScaleRatingError, RatingRecord,
-                      RatingScale, UnknownItemError, UnknownUserError,
-                      build_matrix, co_rated_items, raters_of, user_mean_over)
+from cflevels import (OutOfScaleRatingError, RatingRecord, RatingScale,
+                      UnknownUserError, build_matrix, co_rated_items,
+                      raters_of)
 
 
 class TestRatingScale:
@@ -64,7 +63,6 @@ class TestMatrixConstruction:
         a = build_matrix(oracles.SAMPLE_RECORDS, scale)
         b = build_matrix(shuffled, scale)
         assert a.records() == b.records()
-        assert a.content_hash() == b.content_hash()
 
 
 class TestLookups:
@@ -110,36 +108,6 @@ class TestCoRated:
     def test_unknown_user_rejected(self, sample_matrix):
         with pytest.raises(UnknownUserError):
             co_rated_items("u1", "u9", sample_matrix)
-
-
-class TestUserMeanOver:
-    def test_restricted_mean(self, sample_matrix):
-        assert user_mean_over("u2", {"i1", "i2"}, sample_matrix) == pytest.approx(5.0)
-        assert user_mean_over("u2", {"i3", "i4"}, sample_matrix) == pytest.approx(3.0)
-
-    def test_empty_set_rejected(self, sample_matrix):
-        with pytest.raises(EmptySetError):
-            user_mean_over("u1", set(), sample_matrix)
-
-    def test_unrated_item_rejected(self, sample_matrix):
-        with pytest.raises(ValueError):
-            user_mean_over("u1", {"i4"}, sample_matrix)
-
-    def test_unknown_item_rejected(self, sample_matrix):
-        with pytest.raises(UnknownItemError):
-            user_mean_over("u1", {"zzz"}, sample_matrix)
-
-
-class TestContentHash:
-    def test_stable_across_calls(self, sample_matrix):
-        assert sample_matrix.content_hash() == sample_matrix.content_hash()
-
-    def test_differs_on_changed_value(self, scale):
-        a = build_matrix(oracles.SAMPLE_RECORDS, scale)
-        changed = [("u1", "i1", 2.0) if (u, i) == ("u1", "i1") else (u, i, v)
-                   for u, i, v in oracles.SAMPLE_RECORDS]
-        b = build_matrix(changed, scale)
-        assert a.content_hash() != b.content_hash()
 
 
 class TestRandomMatrices:

@@ -213,13 +213,6 @@ class TestStatic:
 
 
 class TestMethodWrapper:
-    def test_keys_pin_parameters(self):
-        assert make_method("pcc").key == "pcc()"
-        assert make_method("wpcc", big_t=10).key == "wpcc(T=10)"
-        key_a = make_method("static", t=10, y=0.2).key
-        key_b = make_method("static", t=5, y=0.15).key
-        assert key_a != key_b
-
     def test_dispatch_matches_direct_calls(self, sample_matrix):
         direct = pcc("u1", "u2", sample_matrix)
         co = len(co_rated_items("u1", "u2", sample_matrix))
