@@ -1,9 +1,12 @@
-"""Frozen CLI output: byte-for-byte stdout of a six-method evaluate and topn run.
+"""Frozen CLI output: byte-for-byte stdout of evaluate and topn runs.
 
 The fixtures under ``tests/golden/`` were recorded from the CLI before the
-similarity and split layers were reworked; any change to a similarity
-formula, neighborhood rule, split, metric or renderer shows up here as a
-byte difference.
+similarity, split and neighborhood layers were reworked; any change to a
+similarity formula, neighborhood rule, split, combiner, metric or renderer
+shows up here as a byte difference. Besides the six-method runs, the
+fixtures cover the dynamic method's ``eq8`` form (the one adjuster that
+turns a negative Pearson into a positive score) and the ``weighted_mean``
+combiner.
 """
 
 from pathlib import Path
@@ -14,11 +17,17 @@ import _synth
 from cflevels.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMON = ["--methods", "pcc,wpcc,spcc,plus,static,dynamic", "--folds", "5",
-          "--k", "20", "--seed", "42", "--jobs", "1"]
+COMMON = ["--folds", "5", "--k", "20", "--seed", "42", "--jobs", "1"]
+SIX = ["--methods", "pcc,wpcc,spcc,plus,static,dynamic"]
+EQ8 = ["--method", "dynamic", "--negative-form", "eq8"]
+WEIGHTED = SIX + ["--prediction", "weighted_mean"]
 RUNS = {
-    "evaluate.csv": ["evaluate"],
-    "topn_r10.csv": ["topn", "--r", "10"],
+    "evaluate.csv": ["evaluate"] + SIX,
+    "topn_r10.csv": ["topn", "--r", "10"] + SIX,
+    "evaluate_dynamic_eq8.csv": ["evaluate"] + EQ8,
+    "topn_r10_dynamic_eq8.csv": ["topn", "--r", "10"] + EQ8,
+    "evaluate_weighted_mean.csv": ["evaluate"] + WEIGHTED,
+    "topn_r10_weighted_mean.csv": ["topn", "--r", "10"] + WEIGHTED,
 }
 
 
@@ -32,10 +41,13 @@ def planted_file(tmp_path_factory):
     return str(path)
 
 
+def golden_argv(fixture: str, ratings: str) -> list[str]:
+    return RUNS[fixture][:1] + ["--ratings", ratings] + RUNS[fixture][1:] + COMMON
+
+
 @pytest.mark.parametrize("fixture", sorted(RUNS))
 def test_stdout_matches_golden(fixture, planted_file, capsys):
-    argv = RUNS[fixture][:1] + ["--ratings", planted_file] + RUNS[fixture][1:] + COMMON
-    assert main(argv) == 0
+    assert main(golden_argv(fixture, planted_file)) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (GOLDEN / fixture).read_bytes()
