@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
-from .cache import SimilarityCache, get_or_compute
+from .cache import SimilarityCache
 from .errors import UnknownUserError
-from .ratings import RatingsMatrix, raters_of
+from .ratings import RatingsMatrix
 from .similarity import SimilarityMethod
 
 PREDICTION_MODES = ("resnick", "weighted_mean")
@@ -39,22 +40,25 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
 
     Users with similarity <= 0 never enter the neighborhood. Ties break on
     user id ascending so the result is stable across runs. Scores come from
-    ``cache``, a :class:`SimilarityCache` for ``sim`` and ``m``; None scores
-    through a fresh one made for this call.
+    a's row in ``cache``, a :class:`SimilarityCache` for ``sim`` and ``m``;
+    None scores through a fresh one made for this call.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if cache is None:
         cache = SimilarityCache(sim, m)
-    scored = []
-    for b in sorted(raters_of(item, m)):
-        if b == a:
-            continue
-        s = get_or_compute(cache, a, b, sim, m)
-        if s > 0.0:
-            scored.append((b, s))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return Neighborhood(target=a, item=item, neighbors=tuple(scored[:k]), k=k)
+    else:
+        cache.check(sim, m)
+    ii = m._item_index.get(item)
+    if ii is None:
+        return Neighborhood(target=a, item=item, neighbors=(), k=k)
+    row = cache.row(m._require_user(a))
+    # user indexes follow sorted user ids, so (-score, index) breaks ties on id
+    best = heapq.nsmallest(k, [(-s, ib) for ib in m._by_item[ii]
+                               if (s := row.get(ib)) is not None])
+    users = m.users()
+    return Neighborhood(target=a, item=item,
+                        neighbors=tuple((users[ib], -neg) for neg, ib in best), k=k)
 
 
 def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,

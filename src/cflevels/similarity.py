@@ -54,27 +54,35 @@ class PlusParams:
 # base correlation
 # ---------------------------------------------------------------------------
 
-def _pcc_and_overlap(a: str, b: str, m: RatingsMatrix) -> tuple[float, int]:
-    """(Pearson over the overlap, co-rated count) for a user pair."""
-    ai = m._require_user(a)
-    bi = m._require_user(b)
-    co = m._co_rated_idx(ai, bi)
-    n = len(co)
+def _pearson(xs: list[float], ys: list[float]) -> float:
+    """Pearson of two aligned rating lists, both means over the lists themselves.
+
+    Two ``math.fsum`` passes keep every sum exactly rounded, so the result
+    does not depend on the order of the items; 0 below 2 items or without
+    variance on either side.
+    """
+    n = len(xs)
     if n < 2:
-        return 0.0, n
-    ra = m._row(ai)
-    rb = m._row(bi)
-    xs = [ra[ii] for ii in co]
-    ys = [rb[ii] for ii in co]
+        return 0.0
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     dx = math.fsum((x - mx) ** 2 for x in xs)
     dy = math.fsum((y - my) ** 2 for y in ys)
     if dx == 0.0 or dy == 0.0:
-        return 0.0, n
+        return 0.0
     # clamp: floating error can push |r| a hair past 1
-    return min(1.0, max(-1.0, num / math.sqrt(dx * dy))), n
+    return min(1.0, max(-1.0, num / math.sqrt(dx * dy)))
+
+
+def _pcc_and_overlap(a: str, b: str, m: RatingsMatrix) -> tuple[float, int]:
+    """(Pearson over the overlap, co-rated count) for a user pair."""
+    ai = m._require_user(a)
+    bi = m._require_user(b)
+    co = m._co_rated_idx(ai, bi)
+    ra = m._row(ai)
+    rb = m._row(bi)
+    return _pearson([ra[ii] for ii in co], [rb[ii] for ii in co]), len(co)
 
 
 def pcc(a: str, b: str, m: RatingsMatrix) -> float:

@@ -1,40 +1,70 @@
-"""The pair cache bound to one method and matrix: hits, misses, symmetry, transparency."""
+"""Similarity rows bound to one method and matrix: hits, misses, symmetry, oracle rows."""
 
 import random
 
 import pytest
 
 import oracles
-from cflevels import (FingerprintMismatchError, SimilarityCache, UnknownUserError,
-                      build_matrix, get_or_compute, make_method, pcc)
+from cflevels import (FingerprintMismatchError, SimilarityCache, SimilarityMethod,
+                      UnknownUserError, build_matrix, co_rated_items, get_or_compute,
+                      make_method, pcc)
 
 PCC = make_method("pcc")
+
+# every adjuster, plus the dynamic forms and the static corner that doubles
+# a zero base: (name, make_method keyword arguments)
+CONFIGS = [(name, {}) for name in ("pcc", "wpcc", "spcc", "plus", "static", "dynamic")] + [
+    ("dynamic", {"negative_form": "eq8"}),
+    ("dynamic", {"negative_form": "alg1"}),
+    ("static", {"t": 1, "y": -0.5}),
+]
+CONFIG_IDS = [name + "".join(f"-{k}={v}" for k, v in kw.items()) for name, kw in CONFIGS]
 
 
 def fresh_cache(m, sim=PCC):
     return SimilarityCache(sim, m)
 
 
+def random_matrix(rng, scale, n_users=14, n_items=12, density=0.5):
+    ratings = oracles.random_ratings(rng, n_users=n_users, n_items=n_items, density=density)
+    return build_matrix(oracles.ratings_to_records(ratings), scale)
+
+
 class TestGetOrCompute:
     def test_hit_returns_stored_value(self, sample_matrix):
         cache = fresh_cache(sample_matrix)
-        cache.store[(0, 1)] = 0.123  # sentinel proves no recomputation
+        cache.rows[0] = {1: 0.123}  # sentinel proves no recomputation
         got = get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
         assert got == 0.123
 
     def test_miss_computes_and_stores(self, sample_matrix):
         cache = fresh_cache(sample_matrix)
-        assert (0, 2) not in cache.store
+        assert 0 not in cache.rows
         got = get_or_compute(cache, "u1", "u3", PCC, sample_matrix)
         assert got == pcc("u1", "u3", sample_matrix)
-        assert (0, 2) in cache.store
+        assert cache.rows[0] == {}  # built; every score of u1 is <= 0
 
-    def test_symmetric_keys(self, sample_matrix):
+    def test_symmetric_keys(self, sample_matrix, scale):
         cache = fresh_cache(sample_matrix)
         ab = get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
         ba = get_or_compute(cache, "u2", "u1", PCC, sample_matrix)
         assert ab == ba
-        assert len([k for k in cache.store if k in ((0, 1), (1, 0))]) == 1
+        # on a matrix with positive pairs: rows agree both ways and a pair
+        # scored for one row is reused, not rescored, by the other
+        m = random_matrix(random.Random(5), scale)
+        calls = []
+        counting = SimilarityMethod("pcc", lambda s, co, m_: calls.append(s) or s)
+        cache = fresh_cache(m, counting)
+        for ia in range(m.user_count):
+            cache.row(ia)
+        entries = [(ia, ib, s) for ia, row in cache.rows.items() for ib, s in row.items()]
+        assert len(entries) > 20
+        for ia, ib, s in entries:
+            assert cache.rows[ib][ia] == s
+        users = m.users()
+        nonzero = [1 for i, a in enumerate(users) for b in users[i + 1:]
+                   if co_rated_items(a, b, m) and pcc(a, b, m) != 0.0]
+        assert len(calls) == len(nonzero)
 
     def test_transparency_bit_for_bit(self, scale):
         rng = random.Random(28)
@@ -46,7 +76,11 @@ class TestGetOrCompute:
             for i, a in enumerate(users):
                 for b in users[i + 1:]:
                     assert get_or_compute(cache, a, b, PCC, m) == pcc(a, b, m)
-        assert len(cache) == len(users) * (len(users) - 1) // 2
+        assert len(cache) == len(users) - 1  # one row per target looked up
+        for ia, row in cache.rows.items():
+            a = users[ia]
+            assert row == {ib: s for ib, b in enumerate(users)
+                           if b != a and (s := pcc(a, b, m)) > 0.0}
 
     def test_fingerprint_mismatch(self, sample_matrix, scale):
         other = build_matrix([("x", "i1", 3.0), ("y", "i1", 4.0)], scale)
@@ -71,3 +105,35 @@ class TestGetOrCompute:
         with pytest.raises(UnknownUserError):
             get_or_compute(cache, "nobody", "u1", PCC, sample_matrix)
         assert len(cache) == 0
+
+
+class TestRows:
+    @pytest.mark.parametrize("name,kw", CONFIGS, ids=CONFIG_IDS)
+    def test_row_equals_pair_scores(self, name, kw, scale):
+        rng = random.Random(7)
+        entries = 0
+        for _ in range(6):
+            m = random_matrix(rng, scale, density=rng.choice((0.3, 0.5, 0.8)))
+            sim = make_method(name, **kw)
+            users = m.users()
+            order = list(range(len(users)))
+            rng.shuffle(order)
+            shared = fresh_cache(m, sim)  # later rows reuse earlier ones
+            for ia in order:
+                a = users[ia]
+                want = {ib: s for ib, b in enumerate(users)
+                        if b != a and co_rated_items(a, b, m)
+                        and (s := sim.score(a, b, m)) > 0.0}
+                assert shared.row(ia) == want
+                assert fresh_cache(m, sim).row(ia) == want
+                entries += len(want)
+        assert entries > 100
+
+    @pytest.mark.parametrize("name,kw", CONFIGS, ids=CONFIG_IDS)
+    def test_zero_base_never_scores_positive(self, name, kw, scale):
+        # rows leave out users with no co-rated item on the strength of this
+        m = random_matrix(random.Random(3), scale)
+        sim = make_method(name, **kw)
+        for co in range(0, 3 * m.item_count):
+            for base in (0.0, -0.0):
+                assert sim.adjust(base, co, m) <= 0.0

@@ -7,9 +7,8 @@ import pytest
 
 import oracles
 from cflevels import (RatingScale, SimilarityCache, SimilarityMethod,
-                      UnknownUserError, build_matrix, make_method,
-                      neighborhood_for_item, pcc, predict, raters_of,
-                      recommend_top_n)
+                      UnknownUserError, build_matrix, co_rated_items, make_method,
+                      neighborhood_for_item, pcc, predict, recommend_top_n)
 
 PCC = make_method("pcc")
 
@@ -228,7 +227,10 @@ class TestRecommendTopN:
         counting = SimilarityMethod("pcc", adjust)
         a = m.users()[0]
         got = recommend_top_n(a, 5, 3, counting, m)
-        unrated = set(m.items()) - m.items_of(a)
-        raters = set().union(*(raters_of(i, m) for i in unrated)) - {a}
-        assert len(calls) == len(raters)
+        # one row for a: each co-rater with a nonzero Pearson base is adjusted once
+        bases = [(pcc(a, b, m), len(co_rated_items(a, b, m))) for b in m.users()
+                 if b != a and co_rated_items(a, b, m)]
+        want = sorted(base for base in bases if base[0] != 0.0)
+        assert len(want) > 5
+        assert sorted((s, co) for s, co, _ in calls) == want
         assert got == recommend_top_n(a, 5, 3, counting, m, cache=SimilarityCache(counting, m))
