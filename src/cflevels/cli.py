@@ -239,6 +239,8 @@ def fill_defaults(args: argparse.Namespace) -> None:
         raise ConfigError(f"--t must be >= 1, got {args.t}")
     if hasattr(args, "big_t") and args.big_t < 1:
         raise ConfigError(f"--T must be >= 1, got {args.big_t}")
+    if getattr(args, "y", None) is not None and not math.isfinite(args.y):
+        raise ConfigError(f"--y must be finite, got {args.y}")
     for flag in ("alpha", "beta"):
         value = getattr(args, flag, None)
         if value is not None and not 0 < value < math.inf:
@@ -267,6 +269,8 @@ def resolve_format(args: argparse.Namespace) -> DatasetFormat:
     delimiter = args.delimiter if args.delimiter is not None else fmt.delimiter
     rmin = args.scale_min if args.scale_min is not None else fmt.scale.rmin
     rmax = args.scale_max if args.scale_max is not None else fmt.scale.rmax
+    if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        raise ConfigError(f"--scale-min and --scale-max must be finite, got {rmin} and {rmax}")
     if rmin >= rmax:
         raise ConfigError(f"--scale-min must be below --scale-max, got {rmin} >= {rmax}")
     if delimiter == fmt.delimiter and (rmin, rmax) == (fmt.scale.rmin, fmt.scale.rmax):

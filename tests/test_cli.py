@@ -123,6 +123,11 @@ class TestExitCodes:
         assert main(base + ["--method", "plus", "--beta", "-1"]) == 2
         assert main(base + ["--method", "plus", "--beta", "inf"]) == 2
         assert main(base + ["--method", "plus", "--alpha", "nan"]) == 2
+        assert main(base + ["--method", "static", "--y", "nan"]) == 2
+        assert main(base + ["--method", "static", "--y", "-inf"]) == 2
+        assert main(base + ["--scale-min", "nan"]) == 2
+        assert main(base + ["--scale-max", "inf"]) == 2
+        assert main(["topn", "--ratings", bench_file, "--r", "5", "--scale-max", "inf"]) == 2
 
     def test_overflowing_scores_are_a_runtime_error(self, bench_file, capsys):
         # finite but huge similarity weights overflow the neighborhood sums
