@@ -61,14 +61,14 @@ class SimilarityCache:
                 continue
             done = self.rows.get(ib)
             if done is not None:  # symmetric: reuse b's finished row
-                s = done.get(ia)
+                s = done.get(ia, 0.0)
             else:
                 rb = by_user[ib]
                 co = ra.keys() & rb.keys()
                 base = _pearson([ra[ii] for ii in co], [rb[ii] for ii in co])
                 # a zero base never scores above 0, so it needs no adjusting
-                s = adjust(base, n, m) if base != 0.0 else None
-            if s is not None and s > 0.0:
+                s = adjust(base, n, m) if base != 0.0 else 0.0
+            if s > 0.0:
                 row[ib] = s
         self.rows[ia] = row  # last, so a row is never seen half-built
         return row

@@ -145,7 +145,9 @@ class SimilarityMethod:
     ``score(a, b, m)`` computes (Pearson, co-rated count) for the pair and
     hands both to ``adjust(pcc, co_rated, m)``. Both are pure functions of
     the pair and the matrix, so a method instance can be shared freely
-    across threads.
+    across threads. ``adjust`` must map a zero Pearson base to a score <= 0:
+    similarity rows leave out users who share no item with the target on
+    the strength of it.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],

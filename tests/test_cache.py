@@ -1,6 +1,8 @@
 """Similarity rows bound to one method and matrix: hits, misses, symmetry, oracle rows."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -53,7 +55,12 @@ class TestGetOrCompute:
         # scored for one row is reused, not rescored, by the other
         m = random_matrix(random.Random(5), scale)
         calls = []
-        counting = SimilarityMethod("pcc", lambda s, co, m_: calls.append(s) or s)
+
+        def adjust(s, co, m_):
+            calls.append(s)
+            return s
+
+        counting = SimilarityMethod("pcc", adjust)
         cache = fresh_cache(m, counting)
         for ia in range(m.user_count):
             cache.row(ia)
@@ -137,3 +144,33 @@ class TestRows:
         for co in range(0, 3 * m.item_count):
             for base in (0.0, -0.0):
                 assert sim.adjust(base, co, m) <= 0.0
+
+    def test_threads_sharing_a_cache_see_only_whole_rows(self, scale):
+        # sweep threads share one cache per (method, fold); a row read while
+        # still being built, or a row lost to a racing writer, breaks equality
+        m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
+        sim = make_method("dynamic", negative_form="eq8")
+        want = {ia: fresh_cache(m, sim).row(ia) for ia in range(m.user_count)}
+        cache = fresh_cache(m, sim)
+
+        def work(seed):
+            order = list(range(m.user_count))
+            random.Random(seed).shuffle(order)
+            for ia in order:
+                if cache.row(ia) != want[ia]:
+                    return f"row {ia} differs"
+                for ib, row in list(cache.rows.items()):
+                    if row != want[ib]:
+                        return f"published row {ib} differs"
+            return None
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(8)]
+                problems = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert problems == [None] * 8
+        assert cache.rows == want
