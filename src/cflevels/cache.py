@@ -8,7 +8,7 @@ those are the only ones a neighborhood can use. Indexes follow the matrix's
 sorted user order.
 
 A row is built in one pass over the inverted index and scored with the same
-Pearson kernel as :meth:`SimilarityMethod.score`, so every entry equals the
+overlap kernel as :meth:`SimilarityMethod.score`, so every entry equals the
 pair score bit for bit. A user who shares no item with the target has a
 zero Pearson base, which every adjuster maps to a score <= 0, so leaving
 such users out loses nothing. A row is published only once complete, so
@@ -23,7 +23,7 @@ from itertools import chain
 
 from .errors import FingerprintMismatchError
 from .ratings import RatingsMatrix
-from .similarity import SimilarityMethod, _pearson
+from .similarity import SimilarityMethod, _base
 
 
 @dataclass(eq=False)
@@ -63,11 +63,9 @@ class SimilarityCache:
             if done is not None:  # symmetric: reuse b's finished row
                 s = done.get(ia, 0.0)
             else:
-                rb = by_user[ib]
-                co = ra.keys() & rb.keys()
-                base = _pearson([ra[ii] for ii in co], [rb[ii] for ii in co])
+                base, co = _base(ra, by_user[ib])
                 # a zero base never scores above 0, so it needs no adjusting
-                s = adjust(base, n, m) if base != 0.0 else 0.0
+                s = adjust(base, co, m) if base != 0.0 else 0.0
             if s > 0.0:
                 row[ib] = s
         self.rows[ia] = row  # last, so a row is never seen half-built

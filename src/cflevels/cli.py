@@ -135,9 +135,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def read_config(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so they fail on their own line
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text")
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -241,6 +244,8 @@ def fill_defaults(args: argparse.Namespace) -> None:
         raise ConfigError(f"--T must be >= 1, got {args.big_t}")
     if getattr(args, "y", None) is not None and not math.isfinite(args.y):
         raise ConfigError(f"--y must be finite, got {args.y}")
+    if getattr(args, "relevance", None) is not None and not math.isfinite(args.relevance):
+        raise ConfigError(f"--relevance must be finite, got {args.relevance}")
     for flag in ("alpha", "beta"):
         value = getattr(args, flag, None)
         if value is not None and not 0 < value < math.inf:
@@ -267,6 +272,8 @@ def parse_k_sweep(text: str) -> list[int]:
 def resolve_format(args: argparse.Namespace) -> DatasetFormat:
     fmt = FORMATS.get(args.format, _CUSTOM_FORMAT)
     delimiter = args.delimiter if args.delimiter is not None else fmt.delimiter
+    if delimiter == "":
+        raise ConfigError("--delimiter must not be empty")
     rmin = args.scale_min if args.scale_min is not None else fmt.scale.rmin
     rmax = args.scale_max if args.scale_max is not None else fmt.scale.rmax
     if not (math.isfinite(rmin) and math.isfinite(rmax)):

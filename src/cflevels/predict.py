@@ -34,6 +34,28 @@ class Prediction:
     support: int
 
 
+def _checked_cache(k: int, sim: SimilarityMethod, m: RatingsMatrix, cache, mode: str = "resnick"):
+    """Check ``k`` and ``mode``; the cache to score through, fresh for None."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if mode not in PREDICTION_MODES:
+        raise ValueError(f"unknown prediction mode {mode!r}; expected one of {', '.join(PREDICTION_MODES)}")
+    if cache is None:
+        return SimilarityCache(sim, m)
+    cache.check(sim, m)
+    return cache
+
+
+def _top_k(row: dict[int, float], ii: int, k: int, m: RatingsMatrix) -> list[tuple[float, int]]:
+    """The top k raters of item ``ii`` in ``row``, as (-score, user index), best first.
+
+    The one place neighborhoods are formed. User indexes follow sorted user
+    ids, so ties break on ascending id.
+    """
+    return heapq.nsmallest(k, [(-s, ib) for ib in m._by_item[ii]
+                               if (s := row.get(ib)) is not None])
+
+
 def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
                           m: RatingsMatrix, cache=None) -> Neighborhood:
     """Rank the item's raters by similarity to ``a``; keep the top k positive.
@@ -41,22 +63,15 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
     Users with similarity <= 0 never enter the neighborhood. Ties break on
     user id ascending so the result is stable across runs. Scores come from
     a's row in ``cache``, a :class:`SimilarityCache` for ``sim`` and ``m``;
-    None scores through a fresh one made for this call.
+    None scores through a fresh one made for this call. This is the
+    inspection API: :func:`predict` combines the same top k without it.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if cache is None:
-        cache = SimilarityCache(sim, m)
-    else:
-        cache.check(sim, m)
+    cache = _checked_cache(k, sim, m, cache)
     ii = m._item_index.get(item)
     if ii is None:
         return Neighborhood(target=a, item=item, neighbors=(), k=k)
-    row = cache.row(m._require_user(a))
-    # user indexes follow sorted user ids, so (-score, index) breaks ties on id
-    best = heapq.nsmallest(k, [(-s, ib) for ib in m._by_item[ii]
-                               if (s := row.get(ib)) is not None])
     users = m.users()
+    best = _top_k(cache.row(m._require_user(a)), ii, k, m)
     return Neighborhood(target=a, item=item,
                         neighbors=tuple((users[ib], -neg) for neg, ib in best), k=k)
 
@@ -66,30 +81,28 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     """Predict a's rating of the item from its neighborhood, or None.
 
     None means no prediction is possible: the user or item is absent from
-    the matrix, no rater of the item has positive similarity, or the
-    similarity mass sums to zero. ``resnick`` combines mean-centered
-    deviations weighted by similarity on top of a's own mean;
-    ``weighted_mean`` averages the neighbors' raw ratings instead.
-    Either way the result is clamped to the rating scale.
+    the matrix, or no rater of the item has positive similarity.
+    ``resnick`` combines mean-centered deviations weighted by similarity on
+    top of a's own mean; ``weighted_mean`` averages the neighbors' raw
+    ratings instead. Either way the result is clamped to the rating scale.
     """
-    if mode not in PREDICTION_MODES:
-        raise ValueError(f"unknown prediction mode {mode!r}; expected one of {', '.join(PREDICTION_MODES)}")
-    if not m.has_user(a) or not m.has_item(item):
+    cache = _checked_cache(k, sim, m, cache, mode)
+    ia, ii = m._user_index.get(a), m._item_index.get(item)
+    if ia is None or ii is None:
         return None
-    hood = neighborhood_for_item(a, item, k, sim, m, cache)
-    if not hood.neighbors:
+    best = _top_k(cache.row(ia), ii, k, m)
+    if not best:
         return None
-    weight_total = math.fsum(abs(s) for _, s in hood.neighbors)
-    if weight_total == 0.0:
-        return None
+    by_user, means = m._by_user, m._user_means
+    # row scores are positive and finite, so the total is > 0
+    weight_total = math.fsum(-neg for neg, _ in best)
     if mode == "resnick":
-        num = math.fsum(s * (m.rating(b, item) - m.mean_of(b)) for b, s in hood.neighbors)
-        raw = m.mean_of(a) + num / weight_total
+        num = math.fsum(-neg * (by_user[ib][ii] - means[ib]) for neg, ib in best)
+        raw = means[ia] + num / weight_total
     else:
-        num = math.fsum(s * m.rating(b, item) for b, s in hood.neighbors)
+        num = math.fsum(-neg * by_user[ib][ii] for neg, ib in best)
         raw = num / weight_total
-    return Prediction(user=a, item=item, value=m.scale.clamp(raw),
-                      support=len(hood.neighbors))
+    return Prediction(user=a, item=item, value=m.scale.clamp(raw), support=len(best))
 
 
 def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -107,8 +120,7 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
         raise ValueError(f"r must be >= 1, got {r}")
     if not m.has_user(a):
         raise UnknownUserError(f"unknown user {a!r}")
-    if cache is None:
-        cache = SimilarityCache(sim, m)
+    cache = _checked_cache(k, sim, m, cache, mode)
     rated = set(m.items_of(a))
     if candidates is None:
         pool = [i for i in m.items() if i not in rated]

@@ -145,16 +145,6 @@ class RatingsMatrix:
             raise UnknownUserError(f"unknown user {user!r}")
         return ui
 
-    def _row(self, user_idx: int) -> dict[int, float]:
-        return self._by_user[user_idx]
-
-    def _co_rated_idx(self, a_idx: int, b_idx: int) -> list[int]:
-        """Sorted item indexes rated by both users."""
-        ra, rb = self._by_user[a_idx], self._by_user[b_idx]
-        if len(rb) < len(ra):
-            ra, rb = rb, ra
-        return sorted(ii for ii in ra if ii in rb)
-
 
 def build_matrix(records: Iterable[RatingRecord], scale: RatingScale) -> RatingsMatrix:
     """Build an immutable matrix; duplicate (user, item) pairs keep the last record."""
@@ -165,9 +155,9 @@ def co_rated_items(a: str, b: str, m: RatingsMatrix) -> set[str]:
     """Items rated by both users. Symmetric; requires two distinct known users."""
     if a == b:
         raise ValueError(f"co-rated set requires two distinct users, got {a!r} twice")
-    ai = m._require_user(a)
-    bi = m._require_user(b)
-    return {m.items()[ii] for ii in m._co_rated_idx(ai, bi)}
+    ra = m._by_user[m._require_user(a)]
+    rb = m._by_user[m._require_user(b)]
+    return {m.items()[ii] for ii in ra.keys() & rb.keys()}
 
 
 def raters_of(item: str, m: RatingsMatrix) -> set[str]:

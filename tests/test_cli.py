@@ -128,6 +128,12 @@ class TestExitCodes:
         assert main(base + ["--scale-min", "nan"]) == 2
         assert main(base + ["--scale-max", "inf"]) == 2
         assert main(["topn", "--ratings", bench_file, "--r", "5", "--scale-max", "inf"]) == 2
+        topn = ["topn", "--ratings", bench_file, "--r", "5"]
+        assert main(topn + ["--relevance", "nan"]) == 2
+        assert main(topn + ["--relevance", "inf"]) == 2
+        assert main(topn + ["--relevance", "-inf"]) == 2
+        assert main(base + ["--delimiter", ""]) == 2
+        assert main(topn + ["--delimiter", ""]) == 2
 
     def test_overflowing_scores_are_a_runtime_error(self, bench_file, capsys):
         # finite but huge similarity weights overflow the neighborhood sums
@@ -139,6 +145,10 @@ class TestExitCodes:
         missing = str(tmp_path / "nope.txt")
         assert main(["evaluate", "--ratings", missing, "--method", "static", "--t", "0"]) == 2
         assert "--t" in capsys.readouterr().err
+        assert main(["topn", "--ratings", missing, "--r", "5", "--relevance", "nan"]) == 2
+        assert "--relevance" in capsys.readouterr().err
+        assert main(["evaluate", "--ratings", missing, "--delimiter", ""]) == 2
+        assert "--delimiter" in capsys.readouterr().err
 
 
 class TestKSweepParsing:
@@ -232,6 +242,19 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = xyz\n", encoding="utf-8")
         assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 2
+
+    def test_byte_order_mark_ignored(self, bench_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = spcc\n", encoding="utf-8-sig")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert rows[0][0] == "spcc"
+
+    def test_non_utf8_bytes_name_file_and_line(self, bench_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 7\nmethod = sp\xffcc\n")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: not UTF-8" in capsys.readouterr().err
 
     def test_missing_equals(self, bench_file, tmp_path):
         cfg = tmp_path / "run.cfg"

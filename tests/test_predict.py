@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from cflevels import (RatingScale, SimilarityCache, SimilarityMethod,
+from cflevels import (PREDICTION_MODES, RatingScale, SimilarityCache, SimilarityMethod,
                       UnknownUserError, build_matrix, co_rated_items, make_method,
                       neighborhood_for_item, pcc, predict, recommend_top_n)
 
@@ -156,6 +156,48 @@ class TestPredict:
         assert p.support == 2
 
 
+class TestIndexPath:
+    """``predict`` against the neighborhood it combines, formula kept here."""
+
+    METHODS = (make_method("pcc"), make_method("static"), make_method("dynamic"),
+               make_method("dynamic", negative_form="eq8"))
+
+    @staticmethod
+    def reference(a, item, hood, m, mode):
+        weight_total = math.fsum(abs(s) for _, s in hood)
+        if mode == "resnick":
+            num = math.fsum(s * (m.rating(b, item) - m.mean_of(b)) for b, s in hood)
+            raw = m.mean_of(a) + num / weight_total
+        else:
+            num = math.fsum(s * m.rating(b, item) for b, s in hood)
+            raw = num / weight_total
+        return m.scale.clamp(raw)
+
+    def test_predict_equals_reference_bit_for_bit(self, scale):
+        rng = random.Random(1994)
+        predicted = 0
+        for _ in range(4):
+            ratings = oracles.random_ratings(rng, n_users=12, n_items=10, density=0.6)
+            m = build_matrix(oracles.ratings_to_records(ratings), scale)
+            items = sorted({i for row in ratings.values() for i in row}) + ["unknown-item"]
+            for sim in self.METHODS:
+                cache = SimilarityCache(sim, m)
+                for a in sorted(ratings):
+                    for item in items:
+                        for k in (1, 3, 40):
+                            hood = neighborhood_for_item(a, item, k, sim, m, cache).neighbors
+                            for mode in PREDICTION_MODES:
+                                got = predict(a, item, k, sim, m, cache, mode)
+                                if not hood:
+                                    assert got is None
+                                    continue
+                                assert got is not None
+                                assert got.value == self.reference(a, item, hood, m, mode)
+                                assert got.support == len(hood)
+                                predicted += 1
+        assert predicted > 1000
+
+
 class TestRecommendTopN:
     def test_sample_u3_has_no_recommendations(self, sample_matrix):
         # frozen oracle result: every candidate similarity is <= 0
@@ -168,6 +210,16 @@ class TestRecommendTopN:
     def test_r_validated(self, sample_matrix):
         with pytest.raises(ValueError):
             recommend_top_n("u3", 0, 3, PCC, sample_matrix)
+
+    def test_mode_and_k_validated_with_an_empty_pool(self, scale):
+        # a has rated every item, so no candidate ever reaches predict
+        m = build_matrix([("a", "i1", 1.0), ("a", "i2", 5.0),
+                          ("b", "i1", 2.0), ("b", "i2", 4.0)], scale)
+        assert recommend_top_n("a", 3, 5, PCC, m) == ()
+        with pytest.raises(ValueError, match="mode"):
+            recommend_top_n("a", 3, 5, PCC, m, mode="bogus")
+        with pytest.raises(ValueError, match="k must be"):
+            recommend_top_n("a", 3, 0, PCC, m)
 
     def test_matches_oracle_on_random_matrices(self, scale):
         rng = random.Random(90210)
