@@ -27,7 +27,7 @@ from .evaluate import (CSV_COLUMNS, EvalReport, PredictionPair, average_report,
                        default_relevance_threshold, evaluate_split, hit_rate,
                        kfold_split, mae, nmae, precision_recall_f1, render_csv,
                        render_json, rmse, run_experiment, split_holdout)
-from .ingest import DatasetFormat, DatasetStats, FORMATS, dataset_stats, parse_ratings
+from .ingest import DatasetFormat, FORMATS, parse_ratings
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,6 @@ __all__ = [
     "average_report", "default_relevance_threshold", "evaluate_split",
     "hit_rate", "kfold_split", "mae", "nmae", "precision_recall_f1",
     "render_csv", "render_json", "rmse", "run_experiment", "split_holdout",
-    "DatasetFormat", "DatasetStats", "FORMATS", "dataset_stats", "parse_ratings",
+    "DatasetFormat", "FORMATS", "parse_ratings",
     "__version__",
 ]

@@ -14,12 +14,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from .cache import SimilarityCache
+from .cache import SimilarityCache, demand_of
 from .errors import (CfLevelsError, ConfigError, TooFewItemsError,
                      TooFewUsersError, UnknownItemError, UnknownUserError)
 from .evaluate import (HIT_DEFS, EvalReport, average_report, kfold_split,
                        render_csv, render_json, run_experiment, split_holdout)
-from .ingest import FORMATS, DatasetFormat, dataset_stats, parse_ratings
+from .ingest import FORMATS, DatasetFormat, parse_ratings
 from .levels import NEGATIVE_FORMS, build_level_table
 from .predict import PREDICTION_MODES, recommend_top_n
 from .ratings import RatingScale, build_matrix
@@ -321,7 +321,10 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
         splits = [split_holdout(matrix, args.train, args.seed)]
     folds = range(len(splits))
 
-    caches = {(mi, fi): SimilarityCache(method, train)
+    # accuracy reads only the raters of each user's test items; top-N reads whole rows
+    demands = [demand_of(train, test) if metrics == "accuracy" else None
+               for train, test in splits]
+    caches = {(mi, fi): SimilarityCache(method, train, demands[fi])
               for mi, method in enumerate(methods)
               for fi, (train, _) in enumerate(splits)}
 
@@ -372,12 +375,10 @@ def write_rows(args: argparse.Namespace, rows: list[EvalReport]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_levels(args: argparse.Namespace) -> int:
-    fmt = resolve_format(args)
-    records = parse_ratings(args.ratings, fmt, skip_bad_lines=args.skip_bad_lines)
-    stats = dataset_stats(records)
-    table = build_level_table(stats.users, stats.items)
-    lines = [f"users: {stats.users}",
-             f"items: {stats.items}",
+    matrix = load_matrix(args)
+    table = build_level_table(matrix.user_count, matrix.item_count)
+    lines = [f"users: {matrix.user_count}",
+             f"items: {matrix.item_count}",
              f"DvU: {table.dvu}",
              f"DvI: {table.dvi}",
              f"step: {table.step}"]

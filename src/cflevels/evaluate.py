@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cache import SimilarityCache
+from .cache import SimilarityCache, demand_of
 from .errors import EmptyInputError
 from .predict import predict, recommend_top_n
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
@@ -150,14 +150,22 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
 
     Test records and test users are walked in sorted order so every
     accumulated float is order-stable regardless of how the split was
-    produced or how many workers sit above this call.
+    produced or how many workers sit above this call. Without a ``cache``,
+    ``metrics="accuracy"`` scores only the pairs its predictions need (a
+    cache made for ``test``'s demand); top-N ranking needs full rows, so
+    ``"topn"`` and ``"all"`` refuse a cache made for a demand.
     """
     if hit_def not in HIT_DEFS:
         raise ValueError(f"unknown hit_def {hit_def!r}; expected one of {', '.join(HIT_DEFS)}")
     if metrics not in METRIC_GROUPS:
         raise ValueError(f"unknown metrics group {metrics!r}; expected one of {', '.join(METRIC_GROUPS)}")
     if cache is None:
-        cache = SimilarityCache(method, train)
+        cache = SimilarityCache(method, train,
+                                demand_of(train, test) if metrics == "accuracy" else None)
+    elif cache.demand is not None and metrics != "accuracy":
+        raise ValueError(f"metrics={metrics!r} ranks every unrated item and needs full "
+                         "similarity rows; a cache made for a test demand serves only "
+                         "metrics='accuracy'")
 
     out: dict = {"mae": None, "nmae": None, "rmse": None, "precision": None,
                  "recall": None, "f1": None, "hit_rate_pct": None, "coverage": 0}

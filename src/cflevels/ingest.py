@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import MalformedLineError, OutOfScaleRatingError
 from .ratings import RatingRecord, RatingScale
@@ -108,25 +107,3 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
     if rejected:
         log.warning("%s: rejected %d bad line(s)", path, rejected)
     return records
-
-
-class DatasetStats(NamedTuple):
-    users: int
-    items: int
-    ratings: int
-    sparsity: float
-
-
-def dataset_stats(records) -> DatasetStats:
-    """Distinct counts and sparsity = 1 - ratings/(users*items); empty -> zeros."""
-    users = set()
-    items = set()
-    n = 0
-    for rec in records:
-        users.add(rec[0])
-        items.add(rec[1])
-        n += 1
-    if n == 0:
-        return DatasetStats(0, 0, 0, 0.0)
-    return DatasetStats(len(users), len(items), n,
-                        1.0 - n / (len(users) * len(items)))

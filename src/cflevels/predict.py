@@ -70,27 +70,22 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
     ii = m._item_index.get(item)
     if ii is None:
         return Neighborhood(target=a, item=item, neighbors=(), k=k)
+    ia = m._require_user(a)
+    cache.check_demand(ia, (ii,))
     users = m.users()
-    best = _top_k(cache.row(m._require_user(a)), ii, k, m)
+    best = _top_k(cache.row(ia), ii, k, m)
     return Neighborhood(target=a, item=item,
                         neighbors=tuple((users[ib], -neg) for neg, ib in best), k=k)
 
 
-def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
-            cache=None, mode: str = "resnick") -> Prediction | None:
-    """Predict a's rating of the item from its neighborhood, or None.
+def _estimate(row: dict[int, float], ia: int, ii: int, k: int, m: RatingsMatrix,
+              mode: str) -> tuple[float, int] | None:
+    """(Clamped prediction, support) of user ``ia`` on item ``ii`` from ``row``, or None.
 
-    None means no prediction is possible: the user or item is absent from
-    the matrix, or no rater of the item has positive similarity.
-    ``resnick`` combines mean-centered deviations weighted by similarity on
-    top of a's own mean; ``weighted_mean`` averages the neighbors' raw
-    ratings instead. Either way the result is clamped to the rating scale.
+    The one place neighbors are combined: :func:`predict` and
+    :func:`recommend_top_n` both call it on matrix indexes.
     """
-    cache = _checked_cache(k, sim, m, cache, mode)
-    ia, ii = m._user_index.get(a), m._item_index.get(item)
-    if ia is None or ii is None:
-        return None
-    best = _top_k(cache.row(ia), ii, k, m)
+    best = _top_k(row, ii, k, m)
     if not best:
         return None
     by_user, means = m._by_user, m._user_means
@@ -102,7 +97,30 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     else:
         num = math.fsum(-neg * by_user[ib][ii] for neg, ib in best)
         raw = num / weight_total
-    return Prediction(user=a, item=item, value=m.scale.clamp(raw), support=len(best))
+    return m.scale.clamp(raw), len(best)
+
+
+def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
+            cache=None, mode: str = "resnick") -> Prediction | None:
+    """Predict a's rating of the item from its neighborhood, or None.
+
+    None means no prediction is possible: the user or item is absent from
+    the matrix, or no rater of the item has positive similarity.
+    ``resnick`` combines mean-centered deviations weighted by similarity on
+    top of a's own mean; ``weighted_mean`` averages the neighbors' raw
+    ratings instead. Either way the result is clamped to the rating scale.
+    A ``cache`` made for a test demand raises ValueError for a known
+    (user, item) outside it.
+    """
+    cache = _checked_cache(k, sim, m, cache, mode)
+    ia, ii = m._user_index.get(a), m._item_index.get(item)
+    if ia is None or ii is None:
+        return None
+    cache.check_demand(ia, (ii,))
+    estimate = _estimate(cache.row(ia), ia, ii, k, m, mode)
+    if estimate is None:
+        return None
+    return Prediction(a, item, *estimate)
 
 
 def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -114,22 +132,29 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     no computable prediction are dropped. Output is (item, value) pairs
     sorted by value descending, item id ascending, at most r of them.
     Without a ``cache`` the call makes one for all its items, so each
-    (a, rater) pair is scored once.
+    (a, rater) pair is scored once. A cache made for a test demand that
+    does not hold the whole pool raises ValueError.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if not m.has_user(a):
+    ia = m._user_index.get(a)
+    if ia is None:
         raise UnknownUserError(f"unknown user {a!r}")
     cache = _checked_cache(k, sim, m, cache, mode)
-    rated = set(m.items_of(a))
+    rated = m._by_user[ia]
     if candidates is None:
-        pool = [i for i in m.items() if i not in rated]
+        pool = [ii for ii in range(m.item_count) if ii not in rated]
     else:
-        pool = sorted({i for i in candidates if m.has_item(i) and i not in rated})
+        index = m._item_index
+        pool = {ii for i in candidates if (ii := index.get(i)) is not None and ii not in rated}
+    cache.check_demand(ia, pool)
+    row = cache.row(ia)
     ranked = []
-    for item in pool:
-        p = predict(a, item, k, sim, m, cache, mode)
-        if p is not None:
-            ranked.append((item, p.value))
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-    return tuple(ranked[:r])
+    for ii in pool:
+        estimate = _estimate(row, ia, ii, k, m, mode)
+        if estimate is not None:
+            ranked.append((-estimate[0], ii))
+    # item indexes follow sorted item ids, so ties break on ascending id
+    ranked.sort()
+    items = m.items()
+    return tuple((items[ii], -neg) for neg, ii in ranked[:r])

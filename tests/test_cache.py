@@ -6,10 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import _synth
+import cflevels.cache
 import oracles
-from cflevels import (FingerprintMismatchError, SimilarityCache, SimilarityMethod,
-                      UnknownUserError, build_matrix, co_rated_items, get_or_compute,
-                      make_method, pcc)
+from cflevels import (FingerprintMismatchError, RatingScale, SimilarityCache,
+                      SimilarityMethod, UnknownUserError, build_matrix, co_rated_items,
+                      evaluate_split, get_or_compute, make_method, neighborhood_for_item,
+                      pcc, predict, recommend_top_n, split_holdout)
+from cflevels.cache import demand_of
 
 PCC = make_method("pcc")
 
@@ -23,8 +27,27 @@ CONFIGS = [(name, {}) for name in ("pcc", "wpcc", "spcc", "plus", "static", "dyn
 CONFIG_IDS = [name + "".join(f"-{k}={v}" for k, v in kw.items()) for name, kw in CONFIGS]
 
 
+# the six methods, plus the form that turns negative bases positive
+DEMAND_CONFIGS = CONFIGS[:7]
+DEMAND_IDS = CONFIG_IDS[:7]
+
+
 def fresh_cache(m, sim=PCC):
     return SimilarityCache(sim, m)
+
+
+def oracle_score(name, kw, ratings, m):
+    """The brute-force twin of ``make_method(name, **kw)`` at its defaults."""
+    pearson = lambda a, b: oracles.pearson(ratings, a, b)  # noqa: E731
+    return {
+        "pcc": pearson,
+        "wpcc": lambda a, b: oracles.weighted_pearson(ratings, a, b, 50),
+        "spcc": lambda a, b: oracles.sigmoid_pearson(ratings, a, b),
+        "plus": lambda a, b: oracles.power_law(pearson(a, b), 100.0, 2.0),
+        "static": lambda a, b: oracles.static_adjusted(ratings, a, b, 10, 0.20),
+        "dynamic": lambda a, b: oracles.dynamic_adjusted(
+            ratings, a, b, m.user_count, m.item_count, kw.get("negative_form", "eq4")),
+    }[name]
 
 
 def random_matrix(rng, scale, n_users=14, n_items=12, density=0.5):
@@ -155,6 +178,135 @@ class TestRows:
 
         def work(seed):
             order = list(range(m.user_count))
+            random.Random(seed).shuffle(order)
+            for ia in order:
+                if cache.row(ia) != want[ia]:
+                    return f"row {ia} differs"
+                for ib, row in list(cache.rows.items()):
+                    if row != want[ib]:
+                        return f"published row {ib} differs"
+            return None
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(8)]
+                problems = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert problems == [None] * 8
+        assert cache.rows == want
+
+
+class TestDemand:
+    """Caches made for a test demand: same answers, fewer pairs, no partial rows."""
+
+    @pytest.mark.parametrize("name,kw", DEMAND_CONFIGS, ids=DEMAND_IDS)
+    def test_prediction_equals_full_row_and_oracle(self, name, kw, scale):
+        rng = random.Random(11)
+        checked = 0
+        for seed in range(4):
+            m = random_matrix(rng, scale, n_users=16, density=rng.choice((0.4, 0.6)))
+            train, test = split_holdout(m, 0.7, seed)
+            sim = make_method(name, **kw)
+            demand = demand_of(train, test)
+            restricted = SimilarityCache(sim, train, demand)
+            full = SimilarityCache(sim, train)
+            ratings = oracles.records_to_dict(train.records())
+            ref = oracle_score(name, kw, ratings, train)
+            users, items = train.users(), train.items()
+            for ia, wanted in sorted(demand.items()):
+                for ii in sorted(wanted):
+                    for k in (1, 3, 40):
+                        got = predict(users[ia], items[ii], k, sim, train, restricted)
+                        assert got == predict(users[ia], items[ii], k, sim, train, full)
+                        want = oracles.predict(ratings, users[ia], items[ii], k, ref, (1, 5))
+                        assert (got is None) == (want is None)
+                        if got is not None:
+                            assert abs(got.value - want) <= 1e-9
+                            checked += 1
+                # the row is the full row cut to the raters of a's demanded items
+                raters = set().union(*(train._by_item[ii] for ii in wanted))
+                assert restricted.rows[ia] == {ib: s for ib, s in full.row(ia).items()
+                                               if ib in raters}
+        assert checked > 50
+
+    def test_accuracy_path_scores_only_demanded_pairs(self, monkeypatch):
+        records = _synth.planted_records(seed=13, n_users=120, n_items=80)
+        train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
+        calls = []
+        base = cflevels.cache._base
+        monkeypatch.setattr(cflevels.cache, "_base",
+                            lambda ra, rb: calls.append(1) or base(ra, rb))
+
+        def scored(cache):
+            calls.clear()
+            report = evaluate_split(train, test, PCC, k=20, r=5, relevance=4.0,
+                                    metrics="accuracy", cache=cache)
+            return report, len(calls)
+
+        restricted_report, restricted = scored(None)  # makes a cache for the demand
+        full_report, full = scored(SimilarityCache(PCC, train))
+        assert restricted_report == full_report
+        # each pair scored once: reuse covers it the other way round
+        by_user, by_item = train._by_user, train._by_item
+        demand = demand_of(train, test)
+        needs = {ia: set().union(*(by_item[ii] for ii in wanted))
+                 for ia, wanted in demand.items()}
+        needed = {frozenset((ia, ib)) for ia, raters in needs.items() for ib in raters
+                  if ib != ia and len(by_user[ia].keys() & by_user[ib].keys()) >= 2}
+        assert restricted == len(needed)
+        assert restricted < 0.8 * full
+
+    def test_predict_refuses_pairs_outside_the_demand(self, scale):
+        m = random_matrix(random.Random(4), scale)
+        users, items = m.users(), m.items()
+        unrated = [ii for ii in range(m.item_count) if ii not in m._by_user[0]]
+        cache = SimilarityCache(PCC, m, {0: frozenset(unrated[:1])})
+        assert predict(users[0], items[unrated[0]], 5, PCC, m, cache) == \
+            predict(users[0], items[unrated[0]], 5, PCC, m)
+        with pytest.raises(ValueError, match="demand"):
+            predict(users[0], items[unrated[1]], 5, PCC, m, cache)
+        with pytest.raises(ValueError, match="demand"):
+            predict(users[1], items[unrated[0]], 5, PCC, m, cache)
+        with pytest.raises(ValueError, match="demand"):
+            neighborhood_for_item(users[0], items[unrated[1]], 5, PCC, m, cache)
+        assert predict(users[0], "no such item", 5, PCC, m, cache) is None
+
+    def test_recommend_top_n_refuses_a_pool_outside_the_demand(self, scale):
+        m = random_matrix(random.Random(4), scale)
+        a, items = m.users()[0], m.items()
+        unrated = [ii for ii in range(m.item_count) if ii not in m._by_user[0]]
+        cache = SimilarityCache(PCC, m, {0: frozenset(unrated[:2])})
+        with pytest.raises(ValueError, match="demand"):
+            recommend_top_n(a, 3, 5, PCC, m, cache=cache)
+        inside = [items[ii] for ii in unrated[:2]]
+        assert recommend_top_n(a, 3, 5, PCC, m, candidates=inside, cache=cache) == \
+            recommend_top_n(a, 3, 5, PCC, m, candidates=inside)
+
+    @pytest.mark.parametrize("metrics", ["topn", "all"])
+    def test_evaluate_split_refuses_ranking_with_a_demand(self, metrics, scale):
+        m = random_matrix(random.Random(4), scale)
+        train, test = split_holdout(m, 0.8, 1)
+        cache = SimilarityCache(PCC, train, demand_of(train, test))
+        with pytest.raises(ValueError, match="full"):
+            evaluate_split(train, test, PCC, k=5, r=3, relevance=4.0, metrics=metrics,
+                           cache=cache)
+        assert len(cache) == 0
+
+    def test_threads_sharing_a_restricted_cache_see_only_whole_rows(self, scale):
+        m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
+        train, test = split_holdout(m, 0.7, 3)
+        sim = make_method("dynamic", negative_form="eq8")
+        demand = demand_of(train, test)
+        want = {ia: SimilarityCache(sim, train, demand).row(ia)
+                for ia in range(train.user_count)}
+        assert sum(map(len, want.values())) > 50
+        cache = SimilarityCache(sim, train, demand)
+
+        def work(seed):
+            order = list(range(train.user_count))
             random.Random(seed).shuffle(order)
             for ia in order:
                 if cache.row(ia) != want[ia]:

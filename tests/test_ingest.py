@@ -1,13 +1,11 @@
-"""Delimited rating-file parsing and dataset statistics."""
+"""Delimited rating-file parsing."""
 
 import logging
 
 import pytest
 
-import oracles
 from cflevels import (DatasetFormat, FORMATS, MalformedLineError,
-                      OutOfScaleRatingError, RatingScale, dataset_stats,
-                      parse_ratings)
+                      OutOfScaleRatingError, RatingScale, parse_ratings)
 
 
 def write(tmp_path, name, text):
@@ -85,7 +83,6 @@ class TestParseRatings:
         path.write_bytes("u1 i1 3\nu1 i2 4\n".encode("utf-8-sig"))
         records = parse_ratings(str(path), FORMATS["epinions"])
         assert [r.user for r in records] == ["u1", "u1"]
-        assert dataset_stats(records).users == 1
 
     @pytest.mark.parametrize("line", ["::i1::4", "u2::::3"])
     def test_empty_id_names_line(self, tmp_path, line):
@@ -135,20 +132,3 @@ class TestParseRatings:
         first = parse_ratings(path, FORMATS["epinions"])
         second = parse_ratings(path, FORMATS["epinions"])
         assert first == second
-
-
-class TestDatasetStats:
-    def test_sample_counts(self):
-        stats = dataset_stats(oracles.SAMPLE_RECORDS)
-        assert stats.users == 4 and stats.items == 4 and stats.ratings == 13
-        assert stats.sparsity == pytest.approx(1.0 - 13.0 / 16.0)
-
-    def test_empty(self):
-        stats = dataset_stats([])
-        assert stats == (0, 0, 0, 0.0)
-
-    def test_matches_parse_output(self, tmp_path):
-        path = write(tmp_path, "s.txt", "a i1 3\na i2 4\nb i1 2\n")
-        stats = dataset_stats(parse_ratings(path, FORMATS["epinions"]))
-        assert stats.users == 2 and stats.items == 2 and stats.ratings == 3
-        assert stats.sparsity == pytest.approx(0.25)

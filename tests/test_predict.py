@@ -234,6 +234,25 @@ class TestRecommendTopN:
                 for (_, gv), (_, wv) in zip(got, want):
                     assert gv == pytest.approx(wv, abs=1e-9)
 
+    def test_ranks_exactly_what_predict_returns(self, scale):
+        # ranking combines neighbors itself; it must agree with predict bit for bit
+        rng = random.Random(77)
+        for _ in range(4):
+            ratings = oracles.random_ratings(rng, n_users=14, n_items=12, density=0.5)
+            m = build_matrix(oracles.ratings_to_records(ratings), scale)
+            for sim in (make_method("dynamic", negative_form="eq8"), make_method("static")):
+                for mode in PREDICTION_MODES:
+                    for user in m.users():
+                        for pool in (None, {"i001", "i004", "i009", "unknown-item"}):
+                            items = m.items() if pool is None else pool
+                            want = [(i, p.value) for i in items
+                                    if m.has_item(i) and m.rating(user, i) is None
+                                    and (p := predict(user, i, 3, sim, m, mode=mode))]
+                            want.sort(key=lambda pair: (-pair[1], pair[0]))
+                            got = recommend_top_n(user, 99, 3, sim, m, candidates=pool,
+                                                  mode=mode)
+                            assert got == tuple(want)
+
     def test_never_recommends_rated_items(self, scale):
         rng = random.Random(31)
         ratings = oracles.random_ratings(rng, density=0.7)
