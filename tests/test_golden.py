@@ -5,8 +5,9 @@ similarity, split and neighborhood layers were reworked; any change to a
 similarity formula, neighborhood rule, split, combiner, metric or renderer
 shows up here as a byte difference. Besides the six-method runs, the
 fixtures cover the dynamic method's ``eq8`` form (the one adjuster that
-turns a negative Pearson into a positive score) and the ``weighted_mean``
-combiner.
+turns a negative Pearson into a positive score), the ``weighted_mean``
+combiner, and a six-method ``eq8`` k sweep, where every method of a fold
+and every k reads rows built from one shared set of Pearson bases.
 """
 
 from pathlib import Path
@@ -21,6 +22,7 @@ COMMON = ["--folds", "5", "--k", "20", "--seed", "42", "--jobs", "1"]
 SIX = ["--methods", "pcc,wpcc,spcc,plus,static,dynamic"]
 EQ8 = ["--method", "dynamic", "--negative-form", "eq8"]
 WEIGHTED = SIX + ["--prediction", "weighted_mean"]
+SIX_EQ8_KSWEEP = SIX + ["--negative-form", "eq8", "--k-sweep", "10:30:10"]
 RUNS = {
     "evaluate.csv": ["evaluate"] + SIX,
     "topn_r10.csv": ["topn", "--r", "10"] + SIX,
@@ -28,6 +30,8 @@ RUNS = {
     "topn_r10_dynamic_eq8.csv": ["topn", "--r", "10"] + EQ8,
     "evaluate_weighted_mean.csv": ["evaluate"] + WEIGHTED,
     "topn_r10_weighted_mean.csv": ["topn", "--r", "10"] + WEIGHTED,
+    "evaluate_six_eq8_ksweep.csv": ["evaluate"] + SIX_EQ8_KSWEEP,
+    "topn_r10_six_eq8_ksweep.csv": ["topn", "--r", "10"] + SIX_EQ8_KSWEEP,
 }
 
 
