@@ -311,7 +311,7 @@ def resolve_methods(args: argparse.Namespace) -> list:
 
 
 def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
-    """One run_experiment call per (method, k, fold), shared-cache, ordered."""
+    """One run_experiment call per (method, k, fold), ordered; one cache set per fold."""
     matrix = load_matrix(args)
     methods = resolve_methods(args)
     ks = parse_k_sweep(args.k_sweep) if args.k_sweep else [args.k]
@@ -321,12 +321,13 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
         splits = [split_holdout(matrix, args.train, args.seed)]
     folds = range(len(splits))
 
+    # one sibling set per fold: every method's rows come from one base per pair.
     # accuracy reads only the raters of each user's test items; top-N reads whole rows
-    demands = [demand_of(train, test) if metrics == "accuracy" else None
-               for train, test in splits]
-    caches = {(mi, fi): SimilarityCache(method, train, demands[fi])
-              for mi, method in enumerate(methods)
-              for fi, (train, _) in enumerate(splits)}
+    caches = {}
+    for fi, (train, test) in enumerate(splits):
+        demand = demand_of(train, test) if metrics == "accuracy" else None
+        for mi, cache in enumerate(SimilarityCache.siblings(methods, train, demand)):
+            caches[(mi, fi)] = cache
 
     r = getattr(args, "r", None) or 20
     relevance = getattr(args, "relevance", None)
@@ -479,3 +480,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

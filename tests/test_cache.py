@@ -1,4 +1,5 @@
-"""Similarity rows bound to one method and matrix: hits, misses, symmetry, oracle rows."""
+"""Similarity rows bound to one method and matrix: hits, misses, symmetry, oracle rows,
+sibling sets that share one row builder, and demand-restricted rows."""
 
 import random
 import sys
@@ -14,6 +15,7 @@ from cflevels import (FingerprintMismatchError, RatingScale, SimilarityCache,
                       evaluate_split, get_or_compute, make_method, neighborhood_for_item,
                       pcc, predict, recommend_top_n, split_holdout)
 from cflevels.cache import demand_of
+from cflevels.cli import main
 
 PCC = make_method("pcc")
 
@@ -55,10 +57,47 @@ def random_matrix(rng, scale, n_users=14, n_items=12, density=0.5):
     return build_matrix(oracles.ratings_to_records(ratings), scale)
 
 
+def sibling_methods():
+    return [make_method(name, **kw) for name, kw in CONFIGS]
+
+
+def assert_threads_see_whole_rows(m, demand, rounds=5):
+    """Eight threads, each asking a different sibling's rows, see only whole rows."""
+    sims = sibling_methods()
+    want = [{ia: SimilarityCache(sim, m, demand).row(ia) for ia in range(m.user_count)}
+            for sim in sims]
+    assert sum(len(row) for rows in want for row in rows.values()) > 400
+
+    def work(caches, slot):
+        cache = caches[slot]
+        order = list(range(m.user_count))
+        random.Random(slot).shuffle(order)
+        for ia in order:
+            if cache.row(ia) != want[slot][ia]:
+                return f"{CONFIG_IDS[slot]} row {ia} differs"
+            for other, published in enumerate(caches):
+                for ib, row in published.rows.items():
+                    if row != want[other][ib]:
+                        return f"published {CONFIG_IDS[other]} row {ib} differs"
+        return None
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(rounds):
+                caches = SimilarityCache.siblings(sims, m, demand)
+                futures = [pool.submit(work, caches, slot) for slot in range(8)]
+                assert [f.result(timeout=60) for f in futures] == [None] * 8
+                assert [cache.rows for cache in caches] == want
+    finally:
+        sys.setswitchinterval(old)
+
+
 class TestGetOrCompute:
     def test_hit_returns_stored_value(self, sample_matrix):
         cache = fresh_cache(sample_matrix)
-        cache.rows[0] = {1: 0.123}  # sentinel proves no recomputation
+        cache.row(0)[1] = 0.123  # a sentinel in the stored row proves no recomputation
         got = get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
         assert got == 0.123
 
@@ -169,34 +208,60 @@ class TestRows:
                 assert sim.adjust(base, co, m) <= 0.0
 
     def test_threads_sharing_a_cache_see_only_whole_rows(self, scale):
-        # sweep threads share one cache per (method, fold); a row read while
-        # still being built, or a row lost to a racing writer, breaks equality
+        # sweep threads share one sibling set per fold; a row read while still
+        # being built, or reused from a user whose siblings are only partly
+        # published, or lost to a racing writer, breaks equality
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
-        sim = make_method("dynamic", negative_form="eq8")
-        want = {ia: fresh_cache(m, sim).row(ia) for ia in range(m.user_count)}
-        cache = fresh_cache(m, sim)
+        assert_threads_see_whole_rows(m, None)
 
-        def work(seed):
-            order = list(range(m.user_count))
-            random.Random(seed).shuffle(order)
+
+class TestSiblings:
+    """One row builder for every method of a fold: same rows, one base per pair."""
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "demand"])
+    def test_sibling_rows_equal_standalone_rows(self, restricted, scale):
+        rng = random.Random(17)
+        entries = 0
+        for seed in range(5):
+            m = random_matrix(rng, scale, n_users=18, density=rng.choice((0.3, 0.5, 0.8)))
+            train, test = split_holdout(m, 0.7, seed)
+            demand = demand_of(train, test) if restricted else None
+            sims = sibling_methods()
+            caches = SimilarityCache.siblings(sims, train, demand)
+            order = list(range(train.user_count))
+            rng.shuffle(order)
             for ia in order:
-                if cache.row(ia) != want[ia]:
-                    return f"row {ia} differs"
-                for ib, row in list(cache.rows.items()):
-                    if row != want[ib]:
-                        return f"published row {ib} differs"
-            return None
+                caches[rng.randrange(len(caches))].row(ia)  # any sibling builds all
+                for sim, cache in zip(sims, caches):
+                    alone = SimilarityCache(sim, train, demand).row(ia)
+                    assert cache.row(ia) == alone
+                    entries += len(alone)
+            assert [len(cache) for cache in caches] == [train.user_count] * len(caches)
+        assert entries > 1000
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(work, seed) for seed in range(8)]
-                problems = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(old)
-        assert problems == [None] * 8
-        assert cache.rows == want
+    @pytest.mark.parametrize("command", [["evaluate"], ["topn", "--r", "5"]],
+                             ids=["evaluate", "topn"])
+    def test_six_methods_score_as_many_pairs_as_one(self, command, tmp_path, monkeypatch,
+                                                     capsys):
+        records = _synth.planted_records(seed=1, n_users=220, n_items=150)
+        path = tmp_path / "planted.txt"
+        path.write_text("".join(f"{u} {i} {v:g}\n" for u, i, v in records), encoding="utf-8")
+        calls = []
+        base = cflevels.cache._base
+        monkeypatch.setattr(cflevels.cache, "_base",
+                            lambda ra, rb: calls.append(1) or base(ra, rb))
+        argv = command + ["--ratings", str(path), "--folds", "3", "--k-sweep", "10:20:10",
+                          "--negative-form", "eq8", "--seed", "42", "--jobs", "1"]
+
+        def scored(methods):
+            calls.clear()
+            assert main(argv + ["--methods", methods]) == 0
+            capsys.readouterr()
+            return len(calls)
+
+        one = scored("pcc")
+        assert one > 1000
+        assert scored("pcc,wpcc,spcc,plus,static,dynamic") == one
 
 
 class TestDemand:
@@ -298,31 +363,4 @@ class TestDemand:
     def test_threads_sharing_a_restricted_cache_see_only_whole_rows(self, scale):
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
         train, test = split_holdout(m, 0.7, 3)
-        sim = make_method("dynamic", negative_form="eq8")
-        demand = demand_of(train, test)
-        want = {ia: SimilarityCache(sim, train, demand).row(ia)
-                for ia in range(train.user_count)}
-        assert sum(map(len, want.values())) > 50
-        cache = SimilarityCache(sim, train, demand)
-
-        def work(seed):
-            order = list(range(train.user_count))
-            random.Random(seed).shuffle(order)
-            for ia in order:
-                if cache.row(ia) != want[ia]:
-                    return f"row {ia} differs"
-                for ib, row in list(cache.rows.items()):
-                    if row != want[ib]:
-                        return f"published row {ib} differs"
-            return None
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(work, seed) for seed in range(8)]
-                problems = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(old)
-        assert problems == [None] * 8
-        assert cache.rows == want
+        assert_threads_see_whole_rows(train, demand_of(train, test))

@@ -106,6 +106,20 @@ class TestExitCodes:
         assert proc.wait() == 0
         assert err == b""
 
+    def test_python_m_runs_the_command_line(self, bench_file, capsys):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        argv = ["levels", "--ratings", bench_file]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0 and out.startswith("users: 30\n")
+        proc = subprocess.run([sys.executable, "-m", "cflevels", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+        proc = subprocess.run([sys.executable, "-m", "cflevels.cli", "evaluate"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "--ratings" in proc.stderr
+
     def test_range_checks(self, bench_file):
         base = ["evaluate", "--ratings", bench_file]
         assert main(base + ["--k", "0"]) == 2

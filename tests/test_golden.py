@@ -18,7 +18,7 @@ import _synth
 from cflevels.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMON = ["--folds", "5", "--k", "20", "--seed", "42", "--jobs", "1"]
+COMMON = ["--folds", "5", "--k", "20", "--seed", "42"]
 SIX = ["--methods", "pcc,wpcc,spcc,plus,static,dynamic"]
 EQ8 = ["--method", "dynamic", "--negative-form", "eq8"]
 WEIGHTED = SIX + ["--prediction", "weighted_mean"]
@@ -45,13 +45,23 @@ def planted_file(tmp_path_factory):
     return str(path)
 
 
-def golden_argv(fixture: str, ratings: str) -> list[str]:
-    return RUNS[fixture][:1] + ["--ratings", ratings] + RUNS[fixture][1:] + COMMON
+def golden_argv(fixture: str, ratings: str, jobs: int = 1) -> list[str]:
+    return (RUNS[fixture][:1] + ["--ratings", ratings] + RUNS[fixture][1:] + COMMON
+            + ["--jobs", str(jobs)])
 
 
 @pytest.mark.parametrize("fixture", sorted(RUNS))
 def test_stdout_matches_golden(fixture, planted_file, capsys):
     assert main(golden_argv(fixture, planted_file)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (GOLDEN / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("fixture", sorted(RUNS))
+def test_threaded_stdout_matches_golden(fixture, planted_file, capsys):
+    # sweep threads share each fold's rows across methods and k values
+    assert main(golden_argv(fixture, planted_file, jobs=8)) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (GOLDEN / fixture).read_bytes()
