@@ -311,7 +311,7 @@ def resolve_methods(args: argparse.Namespace) -> list:
 
 
 def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
-    """One run_experiment call per (method, k, fold), ordered; one cache set per fold."""
+    """One run_experiment call per (method, k, fold), ordered."""
     matrix = load_matrix(args)
     methods = resolve_methods(args)
     ks = parse_k_sweep(args.k_sweep) if args.k_sweep else [args.k]
@@ -321,7 +321,7 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
         splits = [split_holdout(matrix, args.train, args.seed)]
     folds = range(len(splits))
 
-    # one sibling set per fold: every method's rows come from one base per pair.
+    # one sibling cache set per fold, so every method's rows come from one base per pair;
     # accuracy reads only the raters of each user's test items; top-N reads whole rows
     caches = {}
     for fi, (train, test) in enumerate(splits):
