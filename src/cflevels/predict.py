@@ -46,14 +46,34 @@ def _checked_cache(k: int, sim: SimilarityMethod, m: RatingsMatrix, cache, mode:
     return cache
 
 
-def _top_k(row: dict[int, float], ii: int, k: int, m: RatingsMatrix) -> list[tuple[float, int]]:
-    """The top k raters of item ``ii`` in ``row``, as (-score, user index), best first.
+def _top_k(row: dict[int, float], items, k: int,
+           m: RatingsMatrix) -> dict[int, list[tuple[float, int]]]:
+    """The top k raters in ``row`` of each item index in ``items``, best first.
 
-    The one place neighborhoods are formed. User indexes follow sorted user
-    ids, so ties break on ascending id.
+    The one place neighborhoods are formed. Maps each item with at least one
+    rater in ``row`` to its neighbors as (-score, user index). User indexes
+    follow sorted user ids, so ties break on ascending id. One item ranks its
+    raters from the inverted index. Several share one walk of the row, sorted
+    once best first: each neighbor joins every wanted item it rated, and an
+    item stops being wanted once it has k, so the walk ends when none is left.
     """
-    return heapq.nsmallest(k, [(-s, ib) for ib in m._by_item[ii]
-                               if (s := row.get(ib)) is not None])
+    if len(items) == 1:
+        (ii,) = items
+        best = heapq.nsmallest(k, [(-s, ib) for ib in m._by_item[ii]
+                                   if (s := row.get(ib)) is not None])
+        return {ii: best} if best else {}
+    by_user = m._by_user
+    wanted = set(items)
+    found: dict[int, list[tuple[float, int]]] = {}
+    for neg, ib in sorted([(-s, ib) for ib, s in row.items()]):
+        if not wanted:
+            break
+        for ii in by_user[ib].keys() & wanted:
+            best = found.setdefault(ii, [])
+            best.append((neg, ib))
+            if len(best) == k:
+                wanted.remove(ii)
+    return found
 
 
 def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
@@ -73,21 +93,19 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
     ia = m._require_user(a)
     cache.check_demand(ia, (ii,))
     users = m.users()
-    best = _top_k(cache.row(ia), ii, k, m)
+    best = _top_k(cache.row(ia), (ii,), k, m).get(ii, ())
     return Neighborhood(target=a, item=item,
                         neighbors=tuple((users[ib], -neg) for neg, ib in best), k=k)
 
 
-def _estimate(row: dict[int, float], ia: int, ii: int, k: int, m: RatingsMatrix,
-              mode: str) -> tuple[float, int] | None:
-    """(Clamped prediction, support) of user ``ia`` on item ``ii`` from ``row``, or None.
+def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,
+              mode: str) -> tuple[float, int]:
+    """(Clamped prediction, support) of user ``ia`` on item ``ii`` from its neighbors.
 
-    The one place neighbors are combined: :func:`predict` and
-    :func:`recommend_top_n` both call it on matrix indexes.
+    ``best`` is a non-empty neighborhood from :func:`_top_k`. The one place
+    neighbors are combined: :func:`predict` and :func:`recommend_top_n` both
+    call it on matrix indexes.
     """
-    best = _top_k(row, ii, k, m)
-    if not best:
-        return None
     by_user, means = m._by_user, m._user_means
     # row scores are positive and finite, so the total is > 0
     weight_total = math.fsum(-neg for neg, _ in best)
@@ -117,10 +135,10 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     if ia is None or ii is None:
         return None
     cache.check_demand(ia, (ii,))
-    estimate = _estimate(cache.row(ia), ia, ii, k, m, mode)
-    if estimate is None:
+    best = _top_k(cache.row(ia), (ii,), k, m).get(ii)
+    if best is None:
         return None
-    return Prediction(a, item, *estimate)
+    return Prediction(a, item, *_estimate(best, ia, ii, m, mode))
 
 
 def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -132,8 +150,10 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     no computable prediction are dropped. Output is (item, value) pairs
     sorted by value descending, item id ascending, at most r of them.
     Without a ``cache`` the call makes one for all its items, so each
-    (a, rater) pair is scored once. A cache made for a test demand that
-    does not hold the whole pool raises ValueError.
+    (a, rater) pair is scored once. The whole pool's neighborhoods come
+    from one best-first walk of a's row (:func:`_top_k`), and each is
+    combined exactly as :func:`predict` combines it. A cache made for a
+    test demand that does not hold the whole pool raises ValueError.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -148,13 +168,8 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
         index = m._item_index
         pool = {ii for i in candidates if (ii := index.get(i)) is not None and ii not in rated}
     cache.check_demand(ia, pool)
-    row = cache.row(ia)
-    ranked = []
-    for ii in pool:
-        estimate = _estimate(row, ia, ii, k, m, mode)
-        if estimate is not None:
-            ranked.append((-estimate[0], ii))
+    hoods = _top_k(cache.row(ia), pool, k, m)
     # item indexes follow sorted item ids, so ties break on ascending id
-    ranked.sort()
+    ranked = sorted((-_estimate(best, ia, ii, m, mode)[0], ii) for ii, best in hoods.items())
     items = m.items()
     return tuple((items[ii], -neg) for neg, ii in ranked[:r])

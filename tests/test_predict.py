@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+import _synth
 import oracles
 from cflevels import (PREDICTION_MODES, RatingScale, SimilarityCache, SimilarityMethod,
-                      UnknownUserError, build_matrix, co_rated_items, make_method,
+                      UnknownUserError, build_matrix, make_method,
                       neighborhood_for_item, pcc, predict, recommend_top_n)
 
 PCC = make_method("pcc")
@@ -199,6 +200,16 @@ class TestIndexPath:
 
 
 class TestRecommendTopN:
+    @staticmethod
+    def by_predict(user, k, sim, m, pool, mode, cache=None):
+        """The whole ranking of ``pool`` (None: every item), one ``predict`` per candidate."""
+        items = m.items() if pool is None else pool
+        want = [(i, p.value) for i in items
+                if m.has_item(i) and m.rating(user, i) is None
+                and (p := predict(user, i, k, sim, m, cache, mode))]
+        want.sort(key=lambda pair: (-pair[1], pair[0]))
+        return tuple(want)
+
     def test_sample_u3_has_no_recommendations(self, sample_matrix):
         # frozen oracle result: every candidate similarity is <= 0
         assert recommend_top_n("u3", 2, 3, PCC, sample_matrix) == ()
@@ -244,14 +255,47 @@ class TestRecommendTopN:
                 for mode in PREDICTION_MODES:
                     for user in m.users():
                         for pool in (None, {"i001", "i004", "i009", "unknown-item"}):
-                            items = m.items() if pool is None else pool
-                            want = [(i, p.value) for i in items
-                                    if m.has_item(i) and m.rating(user, i) is None
-                                    and (p := predict(user, i, 3, sim, m, mode=mode))]
-                            want.sort(key=lambda pair: (-pair[1], pair[0]))
                             got = recommend_top_n(user, 99, 3, sim, m, candidates=pool,
                                                   mode=mode)
-                            assert got == tuple(want)
+                            assert got == self.by_predict(user, 3, sim, m, pool, mode)
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_walk_forms_the_single_item_neighborhoods(self, scale, k):
+        # one best-first walk of the row for the pool, one raters lookup per
+        # predict: k 1 and 5 fill many neighborhoods mid-walk, 40 none
+        m = build_matrix(_synth.planted_records(seed=7, n_users=60, n_items=40,
+                                                n_clusters=2), scale)
+        sim = make_method("dynamic")
+        cache = SimilarityCache(sim, m)
+        pool = set(m.items()[::3]) | {"unknown-item"}
+        for mode in PREDICTION_MODES:
+            for user in m.users():
+                for candidates in (None, pool):
+                    got = recommend_top_n(user, m.item_count, k, sim, m, candidates,
+                                          cache, mode)
+                    assert got == self.by_predict(user, k, sim, m, candidates, mode, cache)
+
+    def test_tie_at_the_kth_slot_goes_to_the_lower_user_id(self, scale):
+        # b1 and b2 rate a's items alike, so they tie behind c for the second of
+        # k=2 slots on both x and y; b1 must take it, whatever the record order
+        tied = [("a", "i1", 1.0), ("a", "i2", 3.0), ("a", "i3", 5.0),
+                ("c", "i1", 1.0), ("c", "i2", 3.0), ("c", "i3", 5.0),
+                ("c", "x", 3.0), ("c", "y", 3.0),
+                ("b2", "i1", 1.0), ("b2", "i2", 4.0), ("b2", "i3", 5.0),
+                ("b2", "x", 2.0), ("b2", "y", 5.0),
+                ("b1", "i1", 1.0), ("b1", "i2", 4.0), ("b1", "i3", 5.0),
+                ("b1", "x", 5.0), ("b1", "y", 2.0)]
+        m = build_matrix(tied, scale)
+        assert 0.0 < pcc("a", "b1", m) == pcc("a", "b2", m) < pcc("a", "c", m)
+        assert [b for b, _ in neighborhood_for_item("a", "x", 2, PCC, m).neighbors] == ["c", "b1"]
+        without_b1 = build_matrix([t for t in tied if t[0] != "b1"], scale)
+        without_b2 = build_matrix([t for t in tied if t[0] != "b2"], scale)
+        for mode in PREDICTION_MODES:
+            got = recommend_top_n("a", 5, 2, PCC, m, mode=mode)
+            assert [i for i, _ in got] == ["x", "y"] or [i for i, _ in got] == ["y", "x"]
+            assert got == self.by_predict("a", 2, PCC, m, None, mode)
+            assert got == recommend_top_n("a", 5, 2, PCC, without_b2, mode=mode)
+            assert got != recommend_top_n("a", 5, 2, PCC, without_b1, mode=mode)
 
     def test_never_recommends_rated_items(self, scale):
         rng = random.Random(31)
@@ -262,13 +306,20 @@ class TestRecommendTopN:
             assert not ({i for i, _ in got} & set(ratings[user]))
 
     def test_candidate_pool_restriction(self, scale):
+        # unknown items are skipped, and the caller's list or set is left as it was
         rng = random.Random(32)
         ratings = oracles.random_ratings(rng, density=0.7)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        user = sorted(ratings)[0]
-        pool = {"i003", "i007", "unknown-item"}
-        got = recommend_top_n(user, 10, 5, PCC, m, candidates=pool)
-        assert {i for i, _ in got} <= {"i003", "i007"}
+        user = "u005"  # rated i000, not i003, i007 or i009
+        assert "i000" in ratings[user]
+        known = {"i003", "i007", "i009"}
+        for pool in (["i003", "unknown-item", "i007", "i000", "i009"],
+                     {"i003", "unknown-item", "i007", "i000", "i009"}):
+            before = pool.copy()
+            for k in (1, 5):
+                got = recommend_top_n(user, 10, k, PCC, m, candidates=pool)
+                assert got and {i for i, _ in got} <= known
+                assert pool == before
 
     def test_r_exceeding_candidates_returns_all(self, scale):
         m = build_matrix([("a", "i1", 1.0), ("a", "i2", 5.0),
@@ -299,8 +350,8 @@ class TestRecommendTopN:
         a = m.users()[0]
         got = recommend_top_n(a, 5, 3, counting, m)
         # one row for a: each co-rater with a nonzero Pearson base is adjusted once
-        bases = [(pcc(a, b, m), len(co_rated_items(a, b, m))) for b in m.users()
-                 if b != a and co_rated_items(a, b, m)]
+        bases = [(pcc(a, b, m), len(co)) for b in m.users()
+                 if b != a and (co := m.items_of(a) & m.items_of(b))]
         want = sorted(base for base in bases if base[0] != 0.0)
         assert len(want) > 5
         assert sorted((s, co) for s, co, _ in calls) == want
