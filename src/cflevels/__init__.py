@@ -12,8 +12,7 @@ from .errors import (CfLevelsError, ConfigError, EmptyInputError,
                      FingerprintMismatchError, MalformedLineError,
                      OutOfScaleRatingError, TooFewItemsError,
                      TooFewUsersError, UnknownItemError, UnknownUserError)
-from .ratings import (RatingRecord, RatingScale, RatingsMatrix, build_matrix,
-                      co_rated_items, raters_of)
+from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
 from .similarity import (METHOD_NAMES, PlusParams, SimilarityMethod,
                          StaticParams, apply_spcc, apply_static, apply_wpcc,
                          make_method, pcc, plus_adjust)
@@ -36,7 +35,6 @@ __all__ = [
     "FingerprintMismatchError", "MalformedLineError", "OutOfScaleRatingError",
     "TooFewItemsError", "TooFewUsersError", "UnknownItemError", "UnknownUserError",
     "RatingRecord", "RatingScale", "RatingsMatrix", "build_matrix",
-    "co_rated_items", "raters_of",
     "METHOD_NAMES", "PlusParams", "SimilarityMethod", "StaticParams",
     "apply_spcc", "apply_static", "apply_wpcc", "make_method", "pcc",
     "plus_adjust",

@@ -150,19 +150,3 @@ def build_matrix(records: Iterable[RatingRecord], scale: RatingScale) -> Ratings
     """Build an immutable matrix; duplicate (user, item) pairs keep the last record."""
     return RatingsMatrix(records, scale)
 
-
-def co_rated_items(a: str, b: str, m: RatingsMatrix) -> set[str]:
-    """Items rated by both users. Symmetric; requires two distinct known users."""
-    if a == b:
-        raise ValueError(f"co-rated set requires two distinct users, got {a!r} twice")
-    ra = m._by_user[m._require_user(a)]
-    rb = m._by_user[m._require_user(b)]
-    return {m.items()[ii] for ii in ra.keys() & rb.keys()}
-
-
-def raters_of(item: str, m: RatingsMatrix) -> set[str]:
-    """Users who rated ``item``; empty set for an unknown item."""
-    ii = m._item_index.get(item)
-    if ii is None:
-        return set()
-    return {m.users()[ui] for ui in m._by_item[ii]}

@@ -11,7 +11,7 @@ import _synth
 import cflevels.cache
 import oracles
 from cflevels import (FingerprintMismatchError, RatingScale, SimilarityCache,
-                      SimilarityMethod, UnknownUserError, build_matrix, co_rated_items,
+                      SimilarityMethod, UnknownUserError, build_matrix,
                       evaluate_split, get_or_compute, make_method, neighborhood_for_item,
                       pcc, predict, recommend_top_n, split_holdout)
 from cflevels.cache import demand_of
@@ -132,7 +132,7 @@ class TestGetOrCompute:
             assert cache.rows[ib][ia] == s
         users = m.users()
         nonzero = [1 for i, a in enumerate(users) for b in users[i + 1:]
-                   if co_rated_items(a, b, m) and pcc(a, b, m) != 0.0]
+                   if m.items_of(a) & m.items_of(b) and pcc(a, b, m) != 0.0]
         assert len(calls) == len(nonzero)
 
     def test_transparency_bit_for_bit(self, scale):
@@ -191,7 +191,7 @@ class TestRows:
             for ia in order:
                 a = users[ia]
                 want = {ib: s for ib, b in enumerate(users)
-                        if b != a and co_rated_items(a, b, m)
+                        if b != a and m.items_of(a) & m.items_of(b)
                         and (s := sim.score(a, b, m)) > 0.0}
                 assert shared.row(ia) == want
                 assert fresh_cache(m, sim).row(ia) == want

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from cflevels import (Band, TooFewItemsError, TooFewUsersError, apply_dynamic,
-                      build_level_table, build_matrix, co_rated_items, derive_dvi,
+                      build_level_table, build_matrix, derive_dvi,
                       derive_dvu, derive_step, dynamic_method, level_table_for,
                       levels, make_method, pcc)
 
@@ -149,7 +149,7 @@ class TestDynamicSim:
         users = sorted(ratings)
         for i, a in enumerate(users):
             for b in users[i + 1:]:
-                co = len(co_rated_items(a, b, m))
+                co = len(m.items_of(a) & m.items_of(b))
                 assert method.score(a, b, m) == apply_dynamic(pcc(a, b, m), co, table)
         assert derived == [m]
 

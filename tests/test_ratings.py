@@ -6,8 +6,7 @@ import pytest
 
 import oracles
 from cflevels import (OutOfScaleRatingError, RatingRecord, RatingScale,
-                      UnknownUserError, build_matrix, co_rated_items,
-                      raters_of)
+                      UnknownUserError, build_matrix)
 
 
 class TestRatingScale:
@@ -49,7 +48,7 @@ class TestMatrixConstruction:
         m = build_matrix([], scale)
         assert m.user_count == 0 and m.item_count == 0
         assert m.records() == []
-        assert raters_of("i1", m) == set()
+        assert not m.has_item("i1")
 
     def test_records_canonical_order(self, sample_matrix):
         recs = sample_matrix.records()
@@ -84,30 +83,21 @@ class TestLookups:
             assert sample_matrix.mean_of(u) == pytest.approx(
                 oracles.full_mean(oracles.SAMPLE_RATINGS, u))
 
-    def test_raters_of(self, sample_matrix):
-        assert raters_of("i4", sample_matrix) == {"u2", "u3", "u4"}
-        assert raters_of("i1", sample_matrix) == {"u1", "u2", "u4"}
-
 
 class TestCoRated:
+    """The overlap the tests take as ``items_of(a) & items_of(b)``."""
+
     def test_matches_oracle_on_sample(self, sample_matrix):
         for a in sample_matrix.users():
             for b in sample_matrix.users():
                 if a >= b:
                     continue
                 want = set(oracles.overlap(oracles.SAMPLE_RATINGS, a, b))
-                assert co_rated_items(a, b, sample_matrix) == want
-
-    def test_symmetric(self, sample_matrix):
-        assert co_rated_items("u1", "u2", sample_matrix) == co_rated_items("u2", "u1", sample_matrix)
-
-    def test_same_user_rejected(self, sample_matrix):
-        with pytest.raises(ValueError):
-            co_rated_items("u1", "u1", sample_matrix)
+                assert sample_matrix.items_of(a) & sample_matrix.items_of(b) == want
 
     def test_unknown_user_rejected(self, sample_matrix):
         with pytest.raises(UnknownUserError):
-            co_rated_items("u1", "u9", sample_matrix)
+            sample_matrix.items_of("u1") & sample_matrix.items_of("u9")
 
 
 class TestRandomMatrices:

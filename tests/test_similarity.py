@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from cflevels import (PlusParams, StaticParams, apply_spcc, apply_static,
-                      apply_wpcc, build_matrix, co_rated_items, make_method, pcc,
+                      apply_wpcc, build_matrix, make_method, pcc,
                       plus_adjust)
 
 scores = st.floats(min_value=-1.0, max_value=1.0)
@@ -215,7 +215,7 @@ class TestStatic:
 class TestMethodWrapper:
     def test_dispatch_matches_direct_calls(self, sample_matrix):
         direct = pcc("u1", "u2", sample_matrix)
-        co = len(co_rated_items("u1", "u2", sample_matrix))
+        co = len(sample_matrix.items_of("u1") & sample_matrix.items_of("u2"))
         assert make_method("pcc").score("u1", "u2", sample_matrix) == direct
         assert make_method("wpcc", big_t=5).score("u1", "u2", sample_matrix) == \
             apply_wpcc(direct, co, 5)
