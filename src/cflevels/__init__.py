@@ -9,18 +9,17 @@ under seeded holdout or k-fold splits.
 """
 
 from .errors import (CfLevelsError, ConfigError, EmptyInputError,
-                     FingerprintMismatchError, MalformedLineError,
-                     OutOfScaleRatingError, TooFewItemsError,
-                     TooFewUsersError, UnknownItemError, UnknownUserError)
+                     MalformedLineError, OutOfScaleRatingError,
+                     TooFewItemsError, TooFewUsersError, UnknownUserError)
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
 from .similarity import (METHOD_NAMES, PlusParams, SimilarityMethod,
                          StaticParams, apply_spcc, apply_static, apply_wpcc,
                          make_method, pcc, plus_adjust)
 from .levels import (MIN_CO_RATED, NEGATIVE_FORMS, Band, LevelTable,
                      apply_dynamic, build_level_table, derive_dvi, derive_dvu,
-                     derive_step, dynamic_method, level_table_for)
-from .predict import (PREDICTION_MODES, Neighborhood, Prediction,
-                      neighborhood_for_item, predict, recommend_top_n)
+                     derive_step, level_table_for)
+from .predict import (PREDICTION_MODES, Prediction, neighborhood_for_item,
+                      predict, recommend_top_n)
 from .cache import SimilarityCache, get_or_compute
 from .evaluate import (CSV_COLUMNS, EvalReport, PredictionPair, average_report,
                        default_relevance_threshold, evaluate_split, hit_rate,
@@ -32,16 +31,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CfLevelsError", "ConfigError", "EmptyInputError",
-    "FingerprintMismatchError", "MalformedLineError", "OutOfScaleRatingError",
-    "TooFewItemsError", "TooFewUsersError", "UnknownItemError", "UnknownUserError",
+    "MalformedLineError", "OutOfScaleRatingError",
+    "TooFewItemsError", "TooFewUsersError", "UnknownUserError",
     "RatingRecord", "RatingScale", "RatingsMatrix", "build_matrix",
     "METHOD_NAMES", "PlusParams", "SimilarityMethod", "StaticParams",
     "apply_spcc", "apply_static", "apply_wpcc", "make_method", "pcc",
     "plus_adjust",
     "MIN_CO_RATED", "NEGATIVE_FORMS", "Band", "LevelTable", "apply_dynamic",
     "build_level_table", "derive_dvi", "derive_dvu", "derive_step",
-    "dynamic_method", "level_table_for",
-    "PREDICTION_MODES", "Neighborhood", "Prediction", "neighborhood_for_item",
+    "level_table_for",
+    "PREDICTION_MODES", "Prediction", "neighborhood_for_item",
     "predict", "recommend_top_n",
     "SimilarityCache", "get_or_compute",
     "CSV_COLUMNS", "EvalReport", "PredictionPair",

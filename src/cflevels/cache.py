@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
-from .errors import FingerprintMismatchError
 from .ratings import RatingRecord, RatingsMatrix
 from .similarity import SimilarityMethod, _base
 
@@ -97,7 +96,7 @@ class SimilarityCache:
     def check(self, sim: SimilarityMethod, m: RatingsMatrix) -> None:
         """Refuse any method or matrix but the objects this cache was made for."""
         if sim is not self.sim or m is not self.m:
-            raise FingerprintMismatchError(
+            raise ValueError(
                 "a similarity cache serves only the method and matrix objects it was "
                 f"made for (made for {self.sim.name!r}, asked for {sim.name!r})")
 

@@ -16,8 +16,8 @@ from dataclasses import replace
 
 from .cache import SimilarityCache, demand_of
 from .errors import (CfLevelsError, ConfigError, TooFewItemsError,
-                     TooFewUsersError, UnknownItemError, UnknownUserError)
-from .evaluate import (HIT_DEFS, EvalReport, average_report, kfold_split,
+                     TooFewUsersError, UnknownUserError)
+from .evaluate import (HIT_DEFS, METRICS, EvalReport, average_report, kfold_split,
                        render_csv, render_json, run_experiment, split_holdout)
 from .ingest import FORMATS, DatasetFormat, parse_ratings
 from .levels import NEGATIVE_FORMS, build_level_table
@@ -32,6 +32,9 @@ PRESET_PARAMS = {
     "epinions": {"big_t": 5, "t": 5, "y": 0.15},
     "custom": {"big_t": 50, "t": 10, "y": 0.20},
 }
+
+# the rating-error metrics, listed first in METRICS: what `evaluate` fills
+ERROR_METRICS = METRICS[:3]
 
 _CUSTOM_FORMAT = DatasetFormat(delimiter=None, columns=("user", "item", "rating"),
                                scale=RatingScale(1.0, 5.0))
@@ -101,7 +104,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_dataset_flags(evaluate)
     add_method_flags(evaluate)
     add_experiment_flags(evaluate)
-    evaluate.add_argument("--metric", choices=("mae", "nmae", "rmse", "all"),
+    evaluate.add_argument("--metric", choices=(*ERROR_METRICS, "all"),
                           help="report only this error metric (default: all)")
     by_name["evaluate"] = evaluate
 
@@ -397,11 +400,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = run_sweep(args, metrics="accuracy")
     if args.metric != "all":
-        keep = args.metric
-        rows = [replace(row,
-                        mae=row.mae if keep == "mae" else None,
-                        nmae=row.nmae if keep == "nmae" else None,
-                        rmse=row.rmse if keep == "rmse" else None)
+        rows = [replace(row, **{name: None for name in ERROR_METRICS if name != args.metric})
                 for row in rows]
     write_rows(args, rows)
     return 0
@@ -469,8 +468,7 @@ def main(argv=None) -> int:
         if exc.code in (0, None):
             return 0
         return 2
-    except (ConfigError, TooFewUsersError, TooFewItemsError,
-            UnknownUserError, UnknownItemError) as exc:
+    except (ConfigError, TooFewUsersError, TooFewItemsError, UnknownUserError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CfLevelsError, OSError, OverflowError, ValueError) as exc:

@@ -13,10 +13,6 @@ class UnknownUserError(CfLevelsError):
     """A user identifier is not present in the matrix."""
 
 
-class UnknownItemError(CfLevelsError):
-    """An item identifier is not present in the matrix."""
-
-
 class EmptyInputError(CfLevelsError):
     """A metric was requested over an empty list of prediction pairs."""
 
@@ -31,10 +27,6 @@ class TooFewItemsError(CfLevelsError):
 
 class MalformedLineError(CfLevelsError):
     """An input line could not be parsed; the message carries the line number."""
-
-
-class FingerprintMismatchError(CfLevelsError):
-    """A similarity cache was asked to serve a method or matrix it was not made for."""
 
 
 class ConfigError(CfLevelsError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, field, make_dataclass
 from typing import NamedTuple
 
 from .cache import SimilarityCache, demand_of
@@ -16,6 +16,8 @@ from .similarity import SimilarityMethod
 
 HIT_DEFS = ("correct", "coverage")
 METRIC_GROUPS = ("all", "accuracy", "topn")
+# the report's metrics in column order: rating error, then top-N quality
+METRICS = ("mae", "nmae", "rmse", "precision", "recall", "f1", "hit_rate_pct")
 
 
 class PredictionPair(NamedTuple):
@@ -23,27 +25,18 @@ class PredictionPair(NamedTuple):
     actual: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Metric results for one experiment configuration.
+EvalReport = make_dataclass(
+    "EvalReport",
+    [("method", str), ("k", int), ("params", dict, field(default_factory=dict)),
+     *((name, float | None, None) for name in METRICS),
+     ("coverage", int, 0), ("seconds", float, 0.0)],
+    namespace={"__module__": __name__}, frozen=True)
+EvalReport.__doc__ = """Metric results for one experiment configuration.
 
-    Metrics outside the requested group are None, as are error metrics when
-    no test pair was predictable. ``coverage`` counts the test records that
-    got no prediction.
-    """
-
-    method: str
-    k: int
-    params: dict = field(default_factory=dict)
-    mae: float | None = None
-    nmae: float | None = None
-    rmse: float | None = None
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    hit_rate_pct: float | None = None
-    coverage: int = 0
-    seconds: float = 0.0
+One field per name in ``METRICS``. Metrics outside the requested group are
+None, as are error metrics when no test pair was predictable. ``coverage``
+counts the test records that got no prediction.
+"""
 
 
 def _shuffled_records(m: RatingsMatrix, seed: int) -> list[RatingRecord]:
@@ -159,6 +152,8 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
         raise ValueError(f"unknown hit_def {hit_def!r}; expected one of {', '.join(HIT_DEFS)}")
     if metrics not in METRIC_GROUPS:
         raise ValueError(f"unknown metrics group {metrics!r}; expected one of {', '.join(METRIC_GROUPS)}")
+    if not math.isfinite(relevance):
+        raise ValueError(f"relevance must be finite, got {relevance}")
     if cache is None:
         cache = SimilarityCache(method, train,
                                 demand_of(train, test) if metrics == "accuracy" else None)
@@ -167,8 +162,7 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                          "similarity rows; a cache made for a test demand serves only "
                          "metrics='accuracy'")
 
-    out: dict = {"mae": None, "nmae": None, "rmse": None, "precision": None,
-                 "recall": None, "f1": None, "hit_rate_pct": None, "coverage": 0}
+    out: dict = {**dict.fromkeys(METRICS), "coverage": 0}
     misses = 0
 
     if metrics in ("all", "accuracy"):
@@ -266,9 +260,7 @@ def average_report(reports: list[EvalReport]) -> EvalReport:
     params["fold"] = "avg"
     return EvalReport(
         method=reports[0].method, k=reports[0].k, params=params,
-        mae=mean_of("mae"), nmae=mean_of("nmae"), rmse=mean_of("rmse"),
-        precision=mean_of("precision"), recall=mean_of("recall"),
-        f1=mean_of("f1"), hit_rate_pct=mean_of("hit_rate_pct"),
+        **{name: mean_of(name) for name in METRICS},
         coverage=sum(rep.coverage for rep in reports),
         seconds=math.fsum(rep.seconds for rep in reports))
 
@@ -277,8 +269,7 @@ def average_report(reports: list[EvalReport]) -> EvalReport:
 # report serialization
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("method", "k", "params", "mae", "nmae", "rmse", "precision",
-               "recall", "f1", "hit_rate_pct", "coverage", "seconds")
+CSV_COLUMNS = ("method", "k", "params", *METRICS, "coverage", "seconds")
 
 
 def _params_text(params: dict) -> str:
@@ -293,29 +284,22 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _rows(reports: list[EvalReport], include_timing: bool) -> list[dict]:
+    """Each report as a field dict; ``seconds`` is None unless timing is wanted."""
+    return [{**asdict(rep), "seconds": rep.seconds if include_timing else None}
+            for rep in reports]
+
+
 def render_csv(reports: list[EvalReport], include_timing: bool = False) -> str:
     """Stable-order CSV; timing cells stay empty unless explicitly wanted."""
     lines = [",".join(CSV_COLUMNS)]
-    for rep in reports:
-        row = [rep.method, str(rep.k), _params_text(rep.params),
-               _cell(rep.mae), _cell(rep.nmae), _cell(rep.rmse),
-               _cell(rep.precision), _cell(rep.recall), _cell(rep.f1),
-               _cell(rep.hit_rate_pct), str(rep.coverage),
-               _cell(rep.seconds) if include_timing else ""]
-        lines.append(",".join(row))
+    for row in _rows(reports, include_timing):
+        row["params"] = _params_text(row["params"])
+        lines.append(",".join(_cell(row[col]) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def render_json(reports: list[EvalReport], include_timing: bool = False) -> str:
     import json
 
-    rows = []
-    for rep in reports:
-        row = {"method": rep.method, "k": rep.k,
-               "params": {key: rep.params[key] for key in sorted(rep.params)},
-               "mae": rep.mae, "nmae": rep.nmae, "rmse": rep.rmse,
-               "precision": rep.precision, "recall": rep.recall, "f1": rep.f1,
-               "hit_rate_pct": rep.hit_rate_pct, "coverage": rep.coverage,
-               "seconds": rep.seconds if include_timing else None}
-        rows.append(row)
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_rows(reports, include_timing), indent=2, sort_keys=True) + "\n"

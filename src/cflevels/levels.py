@@ -11,12 +11,10 @@ instead.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from .errors import TooFewItemsError, TooFewUsersError
 from .ratings import RatingsMatrix
-from .similarity import SimilarityMethod
 
 MIN_CO_RATED = 5
 
@@ -127,19 +125,3 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
     if negative_form == "alg1":
         return shrunk / 6.0
     raise ValueError(f"unknown negative_form {negative_form!r}; expected one of {', '.join(NEGATIVE_FORMS)}")
-
-
-def dynamic_method(negative_form: str = "eq4") -> SimilarityMethod:
-    """Configured dynamic method; derives (and caches) one table per matrix."""
-    if negative_form not in NEGATIVE_FORMS:
-        raise ValueError(f"unknown negative_form {negative_form!r}; expected one of {', '.join(NEGATIVE_FORMS)}")
-    tables: weakref.WeakKeyDictionary[RatingsMatrix, LevelTable] = weakref.WeakKeyDictionary()
-
-    def adjust(score: float, co_rated: int, m: RatingsMatrix) -> float:
-        table = tables.get(m)
-        if table is None:
-            table = level_table_for(m)
-            tables[m] = table
-        return apply_dynamic(score, co_rated, table, negative_form)
-
-    return SimilarityMethod("dynamic", adjust, {"negative_form": negative_form})

@@ -15,16 +15,6 @@ PREDICTION_MODES = ("resnick", "weighted_mean")
 
 
 @dataclass(frozen=True)
-class Neighborhood:
-    """Top-k positively similar raters of one item, best first."""
-
-    target: str
-    item: str
-    neighbors: tuple[tuple[str, float], ...]
-    k: int
-
-
-@dataclass(frozen=True)
 class Prediction:
     """A predicted rating and the number of neighbors that backed it."""
 
@@ -77,25 +67,25 @@ def _top_k(row: dict[int, float], items, k: int,
 
 
 def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
-                          m: RatingsMatrix, cache=None) -> Neighborhood:
+                          m: RatingsMatrix, cache=None) -> tuple[tuple[str, float], ...]:
     """Rank the item's raters by similarity to ``a``; keep the top k positive.
 
-    Users with similarity <= 0 never enter the neighborhood. Ties break on
-    user id ascending so the result is stable across runs. Scores come from
-    a's row in ``cache``, a :class:`SimilarityCache` for ``sim`` and ``m``;
-    None scores through a fresh one made for this call. This is the
-    inspection API: :func:`predict` combines the same top k without it.
+    Returns ((user id, score), ...), best first. Users with similarity <= 0
+    never enter the neighborhood. Ties break on user id ascending so the
+    result is stable across runs. Scores come from a's row in ``cache``, a
+    :class:`SimilarityCache` for ``sim`` and ``m``; None scores through a
+    fresh one made for this call. This is the inspection API:
+    :func:`predict` combines the same top k without it.
     """
     cache = _checked_cache(k, sim, m, cache)
     ii = m._item_index.get(item)
     if ii is None:
-        return Neighborhood(target=a, item=item, neighbors=(), k=k)
+        return ()
     ia = m._require_user(a)
     cache.check_demand(ia, (ii,))
     users = m.users()
     best = _top_k(cache.row(ia), (ii,), k, m).get(ii, ())
-    return Neighborhood(target=a, item=item,
-                        neighbors=tuple((users[ib], -neg) for neg, ib in best), k=k)
+    return tuple((users[ib], -neg) for neg, ib in best)
 
 
 def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,

@@ -23,6 +23,8 @@ class RatingScale:
     rmax: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.rmin) and math.isfinite(self.rmax)):
+            raise ValueError(f"rating scale bounds must be finite, got [{self.rmin}, {self.rmax}]")
         if not self.rmin < self.rmax:
             raise ValueError(f"rating scale requires rmin < rmax, got [{self.rmin}, {self.rmax}]")
 

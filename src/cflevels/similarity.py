@@ -16,9 +16,11 @@ downstream.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
+from .levels import NEGATIVE_FORMS, LevelTable, apply_dynamic, level_table_for
 from .ratings import RatingsMatrix
 
 
@@ -34,8 +36,10 @@ class StaticParams:
     y: float = 0.20
 
     def __post_init__(self) -> None:
-        if self.t < 1:
+        if not self.t >= 1:
             raise ValueError(f"co-rated threshold t must be >= 1, got {self.t}")
+        if not math.isfinite(self.y):
+            raise ValueError(f"correlation threshold y must be finite, got {self.y}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,9 @@ class PlusParams:
     beta: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError(f"power-law parameters must be positive, got alpha={self.alpha} beta={self.beta}")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("power-law parameters must be positive and finite, "
+                             f"got alpha={self.alpha} beta={self.beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +175,14 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     Names: pcc, wpcc (uses ``big_t``), spcc, plus (power law over pcc, uses
     ``alpha``/``beta``), static (uses ``t``/``y``), dynamic (multi-level
     bands derived from the matrix shape; ``negative_form`` picks the
-    below-threshold formula).
+    below-threshold formula). The named method's knobs are checked here: a
+    value out of range raises ValueError before any pair is scored.
     """
     if name == "pcc":
         return SimilarityMethod("pcc", lambda s, co, m: s)
     if name == "wpcc":
+        if not big_t >= 1:
+            raise ValueError(f"WPCC threshold must be >= 1, got {big_t}")
         return SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t), {"T": big_t})
     if name == "spcc":
         return SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co))
@@ -187,7 +195,17 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
         return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, static),
                                 {"t": t, "y": y})
     if name == "dynamic":
-        from .levels import dynamic_method  # local import to avoid a cycle
+        if negative_form not in NEGATIVE_FORMS:
+            raise ValueError(f"unknown negative_form {negative_form!r}; "
+                             f"expected one of {', '.join(NEGATIVE_FORMS)}")
+        # one band table per matrix, derived on first use
+        tables: weakref.WeakKeyDictionary[RatingsMatrix, LevelTable] = weakref.WeakKeyDictionary()
 
-        return dynamic_method(negative_form=negative_form)
+        def dynamic(s: float, co: int, m: RatingsMatrix) -> float:
+            table = tables.get(m)
+            if table is None:
+                table = tables[m] = level_table_for(m)
+            return apply_dynamic(s, co, table, negative_form)
+
+        return SimilarityMethod("dynamic", dynamic, {"negative_form": negative_form})
     raise ValueError(f"unknown similarity method {name!r}; expected one of {', '.join(METHOD_NAMES)}")

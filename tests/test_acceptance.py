@@ -252,10 +252,10 @@ def test_criterion_4_ranking_invariance(scale):
                 if item in rated:
                     continue
                 want = [b for b, _ in
-                        neighborhood_for_item(a, item, 5, base, m).neighbors]
+                        neighborhood_for_item(a, item, 5, base, m)]
                 for method in variants:
                     got = [b for b, _ in
-                           neighborhood_for_item(a, item, 5, method, m).neighbors]
+                           neighborhood_for_item(a, item, 5, method, m)]
                     assert got == want
         checked += 1
 

@@ -10,7 +10,7 @@ import pytest
 import _synth
 import cflevels.cache
 import oracles
-from cflevels import (FingerprintMismatchError, RatingScale, SimilarityCache,
+from cflevels import (RatingScale, SimilarityCache,
                       SimilarityMethod, UnknownUserError, build_matrix,
                       evaluate_split, get_or_compute, make_method, neighborhood_for_item,
                       pcc, predict, recommend_top_n, split_holdout)
@@ -154,16 +154,16 @@ class TestGetOrCompute:
     def test_fingerprint_mismatch(self, sample_matrix, scale):
         other = build_matrix([("x", "i1", 3.0), ("y", "i1", 4.0)], scale)
         cache = fresh_cache(other)
-        with pytest.raises(FingerprintMismatchError):
+        with pytest.raises(ValueError, match="serves only the method and matrix objects"):
             get_or_compute(cache, "u1", "u2", PCC, sample_matrix)
         wrong_method = fresh_cache(sample_matrix, make_method("spcc"))
-        with pytest.raises(FingerprintMismatchError):
+        with pytest.raises(ValueError, match="serves only the method and matrix objects"):
             get_or_compute(wrong_method, "u1", "u2", PCC, sample_matrix)
         # equal content is not enough: a cache serves only the objects it was made for
         copy = build_matrix(oracles.SAMPLE_RECORDS, scale)
-        with pytest.raises(FingerprintMismatchError):
+        with pytest.raises(ValueError, match="serves only the method and matrix objects"):
             get_or_compute(fresh_cache(sample_matrix), "u1", "u2", PCC, copy)
-        with pytest.raises(FingerprintMismatchError):
+        with pytest.raises(ValueError, match="serves only the method and matrix objects"):
             get_or_compute(fresh_cache(sample_matrix), "u1", "u2", make_method("pcc"),
                            sample_matrix)
 

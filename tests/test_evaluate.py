@@ -200,6 +200,16 @@ class TestRunExperiment:
                       "recall", "f1", "hit_rate_pct", "coverage"):
             assert getattr(a, field) == getattr(b, field)
 
+    @pytest.mark.parametrize("relevance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_relevance_rejected(self, scale, relevance):
+        # NaN or inf would make no item relevant, -inf every one
+        rng = random.Random(88)
+        ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.5)
+        m = build_matrix(oracles.ratings_to_records(ratings), scale)
+        with pytest.raises(ValueError, match="relevance must be finite"):
+            run_experiment(*split_holdout(m, 0.8, 2), make_method("pcc"), k=5, r=5,
+                           relevance=relevance)
+
     def test_metric_groups(self, scale):
         rng = random.Random(88)
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.5)

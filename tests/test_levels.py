@@ -7,8 +7,8 @@ import pytest
 import oracles
 from cflevels import (Band, TooFewItemsError, TooFewUsersError, apply_dynamic,
                       build_level_table, build_matrix, derive_dvi,
-                      derive_dvu, derive_step, dynamic_method, level_table_for,
-                      levels, make_method, pcc)
+                      derive_dvu, derive_step, level_table_for, make_method,
+                      pcc, similarity)
 
 # (users, items) -> (dvu, dvi, step, bands); frozen from the oracle
 FROZEN_TABLES = {
@@ -118,7 +118,7 @@ class TestApplyDynamic:
         with pytest.raises(ValueError):
             apply_dynamic(0.4, 3, table, "eq9")
         with pytest.raises(ValueError):
-            dynamic_method("eq9")
+            make_method("dynamic", negative_form="eq9")
 
 
 class TestDynamicSim:
@@ -144,7 +144,7 @@ class TestDynamicSim:
         method = make_method("dynamic")
         table = level_table_for(m)
         derived = []
-        monkeypatch.setattr(levels, "level_table_for",
+        monkeypatch.setattr(similarity, "level_table_for",
                             lambda mat: derived.append(mat) or table)
         users = sorted(ratings)
         for i, a in enumerate(users):

@@ -22,14 +22,14 @@ class TestNeighborhood:
     def test_sample_u1_i4_is_empty(self, sample_matrix):
         # none of i4's raters correlates positively with u1
         hood = neighborhood_for_item("u1", "i4", 2, PCC, sample_matrix)
-        assert hood.neighbors == ()
+        assert hood == ()
 
     def test_positive_similarity_only(self, scale):
         m = build_matrix([("a", "i1", 1.0), ("a", "i2", 5.0),
                           ("b", "i1", 5.0), ("b", "i2", 1.0), ("b", "x", 3.0),
                           ("c", "i1", 1.0), ("c", "i2", 5.0), ("c", "x", 4.0)], scale)
         hood = neighborhood_for_item("a", "x", 5, PCC, m)
-        assert [b for b, _ in hood.neighbors] == ["c"]  # b anticorrelates
+        assert [b for b, _ in hood] == ["c"]  # b anticorrelates
 
     def test_ties_break_on_ascending_id(self, scale):
         # b2 and b1 have identical rows, so identical similarity to a
@@ -37,7 +37,7 @@ class TestNeighborhood:
                           ("b2", "i1", 1.0), ("b2", "i2", 5.0), ("b2", "x", 4.0),
                           ("b1", "i1", 1.0), ("b1", "i2", 5.0), ("b1", "x", 2.0)], scale)
         hood = neighborhood_for_item("a", "x", 2, PCC, m)
-        assert [b for b, _ in hood.neighbors] == ["b1", "b2"]
+        assert [b for b, _ in hood] == ["b1", "b2"]
 
     def test_k_truncates_and_saturates(self, scale):
         rng = random.Random(11)
@@ -47,8 +47,8 @@ class TestNeighborhood:
         user = sorted(ratings)[0]
         small = neighborhood_for_item(user, item, 2, PCC, m)
         big = neighborhood_for_item(user, item, 500, PCC, m)
-        assert len(small.neighbors) <= 2
-        assert small.neighbors == big.neighbors[:len(small.neighbors)]
+        assert len(small) <= 2
+        assert small == big[:len(small)]
 
     def test_k_validated(self, sample_matrix):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestNeighborhood:
                 for item in items:
                     want = oracles.neighborhood(ratings, user, item, 3, sim)
                     got = neighborhood_for_item(user, item, 3, PCC, m)
-                    assert [b for b, _ in got.neighbors] == [b for b, _ in want]
+                    assert [b for b, _ in got] == [b for b, _ in want]
 
 
 class TestPredict:
@@ -125,9 +125,9 @@ class TestPredict:
         p2 = predict("a", "x", 3, PCC, m2)
         assert p1 is not None and p2 is not None
         w1 = math.fsum(abs(s) for _, s in
-                       neighborhood_for_item("a", "x", 3, PCC, m1).neighbors)
+                       neighborhood_for_item("a", "x", 3, PCC, m1))
         w2 = math.fsum(abs(s) for _, s in
-                       neighborhood_for_item("a", "x", 3, PCC, m2).neighbors)
+                       neighborhood_for_item("a", "x", 3, PCC, m2))
         num1 = (p1.value - m1.mean_of("a")) * w1
         num2 = (p2.value - m2.mean_of("a")) * w2
         assert num1 == pytest.approx(num2, abs=1e-12)
@@ -186,7 +186,7 @@ class TestIndexPath:
                 for a in sorted(ratings):
                     for item in items:
                         for k in (1, 3, 40):
-                            hood = neighborhood_for_item(a, item, k, sim, m, cache).neighbors
+                            hood = neighborhood_for_item(a, item, k, sim, m, cache)
                             for mode in PREDICTION_MODES:
                                 got = predict(a, item, k, sim, m, cache, mode)
                                 if not hood:
@@ -287,7 +287,7 @@ class TestRecommendTopN:
                 ("b1", "x", 5.0), ("b1", "y", 2.0)]
         m = build_matrix(tied, scale)
         assert 0.0 < pcc("a", "b1", m) == pcc("a", "b2", m) < pcc("a", "c", m)
-        assert [b for b, _ in neighborhood_for_item("a", "x", 2, PCC, m).neighbors] == ["c", "b1"]
+        assert [b for b, _ in neighborhood_for_item("a", "x", 2, PCC, m)] == ["c", "b1"]
         without_b1 = build_matrix([t for t in tied if t[0] != "b1"], scale)
         without_b2 = build_matrix([t for t in tied if t[0] != "b2"], scale)
         for mode in PREDICTION_MODES:

@@ -1,5 +1,6 @@
 """Rating store construction, lookups, and canonical ordering."""
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,11 @@ class TestRatingScale:
             RatingScale(5.0, 1.0)
         with pytest.raises(ValueError):
             RatingScale(3.0, 3.0)
+
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (-math.inf, 5.0)])
+    def test_rejects_infinite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            RatingScale(*bounds)
 
     def test_span_contains_clamp(self):
         s = RatingScale(0.0, 10.0)

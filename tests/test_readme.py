@@ -1,0 +1,15 @@
+"""The README's python examples run as written, in order, in one namespace."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -89,6 +89,12 @@ class TestWpcc:
         with pytest.raises(ValueError):
             apply_wpcc(0.5, 3, 0)
 
+    @pytest.mark.parametrize("big_t", [0, math.nan])
+    def test_method_threshold_validated_at_construction(self, big_t):
+        # checked when the method is made, not at its first scored pair
+        with pytest.raises(ValueError, match="WPCC threshold"):
+            make_method("wpcc", big_t=big_t)
+
     @given(s=scores, co=counts)
     def test_never_grows_magnitude(self, s, co):
         out = apply_wpcc(s, co, 50)
@@ -150,6 +156,14 @@ class TestPlusAdjust:
         with pytest.raises(ValueError):
             PlusParams(alpha=100.0, beta=-1.0)
 
+    @pytest.mark.parametrize("knobs", [{"alpha": math.nan}, {"alpha": math.inf},
+                                       {"beta": math.inf}],
+                             ids=["alpha-nan", "alpha-inf", "beta-inf"])
+    def test_non_finite_parameters_rejected(self, knobs):
+        # each would score NaN, inf, or 0 for every |s| < 1
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_method("plus", **knobs)
+
     @given(s=st.one_of(st.just(0.0), st.floats(1e-150, 1.0),
                        st.floats(-1.0, -1e-150)))
     def test_sign_preserved(self, s):
@@ -190,6 +204,17 @@ class TestStatic:
         assert apply_static(0.5, 9, p) == pytest.approx(0.5 / 1.25)
         assert apply_static(0.15, 40, p) == pytest.approx(0.15 / (1 + 0.15 ** 2))
         assert apply_static(-0.9, 40, p) == pytest.approx(-0.9 / 1.81)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_y_rejected(self, y):
+        # NaN or inf would never double, -inf would double every overlap of t
+        with pytest.raises(ValueError, match="must be finite"):
+            make_method("static", y=y)
+
+    def test_nan_t_rejected(self):
+        # no co-rated count is >= NaN, so the method would never double
+        with pytest.raises(ValueError, match="co-rated threshold"):
+            make_method("static", t=math.nan)
 
     @given(s=scores, co=counts)
     def test_total_over_inputs(self, s, co):
