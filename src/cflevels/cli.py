@@ -1,8 +1,6 @@
 """Command-line surface: band inspection, evaluation sweeps, recommendations.
 
 Value precedence everywhere is defaults < config file < command-line flags.
-Flags therefore all default to None at the argparse level; actual defaults
-are filled in after the config file (if any) has been merged.
 """
 
 from __future__ import annotations
@@ -40,95 +38,116 @@ _CUSTOM_FORMAT = DatasetFormat(delimiter=None, columns=("user", "item", "rating"
                                scale=RatingScale(1.0, 5.0))
 
 
+def _checked(convert, ok, want: str):
+    """An argparse ``type=``: ``convert`` the text, then require ``ok(value)``."""
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value!r}")
+        return value
+    return check
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, ">= 1")
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="cflevels",
         description="Neighborhood collaborative filtering benchmarks with "
                     "co-rated-count similarity adjustments.")
     subs = parser.add_subparsers(dest="command", required=True)
-    by_name: dict[str, argparse.ArgumentParser] = {}
 
     def add_dataset_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--ratings", help="path to the delimited ratings file")
-        sub.add_argument("--format", choices=sorted(FORMATS) + ["custom"],
-                         help="file layout preset (default: custom)")
-        sub.add_argument("--delimiter", help="field delimiter override "
-                         "(custom default: any whitespace)")
-        sub.add_argument("--scale-min", type=float, dest="scale_min",
+        sub.add_argument("--format", choices=sorted(FORMATS) + ["custom"], default="custom",
+                         help="file layout preset (default: %(default)s)")
+        sub.add_argument("--delimiter", type=_checked(str, bool, "non-empty"),
+                         help="field delimiter override (custom default: any whitespace)")
+        sub.add_argument("--scale-min", type=_FINITE, dest="scale_min",
                          help="lowest valid rating")
-        sub.add_argument("--scale-max", type=float, dest="scale_max",
+        sub.add_argument("--scale-max", type=_FINITE, dest="scale_max",
                          help="highest valid rating")
-        sub.add_argument("--skip-bad-lines", action="store_true", default=None,
-                         dest="skip_bad_lines",
+        sub.add_argument("--skip-bad-lines", action="store_true", dest="skip_bad_lines",
                          help="log and skip malformed lines instead of failing")
         sub.add_argument("--config", help="flat key=value file merged below flags")
 
     def add_method_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--method", choices=METHOD_NAMES,
-                         help="similarity method (default: pcc)")
-        sub.add_argument("--t", type=int, help="co-rated threshold of the static method")
-        sub.add_argument("--y", type=float, help="correlation threshold of the static method")
-        sub.add_argument("--T", type=int, dest="big_t",
-                         help="co-rated cutoff of the wpcc method")
-        sub.add_argument("--alpha", type=float, help="power-law scale factor")
-        sub.add_argument("--beta", type=float, help="power-law exponent")
-        sub.add_argument("--negative-form", choices=NEGATIVE_FORMS, dest="negative_form",
-                         help="dynamic method's below-threshold formula (default: eq4)")
-        sub.add_argument("--prediction", choices=PREDICTION_MODES,
-                         help="rating combiner (default: resnick)")
-        sub.add_argument("--k", type=int, help="neighborhood size (default: 40)")
+        sub.add_argument("--method", choices=METHOD_NAMES, default="pcc",
+                         help="similarity method (default: %(default)s)")
+        sub.add_argument("--t", type=_AT_LEAST_1,
+                         help="co-rated threshold of the static method (default: per --format)")
+        sub.add_argument("--y", type=_FINITE,
+                         help="correlation threshold of the static method "
+                              "(default: per --format)")
+        sub.add_argument("--T", type=_AT_LEAST_1, dest="big_t",
+                         help="co-rated cutoff of the wpcc method (default: per --format)")
+        sub.add_argument("--alpha", type=_POSITIVE, default=100.0,
+                         help="power-law scale factor (default: %(default)s)")
+        sub.add_argument("--beta", type=_POSITIVE, default=2.0,
+                         help="power-law exponent (default: %(default)s)")
+        sub.add_argument("--negative-form", choices=NEGATIVE_FORMS, default="eq4",
+                         dest="negative_form",
+                         help="dynamic method's below-threshold formula (default: %(default)s)")
+        sub.add_argument("--prediction", choices=PREDICTION_MODES, default="resnick",
+                         help="rating combiner (default: %(default)s)")
+        sub.add_argument("--k", type=_AT_LEAST_1, default=40,
+                         help="neighborhood size (default: %(default)s)")
 
     def add_experiment_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--methods", help="comma-separated method list "
                          "(overrides --method)")
         sub.add_argument("--k-sweep", dest="k_sweep",
                          help="inclusive start:stop:step neighborhood sweep")
-        sub.add_argument("--train", type=float,
-                         help="holdout training fraction (default: 0.8)")
-        sub.add_argument("--folds", type=int,
+        sub.add_argument("--train", type=_checked(float, lambda v: 0 < v < 1, "in (0,1)"),
+                         default=0.8, help="holdout training fraction (default: %(default)s)")
+        sub.add_argument("--folds", type=_checked(int, lambda v: v >= 2, ">= 2"),
                          help="cross-validate with this many folds instead of a holdout")
-        sub.add_argument("--seed", type=int, help="split shuffle seed (default: 42)")
-        sub.add_argument("--jobs", type=int,
-                         help="concurrent sweep cells (default: $CFLEVELS_JOBS or 1)")
+        sub.add_argument("--seed", type=int, default=42,
+                         help="split shuffle seed (default: %(default)s)")
+        sub.add_argument("--jobs", type=_AT_LEAST_1,
+                         help="concurrent folds (default: $CFLEVELS_JOBS or 1)")
         sub.add_argument("--output", help="write rows here instead of stdout")
-        sub.add_argument("--out-format", choices=("csv", "json"), dest="out_format",
-                         help="row format (default: csv)")
-        sub.add_argument("--timing", action="store_true", default=None,
+        sub.add_argument("--out-format", choices=("csv", "json"), default="csv",
+                         dest="out_format", help="row format (default: %(default)s)")
+        sub.add_argument("--timing", action="store_true",
                          help="fill the seconds column with measured wall time")
 
     levels = subs.add_parser("levels", help="print the co-rated bands a dataset derives")
     add_dataset_flags(levels)
-    by_name["levels"] = levels
 
     evaluate = subs.add_parser("evaluate", help="rating-error benchmark (MAE/NMAE/RMSE)")
     add_dataset_flags(evaluate)
     add_method_flags(evaluate)
     add_experiment_flags(evaluate)
-    evaluate.add_argument("--metric", choices=(*ERROR_METRICS, "all"),
-                          help="report only this error metric (default: all)")
-    by_name["evaluate"] = evaluate
+    evaluate.add_argument("--metric", choices=(*ERROR_METRICS, "all"), default="all",
+                          help="report only this error metric (default: %(default)s)")
 
     topn = subs.add_parser("topn", help="recommendation-quality benchmark "
                            "(precision/recall/F1/hit rate)")
     add_dataset_flags(topn)
     add_method_flags(topn)
     add_experiment_flags(topn)
-    topn.add_argument("--r", type=int, help="recommendations per user (required)")
-    topn.add_argument("--relevance", type=float,
+    topn.add_argument("--r", type=_AT_LEAST_1, help="recommendations per user (required)")
+    topn.add_argument("--relevance", type=_FINITE,
                       help="test rating at or above this counts as relevant "
                            "(default: top quarter of the scale)")
-    topn.add_argument("--hit-def", choices=HIT_DEFS, dest="hit_def",
-                      help="what counts as a user's hit (default: correct)")
-    by_name["topn"] = topn
+    topn.add_argument("--hit-def", choices=HIT_DEFS, default="correct", dest="hit_def",
+                      help="what counts as a user's hit (default: %(default)s)")
 
     recommend = subs.add_parser("recommend", help="print one user's top-N items")
     add_dataset_flags(recommend)
     add_method_flags(recommend)
     recommend.add_argument("--user", help="user id to recommend for (required)")
-    recommend.add_argument("--r", type=int, help="number of recommendations (required)")
-    by_name["recommend"] = recommend
+    recommend.add_argument("--r", type=_AT_LEAST_1, help="number of recommendations (required)")
 
-    return parser, by_name
+    return parser, subs.choices
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +183,8 @@ def _convert_config_value(action: argparse.Action, raw: str, path: str, key: str
     typ = action.type or str
     try:
         value = typ(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: bad value for {key}: {raw!r}") from None
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"{path}: bad value for {key}: {exc}") from None
     if action.choices is not None and value not in action.choices:
         raise ConfigError(
             f"{path}: {key} must be one of {', '.join(map(str, action.choices))}, got {raw!r}")
@@ -173,86 +192,33 @@ def _convert_config_value(action: argparse.Action, raw: str, path: str, key: str
 
 
 def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Merge config-file entries under any explicitly given flags."""
-    if args.config is None:
-        return
+    """Make the entries of ``args.config`` ``sub``'s defaults, checked like its flags."""
     options: dict[str, argparse.Action] = {}
     for action in sub._actions:
         for opt in action.option_strings:
             if opt.startswith("--"):
                 options[opt[2:].replace("-", "_")] = action
+    values = {}
     for key, raw in read_config(args.config).items():
         action = options.get(key)
         if action is None or key in ("config", "help"):
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        value = _convert_config_value(action, raw, args.config, key)
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, value)
-
-
-def _env_jobs() -> int:
-    raw = os.environ.get("CFLEVELS_JOBS")
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"CFLEVELS_JOBS must be an integer, got {raw!r}") from None
+        values[action.dest] = _convert_config_value(action, raw, args.config, key)
+    sub.set_defaults(**values)
 
 
 def fill_defaults(args: argparse.Namespace) -> None:
-    """Resolve every still-None option to its default, then range-check."""
-    if getattr(args, "format", None) is None:
-        args.format = "custom"
-    preset = PRESET_PARAMS[args.format]
-    defaults = {
-        "skip_bad_lines": False,
-        "method": "pcc",
-        "t": preset["t"],
-        "y": preset["y"],
-        "big_t": preset["big_t"],
-        "alpha": 100.0,
-        "beta": 2.0,
-        "negative_form": "eq4",
-        "prediction": "resnick",
-        "k": 40,
-        "train": 0.8,
-        "seed": 42,
-        "hit_def": "correct",
-        "metric": "all",
-        "out_format": "csv",
-        "timing": False,
-    }
-    for dest, value in defaults.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
+    """Fill the preset's t, y and T and $CFLEVELS_JOBS where unset; require --ratings."""
+    for dest, value in PRESET_PARAMS[args.format].items():
+        if getattr(args, dest, 0) is None:
             setattr(args, dest, value)
-    if hasattr(args, "jobs") and args.jobs is None:
-        args.jobs = _env_jobs()
-
+    if getattr(args, "jobs", 0) is None:
+        try:
+            args.jobs = _AT_LEAST_1(os.environ.get("CFLEVELS_JOBS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"$CFLEVELS_JOBS: {exc}") from None
     if args.ratings is None:
         raise ConfigError("--ratings is required")
-    if hasattr(args, "k") and args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
-    if hasattr(args, "train") and not 0.0 < args.train < 1.0:
-        raise ConfigError(f"--train must be in (0,1), got {args.train}")
-    if getattr(args, "folds", None) is not None and args.folds < 2:
-        raise ConfigError(f"--folds must be >= 2, got {args.folds}")
-    if hasattr(args, "jobs") and args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    if getattr(args, "r", None) is not None and args.r < 1:
-        raise ConfigError(f"--r must be >= 1, got {args.r}")
-    if hasattr(args, "t") and args.t < 1:
-        raise ConfigError(f"--t must be >= 1, got {args.t}")
-    if hasattr(args, "big_t") and args.big_t < 1:
-        raise ConfigError(f"--T must be >= 1, got {args.big_t}")
-    if getattr(args, "y", None) is not None and not math.isfinite(args.y):
-        raise ConfigError(f"--y must be finite, got {args.y}")
-    if getattr(args, "relevance", None) is not None and not math.isfinite(args.relevance):
-        raise ConfigError(f"--relevance must be finite, got {args.relevance}")
-    for flag in ("alpha", "beta"):
-        value = getattr(args, flag, None)
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"--{flag} must be positive and finite, got {value}")
 
 
 def parse_k_sweep(text: str) -> list[int]:
@@ -275,12 +241,8 @@ def parse_k_sweep(text: str) -> list[int]:
 def resolve_format(args: argparse.Namespace) -> DatasetFormat:
     fmt = FORMATS.get(args.format, _CUSTOM_FORMAT)
     delimiter = args.delimiter if args.delimiter is not None else fmt.delimiter
-    if delimiter == "":
-        raise ConfigError("--delimiter must not be empty")
     rmin = args.scale_min if args.scale_min is not None else fmt.scale.rmin
     rmax = args.scale_max if args.scale_max is not None else fmt.scale.rmax
-    if not (math.isfinite(rmin) and math.isfinite(rmax)):
-        raise ConfigError(f"--scale-min and --scale-max must be finite, got {rmin} and {rmax}")
     if rmin >= rmax:
         raise ConfigError(f"--scale-min must be below --scale-max, got {rmin} >= {rmax}")
     if delimiter == fmt.delimiter and (rmin, rmax) == (fmt.scale.rmin, fmt.scale.rmax):
@@ -314,7 +276,7 @@ def resolve_methods(args: argparse.Namespace) -> list:
 
 
 def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
-    """One run_experiment call per (method, k, fold), ordered."""
+    """One run_experiment call per (method, k, fold), ordered; one task per fold."""
     matrix = load_matrix(args)
     methods = resolve_methods(args)
     ks = parse_k_sweep(args.k_sweep) if args.k_sweep else [args.k]
@@ -322,43 +284,33 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
         splits = kfold_split(matrix, args.folds, args.seed)
     else:
         splits = [split_holdout(matrix, args.train, args.seed)]
-    folds = range(len(splits))
+    # topn's own knobs; evaluate leaves them at run_experiment's defaults
+    knobs = {name: getattr(args, name) for name in ("r", "relevance", "hit_def")
+             if hasattr(args, name)}
 
-    # one sibling cache set per fold, so every method's rows come from one base per pair;
-    # accuracy reads only the raters of each user's test items; top-N reads whole rows
-    caches = {}
-    for fi, (train, test) in enumerate(splits):
-        demand = demand_of(train, test) if metrics == "accuracy" else None
-        for mi, cache in enumerate(SimilarityCache.siblings(methods, train, demand)):
-            caches[(mi, fi)] = cache
-
-    r = getattr(args, "r", None) or 20
-    relevance = getattr(args, "relevance", None)
-    hit_def = getattr(args, "hit_def", "correct")
-
-    def cell_report(cell: tuple[int, int, int]) -> EvalReport:
-        mi, k, fi = cell
+    def fold_reports(fi: int) -> list[EvalReport]:
+        # one sibling cache set, so every method's rows come from one base per pair;
+        # accuracy reads only the raters of each user's test items; top-N reads whole rows
         train, test = splits[fi]
-        return run_experiment(train, test, methods[mi], k=k, r=r,
-                              fold=fi if args.folds is not None else None,
-                              relevance=relevance, hit_def=hit_def,
-                              prediction=args.prediction, metrics=metrics,
-                              cache=caches[(mi, fi)])
+        demand = demand_of(train, test) if metrics == "accuracy" else None
+        caches = SimilarityCache.siblings(methods, train, demand)
+        return [run_experiment(train, test, method, k=k,
+                               fold=fi if args.folds is not None else None,
+                               prediction=args.prediction, metrics=metrics,
+                               cache=cache, **knobs)
+                for method, cache in zip(methods, caches) for k in ks]
 
-    cells = [(mi, k, fi) for mi in range(len(methods)) for k in ks for fi in folds]
-    if args.jobs > 1 and len(cells) > 1:
+    if args.jobs > 1 and len(splits) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = dict(zip(cells, pool.map(cell_report, cells)))
+            by_fold = list(pool.map(fold_reports, range(len(splits))))
     else:
-        reports = {cell: cell_report(cell) for cell in cells}
+        by_fold = [fold_reports(fi) for fi in range(len(splits))]
 
     rows: list[EvalReport] = []
-    for mi in range(len(methods)):
-        for k in ks:
-            group = [reports[(mi, k, fi)] for fi in folds]
-            rows.extend(group)
-            if args.folds is not None:
-                rows.append(average_report(group))
+    for group in zip(*by_fold):  # one (method, k) cell, fold by fold
+        rows.extend(group)
+        if args.folds is not None:
+            rows.append(average_report(list(group)))
     return rows
 
 
@@ -456,7 +408,9 @@ def main(argv=None) -> int:
     parser, by_name = build_parser()
     try:
         args = parser.parse_args(argv)
-        apply_config(args, by_name[args.command])
+        if args.config is not None:
+            apply_config(args, by_name[args.command])
+            args = parser.parse_args(argv)
         fill_defaults(args)
         code = COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -61,6 +61,23 @@ def sibling_methods():
     return [make_method(name, **kw) for name, kw in CONFIGS]
 
 
+@pytest.fixture()
+def base_calls(monkeypatch):
+    """One entry per call of the overlap kernel the row builder uses."""
+    calls = []
+    base = cflevels.cache._base
+    monkeypatch.setattr(cflevels.cache, "_base",
+                        lambda ra, rb: calls.append(1) or base(ra, rb))
+    return calls
+
+
+def planted_file(tmp_path, seed):
+    records = _synth.planted_records(seed=seed, n_users=220, n_items=150)
+    path = tmp_path / "planted.txt"
+    path.write_text("".join(f"{u} {i} {v:g}\n" for u, i, v in records), encoding="utf-8")
+    return str(path)
+
+
 def assert_threads_see_whole_rows(m, demand, rounds=5):
     """Eight threads, each asking a different sibling's rows, see only whole rows."""
     sims = sibling_methods()
@@ -241,27 +258,39 @@ class TestSiblings:
 
     @pytest.mark.parametrize("command", [["evaluate"], ["topn", "--r", "5"]],
                              ids=["evaluate", "topn"])
-    def test_six_methods_score_as_many_pairs_as_one(self, command, tmp_path, monkeypatch,
+    def test_six_methods_score_as_many_pairs_as_one(self, command, tmp_path, base_calls,
                                                      capsys):
-        records = _synth.planted_records(seed=1, n_users=220, n_items=150)
-        path = tmp_path / "planted.txt"
-        path.write_text("".join(f"{u} {i} {v:g}\n" for u, i, v in records), encoding="utf-8")
-        calls = []
-        base = cflevels.cache._base
-        monkeypatch.setattr(cflevels.cache, "_base",
-                            lambda ra, rb: calls.append(1) or base(ra, rb))
-        argv = command + ["--ratings", str(path), "--folds", "3", "--k-sweep", "10:20:10",
-                          "--negative-form", "eq8", "--seed", "42", "--jobs", "1"]
+        argv = command + ["--ratings", planted_file(tmp_path, 1), "--folds", "3",
+                          "--k-sweep", "10:20:10", "--negative-form", "eq8", "--seed", "42",
+                          "--jobs", "1"]
 
         def scored(methods):
-            calls.clear()
+            base_calls.clear()
             assert main(argv + ["--methods", methods]) == 0
             capsys.readouterr()
-            return len(calls)
+            return len(base_calls)
 
         one = scored("pcc")
         assert one > 1000
         assert scored("pcc,wpcc,spcc,plus,static,dynamic") == one
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["topn", "--r", "5"]],
+                             ids=["evaluate", "topn"])
+    def test_jobs_do_not_change_pairs_scored(self, command, tmp_path, base_calls, capsys):
+        # one thread per fold, so no two threads build the same row
+        argv = command + ["--ratings", planted_file(tmp_path, 5), "--folds", "5",
+                          "--methods", "pcc,wpcc,spcc,plus,static,dynamic",
+                          "--k-sweep", "10:40:10", "--seed", "5"]
+
+        def scored(jobs):
+            base_calls.clear()
+            assert main(argv + ["--jobs", str(jobs)]) == 0
+            capsys.readouterr()
+            return len(base_calls)
+
+        serial = scored(1)
+        assert serial > 1000
+        assert [scored(2), scored(8)] == [serial, serial]
 
 
 class TestDemand:
@@ -297,19 +326,15 @@ class TestDemand:
                                                if ib in raters}
         assert checked > 50
 
-    def test_accuracy_path_scores_only_demanded_pairs(self, monkeypatch):
+    def test_accuracy_path_scores_only_demanded_pairs(self, base_calls):
         records = _synth.planted_records(seed=13, n_users=120, n_items=80)
         train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
-        calls = []
-        base = cflevels.cache._base
-        monkeypatch.setattr(cflevels.cache, "_base",
-                            lambda ra, rb: calls.append(1) or base(ra, rb))
 
         def scored(cache):
-            calls.clear()
+            base_calls.clear()
             report = evaluate_split(train, test, PCC, k=20, r=5, relevance=4.0,
                                     metrics="accuracy", cache=cache)
-            return report, len(calls)
+            return report, len(base_calls)
 
         restricted_report, restricted = scored(None)  # makes a cache for the demand
         full_report, full = scored(SimilarityCache(PCC, train))

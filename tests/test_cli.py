@@ -275,6 +275,16 @@ class TestConfigFile:
         cfg.write_text("just some words\n", encoding="utf-8")
         assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["k = 0", "folds = 1", "train = 1.5", "alpha = nan",
+                                      "scale-max = inf", "delimiter ="],
+                             ids=lambda line: line.partition(" ")[0])
+    def test_out_of_range_entry_names_the_file(self, line, bench_file, tmp_path, capsys):
+        # entries pass the same range checks as the flags they stand for
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
 
 class TestJobsEnv:
     def test_env_var_used(self, bench_file, monkeypatch, capsys):
@@ -288,6 +298,27 @@ class TestJobsEnv:
         monkeypatch.setenv("CFLEVELS_JOBS", "banana")
         assert main(["evaluate", "--ratings", bench_file]) == 2
         assert "CFLEVELS_JOBS" in capsys.readouterr().err
+
+    def test_env_var_out_of_range(self, bench_file, monkeypatch, capsys):
+        monkeypatch.setenv("CFLEVELS_JOBS", "0")
+        assert main(["evaluate", "--ratings", bench_file]) == 2
+        assert "CFLEVELS_JOBS" in capsys.readouterr().err
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command,defaults", [
+        ("levels", ["default: custom"]),
+        ("evaluate", ["default: pcc", "default: 40", "default: 0.8", "default: 42",
+                      "default: all"]),
+        ("topn", ["default: 40", "default: 0.8", "default: 100.0", "default: correct"]),
+        ("recommend", ["default: 40", "default: resnick", "default: eq4"]),
+    ], ids=["levels", "evaluate", "topn", "recommend"])
+    def test_help_prints_declared_defaults(self, command, defaults, capsys):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        for default in defaults:
+            assert default in text
+        assert "default: None" not in text
 
 
 class TestSweepShape:
