@@ -12,7 +12,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from .cache import SimilarityCache, demand_of
+from .cache import SimilarityCache
 from .errors import (CfLevelsError, ConfigError, TooFewItemsError,
                      TooFewUsersError, UnknownUserError)
 from .evaluate import (HIT_DEFS, METRICS, EvalReport, average_report, kfold_split,
@@ -253,6 +253,8 @@ def resolve_format(args: argparse.Namespace) -> DatasetFormat:
 def load_matrix(args: argparse.Namespace):
     fmt = resolve_format(args)
     records = parse_ratings(args.ratings, fmt, skip_bad_lines=args.skip_bad_lines)
+    if not records:
+        raise TooFewUsersError(f"{args.ratings}: no ratings")
     return build_matrix(records, fmt.scale)
 
 
@@ -289,11 +291,9 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
              if hasattr(args, name)}
 
     def fold_reports(fi: int) -> list[EvalReport]:
-        # one sibling cache set, so every method's rows come from one base per pair;
-        # accuracy reads only the raters of each user's test items; top-N reads whole rows
+        # one sibling cache set, so every method's rows come from one base per pair
         train, test = splits[fi]
-        demand = demand_of(train, test) if metrics == "accuracy" else None
-        caches = SimilarityCache.siblings(methods, train, demand)
+        caches = SimilarityCache.siblings(methods, train)
         return [run_experiment(train, test, method, k=k,
                                fold=fi if args.folds is not None else None,
                                prediction=args.prediction, metrics=metrics,

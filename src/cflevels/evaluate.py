@@ -8,7 +8,7 @@ import time
 from dataclasses import asdict, field, make_dataclass
 from typing import NamedTuple
 
-from .cache import SimilarityCache, demand_of
+from .cache import SimilarityCache
 from .errors import EmptyInputError
 from .predict import predict, recommend_top_n
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
@@ -143,10 +143,10 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
 
     Test records and test users are walked in sorted order so every
     accumulated float is order-stable regardless of how the split was
-    produced or how many workers sit above this call. Without a ``cache``,
-    ``metrics="accuracy"`` scores only the pairs its predictions need (a
-    cache made for ``test``'s demand); top-N ranking needs full rows, so
-    ``"topn"`` and ``"all"`` refuse a cache made for a demand.
+    produced or how many workers sit above this call. Rating accuracy asks
+    each test user's row for the raters of its test items only, once per
+    user; top-N ranking asks for full rows. Without a ``cache`` the call
+    makes one for ``method`` and ``train``.
     """
     if hit_def not in HIT_DEFS:
         raise ValueError(f"unknown hit_def {hit_def!r}; expected one of {', '.join(HIT_DEFS)}")
@@ -155,27 +155,31 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
     if not math.isfinite(relevance):
         raise ValueError(f"relevance must be finite, got {relevance}")
     if cache is None:
-        cache = SimilarityCache(method, train,
-                                demand_of(train, test) if metrics == "accuracy" else None)
-    elif cache.demand is not None and metrics != "accuracy":
-        raise ValueError(f"metrics={metrics!r} ranks every unrated item and needs full "
-                         "similarity rows; a cache made for a test demand serves only "
-                         "metrics='accuracy'")
+        cache = SimilarityCache(method, train)
+    cache.check(method, train)
 
     out: dict = {**dict.fromkeys(METRICS), "coverage": 0}
-    misses = 0
+    by_user: dict[str, list[RatingRecord]] = {}
+    for rec in test:
+        by_user.setdefault(rec.user, []).append(rec)
 
     if metrics in ("all", "accuracy"):
         pairs: list[PredictionPair] = []
-        for rec in sorted(test, key=lambda t: (t.user, t.item)):
-            if not train.has_user(rec.user):
-                misses += 1
+        misses = 0
+        users, items = train._user_index, train._item_index
+        for user in sorted(by_user):
+            recs = by_user[user]
+            ia = users.get(user)
+            if ia is None:
+                misses += len(recs)
                 continue
-            p = predict(rec.user, rec.item, k, method, train, cache, prediction)
-            if p is None:
-                misses += 1
-            else:
-                pairs.append(PredictionPair(p.value, rec.value))
+            cache.row(ia, {ii for rec in recs if (ii := items.get(rec.item)) is not None})
+            for rec in sorted(recs, key=lambda t: t.item):
+                p = predict(user, rec.item, k, method, train, cache, prediction)
+                if p is None:
+                    misses += 1
+                else:
+                    pairs.append(PredictionPair(p.value, rec.value))
         if pairs:
             m_value = mae(pairs)
             out["mae"] = m_value
@@ -184,9 +188,6 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
         out["coverage"] = misses
 
     if metrics in ("all", "topn"):
-        by_user: dict[str, list[RatingRecord]] = {}
-        for rec in test:
-            by_user.setdefault(rec.user, []).append(rec)
         per_user: list[tuple[float, float, float]] = []
         hit_counts: list[int] = []
         for user in sorted(by_user):

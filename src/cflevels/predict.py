@@ -82,9 +82,8 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
     if ii is None:
         return ()
     ia = m._require_user(a)
-    cache.check_demand(ia, (ii,))
     users = m.users()
-    best = _top_k(cache.row(ia), (ii,), k, m).get(ii, ())
+    best = _top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii, ())
     return tuple((users[ib], -neg) for neg, ib in best)
 
 
@@ -117,15 +116,14 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     ``resnick`` combines mean-centered deviations weighted by similarity on
     top of a's own mean; ``weighted_mean`` averages the neighbors' raw
     ratings instead. Either way the result is clamped to the rating scale.
-    A ``cache`` made for a test demand raises ValueError for a known
-    (user, item) outside it.
+    Scores come from a's row in ``cache``, extended to cover the item when
+    it does not; None scores through a fresh one made for this call.
     """
     cache = _checked_cache(k, sim, m, cache, mode)
     ia, ii = m._user_index.get(a), m._item_index.get(item)
     if ia is None or ii is None:
         return None
-    cache.check_demand(ia, (ii,))
-    best = _top_k(cache.row(ia), (ii,), k, m).get(ii)
+    best = _top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii)
     if best is None:
         return None
     return Prediction(a, item, *_estimate(best, ia, ii, m, mode))
@@ -139,11 +137,11 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     by default every unrated item in the matrix is considered. Items with
     no computable prediction are dropped. Output is (item, value) pairs
     sorted by value descending, item id ascending, at most r of them.
-    Without a ``cache`` the call makes one for all its items, so each
-    (a, rater) pair is scored once. The whole pool's neighborhoods come
-    from one best-first walk of a's row (:func:`_top_k`), and each is
-    combined exactly as :func:`predict` combines it. A cache made for a
-    test demand that does not hold the whole pool raises ValueError.
+    Scores come from a's full row in ``cache``; without one the call makes
+    one for all its items, so each (a, rater) pair is scored once. The
+    whole pool's neighborhoods come from one best-first walk of that row
+    (:func:`_top_k`), and each is combined exactly as :func:`predict`
+    combines it.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -157,7 +155,6 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     else:
         index = m._item_index
         pool = {ii for i in candidates if (ii := index.get(i)) is not None and ii not in rated}
-    cache.check_demand(ia, pool)
     hoods = _top_k(cache.row(ia), pool, k, m)
     # item indexes follow sorted item ids, so ties break on ascending id
     ranked = sorted((-_estimate(best, ia, ii, m, mode)[0], ii) for ii, best in hoods.items())

@@ -109,9 +109,6 @@ class RatingsMatrix:
     def has_user(self, user: str) -> bool:
         return user in self._user_index
 
-    def has_item(self, item: str) -> bool:
-        return item in self._item_index
-
     # -- lookups -------------------------------------------------------
 
     def rating(self, user: str, item: str) -> float | None:
@@ -120,11 +117,6 @@ class RatingsMatrix:
         if ui is None or ii is None:
             return None
         return self._by_user[ui].get(ii)
-
-    def items_of(self, user: str) -> set[str]:
-        """Item ids rated by ``user``."""
-        ui = self._require_user(user)
-        return {self._items[ii] for ii in self._by_user[ui]}
 
     def mean_of(self, user: str) -> float:
         """Mean of the user's ratings over everything they rated."""

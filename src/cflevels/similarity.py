@@ -84,14 +84,9 @@ def _base(ra: dict[int, float], rb: dict[int, float]) -> tuple[float, int]:
     return min(1.0, max(-1.0, num / math.sqrt(dx * dy))), n
 
 
-def _pcc_and_overlap(a: str, b: str, m: RatingsMatrix) -> tuple[float, int]:
-    """(Pearson over the overlap, co-rated count) for a user pair."""
-    return _base(m._by_user[m._require_user(a)], m._by_user[m._require_user(b)])
-
-
 def pcc(a: str, b: str, m: RatingsMatrix) -> float:
     """Pearson correlation of two users over their co-rated items, in [-1, 1]."""
-    return _pcc_and_overlap(a, b, m)[0]
+    return _base(m._by_user[m._require_user(a)], m._by_user[m._require_user(b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +156,8 @@ class SimilarityMethod:
         self.adjust = adjust
 
     def score(self, a: str, b: str, m: RatingsMatrix) -> float:
-        return self.adjust(*_pcc_and_overlap(a, b, m), m)
+        return self.adjust(*_base(m._by_user[m._require_user(a)],
+                                  m._by_user[m._require_user(b)]), m)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimilarityMethod({self.name!r}, {self.params!r})"

@@ -1,5 +1,5 @@
 """Similarity rows bound to one method and matrix: hits, misses, symmetry, oracle rows,
-sibling sets that share one row builder, and demand-restricted rows."""
+sibling sets that share one row builder, and rows that cover only the items asked for."""
 
 import random
 import sys
@@ -14,7 +14,6 @@ from cflevels import (RatingScale, SimilarityCache,
                       SimilarityMethod, UnknownUserError, build_matrix,
                       evaluate_split, get_or_compute, make_method, neighborhood_for_item,
                       pcc, predict, recommend_top_n, split_holdout)
-from cflevels.cache import demand_of
 from cflevels.cli import main
 
 PCC = make_method("pcc")
@@ -78,23 +77,51 @@ def planted_file(tmp_path, seed):
     return str(path)
 
 
-def assert_threads_see_whole_rows(m, demand, rounds=5):
-    """Eight threads, each asking a different sibling's rows, see only whole rows."""
+def items_asked(train, test):
+    """The train item indexes of each train user's test records."""
+    items: dict[int, set[int]] = {}
+    for user, item, _ in test:
+        ia, ii = train._user_index.get(user), train._item_index.get(item)
+        if ia is not None and ii is not None:
+            items.setdefault(ia, set()).add(ii)
+    return items
+
+
+def assert_threads_see_whole_rows(m, grow, rounds=5):
+    """Eight threads, each asking a different sibling's rows, see only whole rows.
+
+    A published row must hold exactly the full row's raters of the items it
+    covers. With ``grow`` each thread asks for a user's row one item at a
+    time before the full row, so rows are extended while others read them.
+    """
     sims = sibling_methods()
-    want = [{ia: SimilarityCache(sim, m, demand).row(ia) for ia in range(m.user_count)}
+    want = [{ia: SimilarityCache(sim, m).row(ia) for ia in range(m.user_count)}
             for sim in sims]
     assert sum(len(row) for rows in want for row in rows.values()) > 400
+    by_item = m._by_item
 
     def work(caches, slot):
         cache = caches[slot]
+        rng = random.Random(slot)
         order = list(range(m.user_count))
-        random.Random(slot).shuffle(order)
+        rng.shuffle(order)
         for ia in order:
-            if cache.row(ia) != want[slot][ia]:
+            full = want[slot][ia]
+            asks = [(ii,) for ii in rng.sample(range(m.item_count), 4)] if grow else []
+            for (ii,) in asks:
+                row = cache.row(ia, (ii,))
+                if not (row.items() <= full.items()
+                        and all(row.get(ib) == full.get(ib) for ib in by_item[ii] if ib != ia)):
+                    return f"{CONFIG_IDS[slot]} row {ia} for item {ii} differs"
+            if cache.row(ia) != full:
                 return f"{CONFIG_IDS[slot]} row {ia} differs"
-            for other, published in enumerate(caches):
-                for ib, row in published.rows.items():
-                    if row != want[other][ib]:
+            for ib, (cover, rows) in list(cache._done.items()):
+                raters = None if cover is None else set().union(*(by_item[ii] for ii in cover))
+                for other, row in enumerate(rows):
+                    whole = want[other][ib]
+                    if raters is not None:
+                        whole = {ic: s for ic, s in whole.items() if ic in raters}
+                    if row != whole:
                         return f"published {CONFIG_IDS[other]} row {ib} differs"
         return None
 
@@ -103,7 +130,7 @@ def assert_threads_see_whole_rows(m, demand, rounds=5):
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(rounds):
-                caches = SimilarityCache.siblings(sims, m, demand)
+                caches = SimilarityCache.siblings(sims, m)
                 futures = [pool.submit(work, caches, slot) for slot in range(8)]
                 assert [f.result(timeout=60) for f in futures] == [None] * 8
                 assert [cache.rows for cache in caches] == want
@@ -148,8 +175,9 @@ class TestGetOrCompute:
         for ia, ib, s in entries:
             assert cache.rows[ib][ia] == s
         users = m.users()
-        nonzero = [1 for i, a in enumerate(users) for b in users[i + 1:]
-                   if m.items_of(a) & m.items_of(b) and pcc(a, b, m) != 0.0]
+        rows = m._by_user
+        nonzero = [1 for i, a in enumerate(users) for j in range(i + 1, len(users))
+                   if rows[i].keys() & rows[j].keys() and pcc(a, users[j], m) != 0.0]
         assert len(calls) == len(nonzero)
 
     def test_transparency_bit_for_bit(self, scale):
@@ -208,7 +236,7 @@ class TestRows:
             for ia in order:
                 a = users[ia]
                 want = {ib: s for ib, b in enumerate(users)
-                        if b != a and m.items_of(a) & m.items_of(b)
+                        if b != a and m._by_user[ia].keys() & m._by_user[ib].keys()
                         and (s := sim.score(a, b, m)) > 0.0}
                 assert shared.row(ia) == want
                 assert fresh_cache(m, sim).row(ia) == want
@@ -229,7 +257,7 @@ class TestRows:
         # being built, or reused from a user whose siblings are only partly
         # published, or lost to a racing writer, breaks equality
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
-        assert_threads_see_whole_rows(m, None)
+        assert_threads_see_whole_rows(m, grow=False)
 
 
 class TestSiblings:
@@ -237,21 +265,23 @@ class TestSiblings:
 
     @pytest.mark.parametrize("restricted", [False, True], ids=["full", "demand"])
     def test_sibling_rows_equal_standalone_rows(self, restricted, scale):
+        # restricted: each user's row is asked for its test items only
         rng = random.Random(17)
         entries = 0
         for seed in range(5):
             m = random_matrix(rng, scale, n_users=18, density=rng.choice((0.3, 0.5, 0.8)))
             train, test = split_holdout(m, 0.7, seed)
-            demand = demand_of(train, test) if restricted else None
+            asked = items_asked(train, test) if restricted else {}
             sims = sibling_methods()
-            caches = SimilarityCache.siblings(sims, train, demand)
+            caches = SimilarityCache.siblings(sims, train)
             order = list(range(train.user_count))
             rng.shuffle(order)
             for ia in order:
-                caches[rng.randrange(len(caches))].row(ia)  # any sibling builds all
+                items = asked.get(ia, ()) if restricted else None
+                caches[rng.randrange(len(caches))].row(ia, items)  # any sibling builds all
                 for sim, cache in zip(sims, caches):
-                    alone = SimilarityCache(sim, train, demand).row(ia)
-                    assert cache.row(ia) == alone
+                    alone = SimilarityCache(sim, train).row(ia, items)
+                    assert cache.row(ia, items) == alone
                     entries += len(alone)
             assert [len(cache) for cache in caches] == [train.user_count] * len(caches)
         assert entries > 1000
@@ -294,37 +324,53 @@ class TestSiblings:
 
 
 class TestDemand:
-    """Caches made for a test demand: same answers, fewer pairs, no partial rows."""
+    """Rows that cover only the items asked for: same answers, fewer pairs, no partial rows."""
 
     @pytest.mark.parametrize("name,kw", DEMAND_CONFIGS, ids=DEMAND_IDS)
     def test_prediction_equals_full_row_and_oracle(self, name, kw, scale):
+        # one cache per split, walked user by user: each row is first asked for
+        # two test items, then grown by each other unrated item and to the full
+        # row, while other users' partial rows are reused
         rng = random.Random(11)
         checked = 0
         for seed in range(4):
             m = random_matrix(rng, scale, n_users=16, density=rng.choice((0.4, 0.6)))
             train, test = split_holdout(m, 0.7, seed)
             sim = make_method(name, **kw)
-            demand = demand_of(train, test)
-            restricted = SimilarityCache(sim, train, demand)
+            partial = SimilarityCache(sim, train)
             full = SimilarityCache(sim, train)
             ratings = oracles.records_to_dict(train.records())
             ref = oracle_score(name, kw, ratings, train)
-            users, items = train.users(), train.items()
-            for ia, wanted in sorted(demand.items()):
-                for ii in sorted(wanted):
+            users, items, by_item = train.users(), train.items(), train._by_item
+            asked = items_asked(train, test)
+            order = list(range(train.user_count))
+            rng.shuffle(order)
+            for ia in order:
+                a = users[ia]
+                first = sorted(asked.get(ia, ()))[:2]
+                # the row is the full row cut to the raters of the items asked for
+                raters = set().union(*(by_item[ii] for ii in first))
+                assert partial.row(ia, first) == {ib: s for ib, s in full.row(ia).items()
+                                                  if ib in raters}
+                unrated = [ii for ii in range(train.item_count) if ii not in train._by_user[ia]]
+                for ii in first + [ii for ii in unrated if ii not in first]:
                     for k in (1, 3, 40):
-                        got = predict(users[ia], items[ii], k, sim, train, restricted)
-                        assert got == predict(users[ia], items[ii], k, sim, train, full)
-                        want = oracles.predict(ratings, users[ia], items[ii], k, ref, (1, 5))
+                        got = predict(a, items[ii], k, sim, train, partial)
+                        assert got == predict(a, items[ii], k, sim, train, full)
+                        want = oracles.predict(ratings, a, items[ii], k, ref, (1, 5))
                         assert (got is None) == (want is None)
                         if got is not None:
                             assert abs(got.value - want) <= 1e-9
                             checked += 1
-                # the row is the full row cut to the raters of a's demanded items
-                raters = set().union(*(train._by_item[ii] for ii in wanted))
-                assert restricted.rows[ia] == {ib: s for ib, s in full.row(ia).items()
-                                               if ib in raters}
-        assert checked > 50
+                    assert neighborhood_for_item(a, items[ii], 3, sim, train, partial) == \
+                        neighborhood_for_item(a, items[ii], 3, sim, train, full)
+                got = recommend_top_n(a, 5, 3, sim, train, cache=partial)
+                assert got == recommend_top_n(a, 5, 3, sim, train, cache=full)
+                want = oracles.top_n(ratings, a, 5, 3, ref, (1, 5))
+                assert [i for i, _ in got] == [i for i, _ in want]
+                assert all(abs(x - y) <= 1e-9 for (_, x), (_, y) in zip(got, want))
+                assert partial.rows[ia] == full.row(ia)
+        assert checked > 500
 
     def test_accuracy_path_scores_only_demanded_pairs(self, base_calls):
         records = _synth.planted_records(seed=13, n_users=120, n_items=80)
@@ -336,56 +382,46 @@ class TestDemand:
                                     metrics="accuracy", cache=cache)
             return report, len(base_calls)
 
-        restricted_report, restricted = scored(None)  # makes a cache for the demand
-        full_report, full = scored(SimilarityCache(PCC, train))
-        assert restricted_report == full_report
-        # each pair scored once: reuse covers it the other way round
+        restricted_report, restricted = scored(None)
+        asked = items_asked(train, test)
+        full_cache = SimilarityCache(PCC, train)
+        base_calls.clear()
+        for ia in asked:
+            full_cache.row(ia)
+        full = len(base_calls)
+        assert scored(full_cache) == (restricted_report, 0)  # full rows cover every item
+        # the pairs a prediction needs: each test user with each rater of its
+        # test items, with at least 2 co-rated items; each scored once, as
+        # reuse covers it the other way round
         by_user, by_item = train._by_user, train._by_item
-        demand = demand_of(train, test)
-        needs = {ia: set().union(*(by_item[ii] for ii in wanted))
-                 for ia, wanted in demand.items()}
-        needed = {frozenset((ia, ib)) for ia, raters in needs.items() for ib in raters
-                  if ib != ia and len(by_user[ia].keys() & by_user[ib].keys()) >= 2}
+        needed = set()
+        for user, item, _ in test:
+            ia, ii = train._user_index.get(user), train._item_index.get(item)
+            if ia is not None and ii is not None:
+                needed.update(frozenset((ia, ib)) for ib in by_item[ii]
+                              if ib != ia and len(by_user[ia].keys() & by_user[ib].keys()) >= 2)
         assert restricted == len(needed)
         assert restricted < 0.8 * full
 
-    def test_predict_refuses_pairs_outside_the_demand(self, scale):
-        m = random_matrix(random.Random(4), scale)
-        users, items = m.users(), m.items()
-        unrated = [ii for ii in range(m.item_count) if ii not in m._by_user[0]]
-        cache = SimilarityCache(PCC, m, {0: frozenset(unrated[:1])})
-        assert predict(users[0], items[unrated[0]], 5, PCC, m, cache) == \
-            predict(users[0], items[unrated[0]], 5, PCC, m)
-        with pytest.raises(ValueError, match="demand"):
-            predict(users[0], items[unrated[1]], 5, PCC, m, cache)
-        with pytest.raises(ValueError, match="demand"):
-            predict(users[1], items[unrated[0]], 5, PCC, m, cache)
-        with pytest.raises(ValueError, match="demand"):
-            neighborhood_for_item(users[0], items[unrated[1]], 5, PCC, m, cache)
-        assert predict(users[0], "no such item", 5, PCC, m, cache) is None
+    def test_all_scores_no_more_pairs_than_topn(self, base_calls):
+        # "all" grows each test user's accuracy rows to full rows for ranking
+        records = _synth.planted_records(seed=3, n_users=220, n_items=150)
+        train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
 
-    def test_recommend_top_n_refuses_a_pool_outside_the_demand(self, scale):
-        m = random_matrix(random.Random(4), scale)
-        a, items = m.users()[0], m.items()
-        unrated = [ii for ii in range(m.item_count) if ii not in m._by_user[0]]
-        cache = SimilarityCache(PCC, m, {0: frozenset(unrated[:2])})
-        with pytest.raises(ValueError, match="demand"):
-            recommend_top_n(a, 3, 5, PCC, m, cache=cache)
-        inside = [items[ii] for ii in unrated[:2]]
-        assert recommend_top_n(a, 3, 5, PCC, m, candidates=inside, cache=cache) == \
-            recommend_top_n(a, 3, 5, PCC, m, candidates=inside)
+        def scored(metrics):
+            base_calls.clear()
+            report = evaluate_split(train, test, PCC, k=20, r=5, relevance=4.0,
+                                    metrics=metrics)
+            return report, len(base_calls)
 
-    @pytest.mark.parametrize("metrics", ["topn", "all"])
-    def test_evaluate_split_refuses_ranking_with_a_demand(self, metrics, scale):
-        m = random_matrix(random.Random(4), scale)
-        train, test = split_holdout(m, 0.8, 1)
-        cache = SimilarityCache(PCC, train, demand_of(train, test))
-        with pytest.raises(ValueError, match="full"):
-            evaluate_split(train, test, PCC, k=5, r=3, relevance=4.0, metrics=metrics,
-                           cache=cache)
-        assert len(cache) == 0
+        accuracy, _ = scored("accuracy")
+        topn, topn_pairs = scored("topn")
+        both, both_pairs = scored("all")
+        assert topn_pairs > 1000
+        assert both_pairs <= topn_pairs
+        assert both == {**accuracy, **{name: topn[name] for name in
+                                       ("precision", "recall", "f1", "hit_rate_pct")}}
 
     def test_threads_sharing_a_restricted_cache_see_only_whole_rows(self, scale):
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
-        train, test = split_holdout(m, 0.7, 3)
-        assert_threads_see_whole_rows(train, demand_of(train, test))
+        assert_threads_see_whole_rows(m, grow=True)

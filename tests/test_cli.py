@@ -45,6 +45,17 @@ class TestExitCodes:
         assert main(["levels", "--ratings", sample_file]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "u1 i1\nu2 i2 many\n"], ids=["empty", "all-bad"])
+    @pytest.mark.parametrize("command", [["levels"], ["evaluate"], ["topn", "--r", "3"]],
+                             ids=["levels", "evaluate", "topn"])
+    def test_no_ratings(self, text, command, tmp_path, capsys):
+        path = tmp_path / "ratings.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(command + ["--ratings", str(path), "--skip-bad-lines"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {path}: no ratings" in err
+
     def test_unknown_user(self, sample_file, capsys):
         rc = main(["recommend", "--ratings", sample_file,
                    "--user", "nobody", "--r", "3"])

@@ -149,7 +149,7 @@ class TestDynamicSim:
         users = sorted(ratings)
         for i, a in enumerate(users):
             for b in users[i + 1:]:
-                co = len(m.items_of(a) & m.items_of(b))
+                co = len(oracles.overlap(ratings, a, b))
                 assert method.score(a, b, m) == apply_dynamic(pcc(a, b, m), co, table)
         assert derived == [m]
 

@@ -205,7 +205,7 @@ class TestRecommendTopN:
         """The whole ranking of ``pool`` (None: every item), one ``predict`` per candidate."""
         items = m.items() if pool is None else pool
         want = [(i, p.value) for i in items
-                if m.has_item(i) and m.rating(user, i) is None
+                if i in m._item_index and m.rating(user, i) is None
                 and (p := predict(user, i, k, sim, m, cache, mode))]
         want.sort(key=lambda pair: (-pair[1], pair[0]))
         return tuple(want)
@@ -351,7 +351,7 @@ class TestRecommendTopN:
         got = recommend_top_n(a, 5, 3, counting, m)
         # one row for a: each co-rater with a nonzero Pearson base is adjusted once
         bases = [(pcc(a, b, m), len(co)) for b in m.users()
-                 if b != a and (co := m.items_of(a) & m.items_of(b))]
+                 if b != a and (co := oracles.overlap(ratings, a, b))]
         want = sorted(base for base in bases if base[0] != 0.0)
         assert len(want) > 5
         assert sorted((s, co) for s, co, _ in calls) == want

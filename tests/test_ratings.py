@@ -10,6 +10,11 @@ from cflevels import (OutOfScaleRatingError, RatingRecord, RatingScale,
                       UnknownUserError, build_matrix)
 
 
+def rated_items(m, user):
+    """Item ids in ``user``'s row of the forward index."""
+    return {m.items()[ii] for ii in m._by_user[m._require_user(user)]}
+
+
 class TestRatingScale:
     def test_rejects_inverted_or_empty_bounds(self):
         with pytest.raises(ValueError):
@@ -54,7 +59,7 @@ class TestMatrixConstruction:
         m = build_matrix([], scale)
         assert m.user_count == 0 and m.item_count == 0
         assert m.records() == []
-        assert not m.has_item("i1")
+        assert m.users() == () and m.items() == ()
 
     def test_records_canonical_order(self, sample_matrix):
         recs = sample_matrix.records()
@@ -78,9 +83,9 @@ class TestLookups:
         assert sample_matrix.rating("u1", "nothing") is None
 
     def test_items_of(self, sample_matrix):
-        assert sample_matrix.items_of("u3") == {"i3", "i4"}
+        assert rated_items(sample_matrix, "u3") == {"i3", "i4"}
         with pytest.raises(UnknownUserError):
-            sample_matrix.items_of("u9")
+            rated_items(sample_matrix, "u9")
 
     def test_mean_of_full_row(self, sample_matrix):
         assert sample_matrix.mean_of("u1") == pytest.approx(2.0)
@@ -91,7 +96,7 @@ class TestLookups:
 
 
 class TestCoRated:
-    """The overlap the tests take as ``items_of(a) & items_of(b)``."""
+    """The overlap of two users' rows in the forward index, as the row builder takes it."""
 
     def test_matches_oracle_on_sample(self, sample_matrix):
         for a in sample_matrix.users():
@@ -99,11 +104,11 @@ class TestCoRated:
                 if a >= b:
                     continue
                 want = set(oracles.overlap(oracles.SAMPLE_RATINGS, a, b))
-                assert sample_matrix.items_of(a) & sample_matrix.items_of(b) == want
+                assert rated_items(sample_matrix, a) & rated_items(sample_matrix, b) == want
 
     def test_unknown_user_rejected(self, sample_matrix):
         with pytest.raises(UnknownUserError):
-            sample_matrix.items_of("u1") & sample_matrix.items_of("u9")
+            rated_items(sample_matrix, "u1") & rated_items(sample_matrix, "u9")
 
 
 class TestRandomMatrices:

@@ -240,7 +240,7 @@ class TestStatic:
 class TestMethodWrapper:
     def test_dispatch_matches_direct_calls(self, sample_matrix):
         direct = pcc("u1", "u2", sample_matrix)
-        co = len(sample_matrix.items_of("u1") & sample_matrix.items_of("u2"))
+        co = len(oracles.overlap(oracles.SAMPLE_RATINGS, "u1", "u2"))
         assert make_method("pcc").score("u1", "u2", sample_matrix) == direct
         assert make_method("wpcc", big_t=5).score("u1", "u2", sample_matrix) == \
             apply_wpcc(direct, co, 5)
