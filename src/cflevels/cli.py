@@ -9,7 +9,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .cache import SimilarityCache
@@ -57,6 +56,27 @@ _FINITE = _checked(float, math.isfinite, "finite")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
+def parse_methods(text: str) -> list[str]:
+    """The ``type=`` of ``--methods``: known method names, duplicates dropped in order."""
+    names = list(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))
+    if not names or not set(names) <= set(METHOD_NAMES):
+        raise argparse.ArgumentTypeError(
+            f"expects a comma-separated list of {', '.join(METHOD_NAMES)}, got {text!r}")
+    return names
+
+
+def parse_k_sweep(text: str) -> list[int]:
+    """The ``type=`` of ``--k-sweep``: inclusive start:stop:step as the k values."""
+    try:
+        start, stop, step = map(int, text.split(":"))
+    except ValueError:  # not three fields, or one is not an integer
+        raise argparse.ArgumentTypeError(f"expects start:stop:step, got {text!r}") from None
+    if start < 1 or stop < start or step < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs 1 <= start <= stop and step >= 1, got {text!r}")
+    return list(range(start, stop + 1, step))
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="cflevels",
@@ -101,9 +121,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          help="neighborhood size (default: %(default)s)")
 
     def add_experiment_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--methods", help="comma-separated method list "
-                         "(overrides --method)")
-        sub.add_argument("--k-sweep", dest="k_sweep",
+        sub.add_argument("--methods", type=parse_methods,
+                         help="comma-separated method list (overrides --method)")
+        sub.add_argument("--k-sweep", type=parse_k_sweep, dest="k_sweep",
                          help="inclusive start:stop:step neighborhood sweep")
         sub.add_argument("--train", type=_checked(float, lambda v: 0 < v < 1, "in (0,1)"),
                          default=0.8, help="holdout training fraction (default: %(default)s)")
@@ -111,8 +131,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          help="cross-validate with this many folds instead of a holdout")
         sub.add_argument("--seed", type=int, default=42,
                          help="split shuffle seed (default: %(default)s)")
-        sub.add_argument("--jobs", type=_AT_LEAST_1,
-                         help="concurrent folds (default: $CFLEVELS_JOBS or 1)")
+        sub.add_argument("--jobs", type=_AT_LEAST_1, default=1,
+                         help="kept for existing command lines: folds run in order, "
+                              "so the value changes neither output nor speed")
         sub.add_argument("--output", help="write rows here instead of stdout")
         sub.add_argument("--out-format", choices=("csv", "json"), default="csv",
                          dest="out_format", help="row format (default: %(default)s)")
@@ -208,30 +229,12 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None
 
 
 def fill_defaults(args: argparse.Namespace) -> None:
-    """Fill the preset's t, y and T and $CFLEVELS_JOBS where unset; require --ratings."""
+    """Fill the preset's t, y and T where unset; require --ratings."""
     for dest, value in PRESET_PARAMS[args.format].items():
         if getattr(args, dest, 0) is None:
             setattr(args, dest, value)
-    if getattr(args, "jobs", 0) is None:
-        try:
-            args.jobs = _AT_LEAST_1(os.environ.get("CFLEVELS_JOBS", "1"))
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"$CFLEVELS_JOBS: {exc}") from None
     if args.ratings is None:
         raise ConfigError("--ratings is required")
-
-
-def parse_k_sweep(text: str) -> list[int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--k-sweep expects start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--k-sweep expects integers, got {text!r}") from None
-    if start < 1 or stop < start or step < 1:
-        raise ConfigError(f"--k-sweep needs 1 <= start <= stop and step >= 1, got {text!r}")
-    return list(range(start, stop + 1, step))
 
 
 # ---------------------------------------------------------------------------
@@ -259,29 +262,20 @@ def load_matrix(args: argparse.Namespace):
 
 
 def resolve_methods(args: argparse.Namespace) -> list:
-    if getattr(args, "methods", None):
-        names = [part.strip() for part in args.methods.split(",") if part.strip()]
-        if not names:
-            raise ConfigError(f"--methods lists no method names: {args.methods!r}")
-    else:
-        names = [args.method]
-    seen = []
-    for name in names:
-        if name not in METHOD_NAMES:
-            raise ConfigError(f"--methods: unknown method {name!r}; "
-                              f"expected one of {', '.join(METHOD_NAMES)}")
-        if name not in seen:
-            seen.append(name)
     return [make_method(name, t=args.t, y=args.y, big_t=args.big_t,
                         alpha=args.alpha, beta=args.beta,
-                        negative_form=args.negative_form) for name in seen]
+                        negative_form=args.negative_form)
+            for name in getattr(args, "methods", None) or [args.method]]
 
 
 def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
-    """One run_experiment call per (method, k, fold), ordered; one task per fold."""
+    """One run_experiment call per (method, k, fold), running the folds in order.
+
+    A fold's methods share one sibling cache set, so each pair's base is computed once.
+    """
     matrix = load_matrix(args)
     methods = resolve_methods(args)
-    ks = parse_k_sweep(args.k_sweep) if args.k_sweep else [args.k]
+    ks = args.k_sweep or [args.k]
     if args.folds is not None:
         splits = kfold_split(matrix, args.folds, args.seed)
     else:
@@ -290,21 +284,14 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     knobs = {name: getattr(args, name) for name in ("r", "relevance", "hit_def")
              if hasattr(args, name)}
 
-    def fold_reports(fi: int) -> list[EvalReport]:
-        # one sibling cache set, so every method's rows come from one base per pair
-        train, test = splits[fi]
+    by_fold = []
+    for fi, (train, test) in enumerate(splits):
         caches = SimilarityCache.siblings(methods, train)
-        return [run_experiment(train, test, method, k=k,
-                               fold=fi if args.folds is not None else None,
-                               prediction=args.prediction, metrics=metrics,
-                               cache=cache, **knobs)
-                for method, cache in zip(methods, caches) for k in ks]
-
-    if args.jobs > 1 and len(splits) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            by_fold = list(pool.map(fold_reports, range(len(splits))))
-    else:
-        by_fold = [fold_reports(fi) for fi in range(len(splits))]
+        by_fold.append([run_experiment(train, test, method, k=k,
+                                       fold=fi if args.folds is not None else None,
+                                       prediction=args.prediction, metrics=metrics,
+                                       cache=cache, **knobs)
+                        for method, cache in zip(methods, caches) for k in ks])
 
     rows: list[EvalReport] = []
     for group in zip(*by_fold):  # one (method, k) cell, fold by fold

@@ -9,7 +9,7 @@ from dataclasses import asdict, field, make_dataclass
 from typing import NamedTuple
 
 from .cache import SimilarityCache
-from .errors import EmptyInputError
+from .errors import ConfigError, EmptyInputError
 from .predict import predict, recommend_top_n
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
 from .similarity import SimilarityMethod
@@ -48,11 +48,14 @@ def _shuffled_records(m: RatingsMatrix, seed: int) -> list[RatingRecord]:
 
 
 def split_holdout(m: RatingsMatrix, ratio: float, seed: int) -> tuple[RatingsMatrix, list[RatingRecord]]:
-    """Seeded record-level partition into a train matrix and test records."""
+    """Seeded record-level partition into a train matrix and test records, neither empty."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
     ordered = _shuffled_records(m, seed)
     n_train = int(round(len(ordered) * ratio))
+    if n_train in (0, len(ordered)):
+        raise ConfigError(f"a {ratio} holdout of {len(ordered)} ratings trains on {n_train} "
+                          f"and tests {len(ordered) - n_train}; both need at least one")
     train = build_matrix(ordered[:n_train], m.scale)
     return train, ordered[n_train:]
 
@@ -61,12 +64,14 @@ def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> list[tuple[RatingsMa
     """Seeded shuffle, then ``folds`` nearly equal parts; each tests once.
 
     Part sizes differ by at most one (the first ``n % folds`` parts are one
-    record larger).
+    record larger). More folds than ratings raise :class:`ConfigError`.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     ordered = _shuffled_records(m, seed)
     n = len(ordered)
+    if folds > n:
+        raise ConfigError(f"{folds} folds of {n} ratings leave {folds - n} with nothing to test")
     base, extra = divmod(n, folds)
     parts: list[list[RatingRecord]] = []
     start = 0

@@ -137,10 +137,11 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     by default every unrated item in the matrix is considered. Items with
     no computable prediction are dropped. Output is (item, value) pairs
     sorted by value descending, item id ascending, at most r of them.
-    Scores come from a's full row in ``cache``; without one the call makes
-    one for all its items, so each (a, rater) pair is scored once. The
-    whole pool's neighborhoods come from one best-first walk of that row
-    (:func:`_top_k`), and each is combined exactly as :func:`predict`
+    Scores come from a's row in ``cache``: against the pool's raters when
+    ``candidates`` is given, else a's full row. Without a cache the call
+    makes one for all its items, so each (a, rater) pair is scored once.
+    The whole pool's neighborhoods come from one best-first walk of that
+    row (:func:`_top_k`), and each is combined exactly as :func:`predict`
     combines it.
     """
     if r < 1:
@@ -155,7 +156,7 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     else:
         index = m._item_index
         pool = {ii for i in candidates if (ii := index.get(i)) is not None and ii not in rated}
-    hoods = _top_k(cache.row(ia), pool, k, m)
+    hoods = _top_k(cache.row(ia, None if candidates is None else pool), pool, k, m)
     # item indexes follow sorted item ids, so ties break on ascending id
     ranked = sorted((-_estimate(best, ia, ii, m, mode)[0], ii) for ii, best in hoods.items())
     items = m.items()

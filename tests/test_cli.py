@@ -174,6 +174,20 @@ class TestExitCodes:
         assert "--relevance" in capsys.readouterr().err
         assert main(["evaluate", "--ratings", missing, "--delimiter", ""]) == 2
         assert "--delimiter" in capsys.readouterr().err
+        assert main(["evaluate", "--ratings", missing, "--methods", "nope"]) == 2
+        assert "argument --methods: expects a comma-separated list" in capsys.readouterr().err
+        assert main(["evaluate", "--ratings", missing, "--k-sweep", "5:1:1"]) == 2
+        assert "argument --k-sweep: needs 1 <= start <= stop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["topn", "--r", "5", "--train", "0.9999"],
+                                      ["evaluate", "--train", "0.0001"],
+                                      ["evaluate", "--folds", "3000"]],
+                             ids=["nothing-tested", "nothing-trained", "empty-folds"])
+    def test_split_that_leaves_a_part_empty(self, argv, bench_file, capsys):
+        assert main(argv + ["--ratings", bench_file]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and " ratings " in err
 
 
 class TestKSweepParsing:
@@ -287,7 +301,8 @@ class TestConfigFile:
         assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("line", ["k = 0", "folds = 1", "train = 1.5", "alpha = nan",
-                                      "scale-max = inf", "delimiter ="],
+                                      "scale-max = inf", "delimiter =", "k-sweep = 5:1:1",
+                                      "methods = pcc,nope"],
                              ids=lambda line: line.partition(" ")[0])
     def test_out_of_range_entry_names_the_file(self, line, bench_file, tmp_path, capsys):
         # entries pass the same range checks as the flags they stand for
@@ -295,25 +310,6 @@ class TestConfigFile:
         cfg.write_text(line + "\n", encoding="utf-8")
         assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 2
         assert str(cfg) in capsys.readouterr().err
-
-
-class TestJobsEnv:
-    def test_env_var_used(self, bench_file, monkeypatch, capsys):
-        assert main(["evaluate", "--ratings", bench_file, "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("CFLEVELS_JOBS", "3")
-        assert main(["evaluate", "--ratings", bench_file]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_env_var_garbage(self, bench_file, monkeypatch, capsys):
-        monkeypatch.setenv("CFLEVELS_JOBS", "banana")
-        assert main(["evaluate", "--ratings", bench_file]) == 2
-        assert "CFLEVELS_JOBS" in capsys.readouterr().err
-
-    def test_env_var_out_of_range(self, bench_file, monkeypatch, capsys):
-        monkeypatch.setenv("CFLEVELS_JOBS", "0")
-        assert main(["evaluate", "--ratings", bench_file]) == 2
-        assert "CFLEVELS_JOBS" in capsys.readouterr().err
 
 
 class TestHelp:

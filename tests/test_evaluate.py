@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from cflevels import (EmptyInputError, EvalReport, PredictionPair, RatingScale,
+from cflevels import (ConfigError, EmptyInputError, EvalReport, PredictionPair, RatingScale,
                       average_report, build_matrix,
                       default_relevance_threshold, hit_rate, kfold_split,
                       mae, make_method, nmae, precision_recall_f1, render_csv,
@@ -53,6 +53,16 @@ class TestHoldoutSplit:
             with pytest.raises(ValueError):
                 split_holdout(sample_matrix, ratio, 1)
 
+    def test_empty_part_refused(self, scale):
+        # of 10 ratings, round(0.5) -> 0 trains on none and round(9.5) -> 10 tests none
+        m = build_matrix([(f"u{n:02d}", "i1", 3.0) for n in range(10)], scale)
+        for ratio, counts in ((0.05, "trains on 0 and tests 10"),
+                              (0.95, "trains on 10 and tests 0")):
+            with pytest.raises(ConfigError, match=f"of 10 ratings {counts}"):
+                split_holdout(m, ratio, 1)
+        for ratio, n_test in ((0.06, 9), (0.94, 1)):
+            assert len(split_holdout(m, ratio, 1)[1]) == n_test
+
 
 class TestKfoldSplit:
     def test_partition_properties(self, scale):
@@ -84,6 +94,11 @@ class TestKfoldSplit:
     def test_folds_validated(self, sample_matrix):
         with pytest.raises(ValueError):
             kfold_split(sample_matrix, 1, seed=0)
+
+    def test_more_folds_than_ratings_refused(self, sample_matrix):
+        with pytest.raises(ConfigError, match="14 folds of 13 ratings"):
+            kfold_split(sample_matrix, 14, seed=0)
+        assert [len(test) for _, test in kfold_split(sample_matrix, 13, seed=0)] == [1] * 13
 
 
 class TestErrorMetrics:

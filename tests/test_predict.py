@@ -6,6 +6,7 @@ import random
 import pytest
 
 import _synth
+import cflevels.cache
 import oracles
 from cflevels import (PREDICTION_MODES, RatingScale, SimilarityCache, SimilarityMethod,
                       UnknownUserError, build_matrix, make_method,
@@ -320,6 +321,32 @@ class TestRecommendTopN:
                 got = recommend_top_n(user, 10, k, PCC, m, candidates=pool)
                 assert got and {i for i, _ in got} <= known
                 assert pool == before
+
+    def test_candidate_pool_scores_only_its_raters(self, monkeypatch):
+        m = build_matrix(_synth.planted_records(seed=3, n_users=220, n_items=150),
+                         RatingScale(*_synth.SCALE))
+        calls = []
+        base = cflevels.cache._base
+        monkeypatch.setattr(cflevels.cache, "_base",
+                            lambda ra, rb: calls.append(1) or base(ra, rb))
+        user, pool = "u000", {"i001", "i050", "i120"}
+        got = recommend_top_n(user, 5, 20, PCC, m, candidates=pool)
+        # the raters, with >= 2 co-rated items, of the pool items the user has not rated
+        ia = m._user_index[user]
+        ra = m._by_user[ia]
+        unrated = {i for i in pool if m._item_index[i] not in ra}
+        raters = {ib for i in unrated for ib in m._by_item[m._item_index[i]]
+                  if len(ra.keys() & m._by_user[ib].keys()) >= 2}
+        assert len(calls) == len(raters)
+        calls.clear()
+        full = SimilarityCache(PCC, m)
+        full.row(ia)
+        assert len(calls) > len(raters)
+        assert got and got == recommend_top_n(user, 5, 20, PCC, m, candidates=pool, cache=full)
+        ratings = oracles.records_to_dict(m.records())
+        want = oracles.top_n(ratings, user, 5, 20, oracle_sim(ratings), (1, 5), unrated)
+        assert [i for i, _ in got] == [i for i, _ in want]
+        assert all(abs(x - y) <= 1e-9 for (_, x), (_, y) in zip(got, want))
 
     def test_r_exceeding_candidates_returns_all(self, scale):
         m = build_matrix([("a", "i1", 1.0), ("a", "i2", 5.0),
