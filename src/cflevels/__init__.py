@@ -12,12 +12,11 @@ from .errors import (CfLevelsError, ConfigError, EmptyInputError,
                      MalformedLineError, OutOfScaleRatingError,
                      TooFewItemsError, TooFewUsersError, UnknownUserError)
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
-from .similarity import (METHOD_NAMES, PlusParams, SimilarityMethod,
-                         StaticParams, apply_spcc, apply_static, apply_wpcc,
-                         make_method, pcc, plus_adjust)
+from .similarity import (METHOD_NAMES, SimilarityMethod, apply_spcc,
+                         apply_static, apply_wpcc, make_method, plus_adjust)
 from .levels import (MIN_CO_RATED, NEGATIVE_FORMS, Band, LevelTable,
                      apply_dynamic, build_level_table, derive_dvi, derive_dvu,
-                     derive_step, level_table_for)
+                     derive_step)
 from .predict import (PREDICTION_MODES, Prediction, neighborhood_for_item,
                       predict, recommend_top_n)
 from .cache import SimilarityCache, get_or_compute
@@ -34,12 +33,10 @@ __all__ = [
     "MalformedLineError", "OutOfScaleRatingError",
     "TooFewItemsError", "TooFewUsersError", "UnknownUserError",
     "RatingRecord", "RatingScale", "RatingsMatrix", "build_matrix",
-    "METHOD_NAMES", "PlusParams", "SimilarityMethod", "StaticParams",
-    "apply_spcc", "apply_static", "apply_wpcc", "make_method", "pcc",
-    "plus_adjust",
+    "METHOD_NAMES", "SimilarityMethod", "apply_spcc", "apply_static",
+    "apply_wpcc", "make_method", "plus_adjust",
     "MIN_CO_RATED", "NEGATIVE_FORMS", "Band", "LevelTable", "apply_dynamic",
     "build_level_table", "derive_dvi", "derive_dvu", "derive_step",
-    "level_table_for",
     "PREDICTION_MODES", "Prediction", "neighborhood_for_item",
     "predict", "recommend_top_n",
     "SimilarityCache", "get_or_compute",

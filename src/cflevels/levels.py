@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import TooFewItemsError, TooFewUsersError
-from .ratings import RatingsMatrix
 
 MIN_CO_RATED = 5
 
@@ -100,11 +99,6 @@ def build_level_table(user_count: int, item_count: int) -> LevelTable:
     return LevelTable(bands=tuple(bands), dvu=dvu, dvi=dvi, step=step)
 
 
-def level_table_for(m: RatingsMatrix) -> LevelTable:
-    """Band table from a matrix's own user/item counts."""
-    return build_level_table(m.user_count, m.item_count)
-
-
 def apply_dynamic(score: float, co_rated: int, table: LevelTable,
                   negative_form: str = "eq4") -> float:
     """Adjust a correlation by its band: boost in band k by score/k, shrink below.
@@ -114,6 +108,9 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
     s * (1/(1 + s^2) - 1), which flips sign. ``alg1``: the eq4 value divided
     by 6. The alternates exist for experimentation only.
     """
+    if negative_form not in NEGATIVE_FORMS:
+        raise ValueError(f"unknown negative_form {negative_form!r}; "
+                         f"expected one of {', '.join(NEGATIVE_FORMS)}")
     divisor = table.divisor_for(co_rated)
     if divisor is not None:
         return score + score / divisor
@@ -122,6 +119,4 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
         return shrunk
     if negative_form == "eq8":
         return score * (1.0 / (1.0 + score * score) - 1.0)
-    if negative_form == "alg1":
-        return shrunk / 6.0
-    raise ValueError(f"unknown negative_form {negative_form!r}; expected one of {', '.join(NEGATIVE_FORMS)}")
+    return shrunk / 6.0  # alg1

@@ -17,42 +17,10 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Callable
 
-from .levels import NEGATIVE_FORMS, LevelTable, apply_dynamic, level_table_for
+from .levels import NEGATIVE_FORMS, LevelTable, apply_dynamic, build_level_table
 from .ratings import RatingsMatrix
-
-
-@dataclass(frozen=True)
-class StaticParams:
-    """Thresholds for the statically adjusted measure.
-
-    t: minimum co-rated items for a positive adjustment.
-    y: minimum correlation for a positive adjustment.
-    """
-
-    t: int = 10
-    y: float = 0.20
-
-    def __post_init__(self) -> None:
-        if not self.t >= 1:
-            raise ValueError(f"co-rated threshold t must be >= 1, got {self.t}")
-        if not math.isfinite(self.y):
-            raise ValueError(f"correlation threshold y must be finite, got {self.y}")
-
-
-@dataclass(frozen=True)
-class PlusParams:
-    """Power-law rescaling parameters, f(x) = alpha * x^beta."""
-
-    alpha: float = 100.0
-    beta: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValueError("power-law parameters must be positive and finite, "
-                             f"got alpha={self.alpha} beta={self.beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +52,19 @@ def _base(ra: dict[int, float], rb: dict[int, float]) -> tuple[float, int]:
     return min(1.0, max(-1.0, num / math.sqrt(dx * dy))), n
 
 
-def pcc(a: str, b: str, m: RatingsMatrix) -> float:
-    """Pearson correlation of two users over their co-rated items, in [-1, 1]."""
-    return _base(m._by_user[m._require_user(a)], m._by_user[m._require_user(b)])[0]
-
-
 # ---------------------------------------------------------------------------
 # adjustments
 # ---------------------------------------------------------------------------
 
+def _check_count(what: str, value: float) -> None:
+    """Reject a co-rated-count threshold that is not a finite number >= 1."""
+    if not 1 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and >= 1, got {value}")
+
+
 def apply_wpcc(score: float, co_rated: int, threshold: int) -> float:
     """Damp ``score`` linearly when the pair has fewer than ``threshold`` co-rated items."""
-    if threshold < 1:
-        raise ValueError(f"WPCC threshold must be >= 1, got {threshold}")
+    _check_count("WPCC threshold", threshold)
     if co_rated < threshold:
         return (co_rated / threshold) * score
     return score
@@ -107,7 +75,7 @@ def apply_spcc(score: float, co_rated: int) -> float:
     return score * (1.0 / (1.0 + math.exp(-co_rated / 2.0)))
 
 
-def plus_adjust(score: float, params: PlusParams) -> float:
+def plus_adjust(score: float, alpha: float, beta: float) -> float:
     """Sign-preserving power law: alpha * sign(s) * |s|^beta.
 
     Preserves the ordering of any score list for positive alpha and beta, so
@@ -116,17 +84,17 @@ def plus_adjust(score: float, params: PlusParams) -> float:
     if score == 0.0:
         return 0.0
     sign = 1.0 if score > 0.0 else -1.0
-    return params.alpha * sign * abs(score) ** params.beta
+    return alpha * sign * abs(score) ** beta
 
 
-def apply_static(score: float, co_rated: int, params: StaticParams) -> float:
+def apply_static(score: float, co_rated: int, t: int, y: float) -> float:
     """Double the score when both thresholds clear; otherwise shrink it.
 
     Positive branch: co_rated >= t and score >= y -> 2 * score.
     Negative branch: score / (1 + score^2), which shrinks magnitude and
     preserves sign.
     """
-    if co_rated >= params.t and score >= params.y:
+    if co_rated >= t and score >= y:
         return score + score
     return score * (1.0 / (1.0 + score * score))
 
@@ -171,24 +139,29 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     Names: pcc, wpcc (uses ``big_t``), spcc, plus (power law over pcc, uses
     ``alpha``/``beta``), static (uses ``t``/``y``), dynamic (multi-level
     bands derived from the matrix shape; ``negative_form`` picks the
-    below-threshold formula). The named method's knobs are checked here: a
-    value out of range raises ValueError before any pair is scored.
+    below-threshold formula). The one place knobs are defaulted and checked:
+    ``big_t`` and ``t`` must be finite and >= 1, ``alpha`` and ``beta``
+    positive and finite, ``y`` finite. A bad knob of the named method raises
+    ValueError before any pair is scored.
     """
     if name == "pcc":
         return SimilarityMethod("pcc", lambda s, co, m: s)
     if name == "wpcc":
-        if not big_t >= 1:
-            raise ValueError(f"WPCC threshold must be >= 1, got {big_t}")
+        _check_count("WPCC threshold", big_t)
         return SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t), {"T": big_t})
     if name == "spcc":
         return SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co))
     if name == "plus":
-        plus = PlusParams(alpha=alpha, beta=beta)
-        return SimilarityMethod("plus", lambda s, co, m: plus_adjust(s, plus),
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValueError("power-law parameters must be positive and finite, "
+                             f"got alpha={alpha} beta={beta}")
+        return SimilarityMethod("plus", lambda s, co, m: plus_adjust(s, alpha, beta),
                                 {"alpha": alpha, "beta": beta})
     if name == "static":
-        static = StaticParams(t=t, y=y)
-        return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, static),
+        _check_count("co-rated threshold t", t)
+        if not math.isfinite(y):
+            raise ValueError(f"correlation threshold y must be finite, got {y}")
+        return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
                                 {"t": t, "y": y})
     if name == "dynamic":
         if negative_form not in NEGATIVE_FORMS:
@@ -200,7 +173,7 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
         def dynamic(s: float, co: int, m: RatingsMatrix) -> float:
             table = tables.get(m)
             if table is None:
-                table = tables[m] = level_table_for(m)
+                table = tables[m] = build_level_table(m.user_count, m.item_count)
             return apply_dynamic(s, co, table, negative_form)
 
         return SimilarityMethod("dynamic", dynamic, {"negative_form": negative_form})

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 import _synth
 import oracles
-from cflevels import (RatingScale, SimilarityCache, StaticParams,
-                      apply_static, build_level_table, build_matrix,
-                      hit_rate, mae, make_method,
+from cflevels import (RatingScale, SimilarityCache, apply_static,
+                      build_level_table, build_matrix, hit_rate, mae, make_method,
                       neighborhood_for_item, nmae, precision_recall_f1,
                       predict, rmse, run_experiment, split_holdout)
 from cflevels.cli import main
@@ -161,7 +160,7 @@ def test_criterion_3_properties(scale):
     @given(s=st.floats(-1.0, 1.0), co=st.integers(0, 500),
            t=st.integers(1, 100), y=st.floats(0.01, 0.99))
     def static_branches_total(s, co, t, y):
-        got = apply_static(s, co, StaticParams(t=t, y=y))
+        got = apply_static(s, co, t, y)
         assert math.isfinite(got)
         if co >= t and s >= y:
             assert got == s + s

@@ -13,7 +13,7 @@ import oracles
 from cflevels import (RatingScale, SimilarityCache,
                       SimilarityMethod, UnknownUserError, build_matrix,
                       evaluate_split, get_or_compute, make_method, neighborhood_for_item,
-                      pcc, predict, recommend_top_n, split_holdout)
+                      predict, recommend_top_n, split_holdout)
 from cflevels.cli import main
 
 PCC = make_method("pcc")
@@ -149,7 +149,7 @@ class TestGetOrCompute:
         cache = fresh_cache(sample_matrix)
         assert 0 not in cache.rows
         got = get_or_compute(cache, "u1", "u3", PCC, sample_matrix)
-        assert got == pcc("u1", "u3", sample_matrix)
+        assert got == PCC.score("u1", "u3", sample_matrix)
         assert cache.rows[0] == {}  # built; every score of u1 is <= 0
 
     def test_symmetric_keys(self, sample_matrix, scale):
@@ -177,7 +177,7 @@ class TestGetOrCompute:
         users = m.users()
         rows = m._by_user
         nonzero = [1 for i, a in enumerate(users) for j in range(i + 1, len(users))
-                   if rows[i].keys() & rows[j].keys() and pcc(a, users[j], m) != 0.0]
+                   if rows[i].keys() & rows[j].keys() and PCC.score(a, users[j], m) != 0.0]
         assert len(calls) == len(nonzero)
 
     def test_transparency_bit_for_bit(self, scale):
@@ -189,12 +189,12 @@ class TestGetOrCompute:
         for _ in ("miss", "hit"):
             for i, a in enumerate(users):
                 for b in users[i + 1:]:
-                    assert get_or_compute(cache, a, b, PCC, m) == pcc(a, b, m)
+                    assert get_or_compute(cache, a, b, PCC, m) == PCC.score(a, b, m)
         assert len(cache) == len(users) - 1  # one row per target looked up
         for ia, row in cache.rows.items():
             a = users[ia]
             assert row == {ib: s for ib, b in enumerate(users)
-                           if b != a and (s := pcc(a, b, m)) > 0.0}
+                           if b != a and (s := PCC.score(a, b, m)) > 0.0}
 
     def test_fingerprint_mismatch(self, sample_matrix, scale):
         other = build_matrix([("x", "i1", 3.0), ("y", "i1", 4.0)], scale)

@@ -7,8 +7,7 @@ import pytest
 import oracles
 from cflevels import (Band, TooFewItemsError, TooFewUsersError, apply_dynamic,
                       build_level_table, build_matrix, derive_dvi,
-                      derive_dvu, derive_step, level_table_for, make_method,
-                      pcc, similarity)
+                      derive_dvu, derive_step, make_method, similarity)
 
 # (users, items) -> (dvu, dvi, step, bands); frozen from the oracle
 FROZEN_TABLES = {
@@ -119,6 +118,10 @@ class TestApplyDynamic:
             apply_dynamic(0.4, 3, table, "eq9")
         with pytest.raises(ValueError):
             make_method("dynamic", negative_form="eq9")
+        # also where a band boosts the pair and no below-threshold form runs
+        assert table.divisor_for(100) is not None
+        with pytest.raises(ValueError, match="unknown negative_form 'bogus'"):
+            apply_dynamic(0.5, 100, table, "bogus")
 
 
 class TestDynamicSim:
@@ -141,17 +144,17 @@ class TestDynamicSim:
         rng = random.Random(7)
         ratings = oracles.random_ratings(rng, n_users=16, n_items=30, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        method = make_method("dynamic")
-        table = level_table_for(m)
+        method, pearson = make_method("dynamic"), make_method("pcc")
+        table = build_level_table(m.user_count, m.item_count)
         derived = []
-        monkeypatch.setattr(similarity, "level_table_for",
-                            lambda mat: derived.append(mat) or table)
+        monkeypatch.setattr(similarity, "build_level_table",
+                            lambda users, items: derived.append((users, items)) or table)
         users = sorted(ratings)
         for i, a in enumerate(users):
             for b in users[i + 1:]:
                 co = len(oracles.overlap(ratings, a, b))
-                assert method.score(a, b, m) == apply_dynamic(pcc(a, b, m), co, table)
-        assert derived == [m]
+                assert method.score(a, b, m) == apply_dynamic(pearson.score(a, b, m), co, table)
+        assert derived == [(m.user_count, m.item_count)]
 
     def test_method_requires_enough_users(self, sample_matrix):
         # the 4-user sample is below the 10-user derivation floor

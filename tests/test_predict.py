@@ -10,7 +10,7 @@ import cflevels.cache
 import oracles
 from cflevels import (PREDICTION_MODES, RatingScale, SimilarityCache, SimilarityMethod,
                       UnknownUserError, build_matrix, make_method,
-                      neighborhood_for_item, pcc, predict, recommend_top_n)
+                      neighborhood_for_item, predict, recommend_top_n)
 
 PCC = make_method("pcc")
 
@@ -139,8 +139,8 @@ class TestPredict:
                           ("b", "i1", 1.0), ("b", "i2", 5.0), ("b", "x", 4.0),
                           ("c", "i1", 2.0), ("c", "i2", 5.0), ("c", "x", 2.0)], scale)
         p = predict("a", "x", 2, PCC, m, mode="weighted_mean")
-        s_b = pcc("a", "b", m)
-        s_c = pcc("a", "c", m)
+        s_b = PCC.score("a", "b", m)
+        s_c = PCC.score("a", "c", m)
         want = (s_b * 4.0 + s_c * 2.0) / (abs(s_b) + abs(s_c))
         assert p is not None
         assert p.value == pytest.approx(want)
@@ -287,7 +287,7 @@ class TestRecommendTopN:
                 ("b1", "i1", 1.0), ("b1", "i2", 4.0), ("b1", "i3", 5.0),
                 ("b1", "x", 5.0), ("b1", "y", 2.0)]
         m = build_matrix(tied, scale)
-        assert 0.0 < pcc("a", "b1", m) == pcc("a", "b2", m) < pcc("a", "c", m)
+        assert 0.0 < PCC.score("a", "b1", m) == PCC.score("a", "b2", m) < PCC.score("a", "c", m)
         assert [b for b, _ in neighborhood_for_item("a", "x", 2, PCC, m)] == ["c", "b1"]
         without_b1 = build_matrix([t for t in tied if t[0] != "b1"], scale)
         without_b2 = build_matrix([t for t in tied if t[0] != "b2"], scale)
@@ -377,7 +377,7 @@ class TestRecommendTopN:
         a = m.users()[0]
         got = recommend_top_n(a, 5, 3, counting, m)
         # one row for a: each co-rater with a nonzero Pearson base is adjusted once
-        bases = [(pcc(a, b, m), len(co)) for b in m.users()
+        bases = [(PCC.score(a, b, m), len(co)) for b in m.users()
                  if b != a and (co := oracles.overlap(ratings, a, b))]
         want = sorted(base for base in bases if base[0] != 0.0)
         assert len(want) > 5

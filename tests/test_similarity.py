@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from cflevels import (PlusParams, StaticParams, apply_spcc, apply_static,
-                      apply_wpcc, build_matrix, make_method, pcc,
-                      plus_adjust)
+from cflevels import (apply_spcc, apply_static, apply_wpcc, build_matrix,
+                      make_method, plus_adjust)
+
+PCC = make_method("pcc")
 
 scores = st.floats(min_value=-1.0, max_value=1.0)
 counts = st.integers(min_value=0, max_value=500)
@@ -28,30 +29,30 @@ class TestPcc:
 
     def test_sample_pairs_frozen(self, sample_matrix):
         for (a, b), want in self.FROZEN.items():
-            assert pcc(a, b, sample_matrix) == pytest.approx(want, abs=1e-9)
+            assert PCC.score(a, b, sample_matrix) == pytest.approx(want, abs=1e-9)
 
     def test_sample_pairs_match_oracle(self, sample_matrix):
         for a, b in self.FROZEN:
             want = oracles.pearson(oracles.SAMPLE_RATINGS, a, b)
-            assert pcc(a, b, sample_matrix) == pytest.approx(want, abs=1e-9)
+            assert PCC.score(a, b, sample_matrix) == pytest.approx(want, abs=1e-9)
 
     def test_symmetry_on_sample(self, sample_matrix):
         for a, b in self.FROZEN:
-            assert pcc(a, b, sample_matrix) == pcc(b, a, sample_matrix)
+            assert PCC.score(a, b, sample_matrix) == PCC.score(b, a, sample_matrix)
 
     def test_identical_rows_score_one(self, scale):
         m = build_matrix([("a", "i1", 1.0), ("a", "i2", 3.0), ("a", "i3", 5.0),
                           ("b", "i1", 1.0), ("b", "i2", 3.0), ("b", "i3", 5.0)], scale)
-        assert pcc("a", "b", m) == pytest.approx(1.0)
+        assert PCC.score("a", "b", m) == pytest.approx(1.0)
 
     def test_opposite_rows_score_minus_one(self, scale):
         m = build_matrix([("a", "i1", 1.0), ("a", "i2", 5.0),
                           ("b", "i1", 5.0), ("b", "i2", 1.0)], scale)
-        assert pcc("a", "b", m) == pytest.approx(-1.0)
+        assert PCC.score("a", "b", m) == pytest.approx(-1.0)
 
     def test_no_overlap_scores_zero(self, scale):
         m = build_matrix([("a", "i1", 2.0), ("b", "i2", 4.0)], scale)
-        assert pcc("a", "b", m) == 0.0
+        assert PCC.score("a", "b", m) == 0.0
 
     def test_random_matrices_match_oracle(self, scale):
         rng = random.Random(314)
@@ -62,7 +63,7 @@ class TestPcc:
             for i, a in enumerate(users):
                 for b in users[i + 1:]:
                     want = oracles.pearson(ratings, a, b)
-                    assert pcc(a, b, m) == pytest.approx(want, abs=1e-9)
+                    assert PCC.score(a, b, m) == pytest.approx(want, abs=1e-9)
 
     def test_always_in_unit_interval(self, scale):
         rng = random.Random(99)
@@ -72,7 +73,7 @@ class TestPcc:
             users = sorted(ratings)
             for i, a in enumerate(users):
                 for b in users[i + 1:]:
-                    assert -1.0 <= pcc(a, b, m) <= 1.0
+                    assert -1.0 <= PCC.score(a, b, m) <= 1.0
 
 
 class TestWpcc:
@@ -89,7 +90,13 @@ class TestWpcc:
         with pytest.raises(ValueError):
             apply_wpcc(0.5, 3, 0)
 
-    @pytest.mark.parametrize("big_t", [0, math.nan])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # inf would score every pair 0, NaN would never damp
+        with pytest.raises(ValueError, match="WPCC threshold"):
+            apply_wpcc(0.5, 3, threshold)
+
+    @pytest.mark.parametrize("big_t", [0, math.nan, math.inf])
     def test_method_threshold_validated_at_construction(self, big_t):
         # checked when the method is made, not at its first scored pair
         with pytest.raises(ValueError, match="WPCC threshold"):
@@ -135,10 +142,9 @@ class TestSpcc:
 
 class TestPlusAdjust:
     def test_frozen_values(self):
-        p = PlusParams(alpha=100.0, beta=2.0)
-        assert plus_adjust(0.5, p) == pytest.approx(25.0)
-        assert plus_adjust(-0.5, p) == pytest.approx(-25.0)
-        assert plus_adjust(0.0, p) == 0.0
+        assert plus_adjust(0.5, 100.0, 2.0) == pytest.approx(25.0)
+        assert plus_adjust(-0.5, 100.0, 2.0) == pytest.approx(-25.0)
+        assert plus_adjust(0.0, 100.0, 2.0) == 0.0
 
     def test_matches_oracle(self):
         rng = random.Random(8)
@@ -147,14 +153,14 @@ class TestPlusAdjust:
             alpha = rng.uniform(0.5, 120)
             beta = rng.uniform(0.5, 6)
             want = oracles.power_law(s, alpha, beta)
-            got = plus_adjust(s, PlusParams(alpha=alpha, beta=beta))
+            got = plus_adjust(s, alpha, beta)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
-            PlusParams(alpha=0.0, beta=2.0)
+            make_method("plus", alpha=0.0, beta=2.0)
         with pytest.raises(ValueError):
-            PlusParams(alpha=100.0, beta=-1.0)
+            make_method("plus", alpha=100.0, beta=-1.0)
 
     @pytest.mark.parametrize("knobs", [{"alpha": math.nan}, {"alpha": math.inf},
                                        {"beta": math.inf}],
@@ -169,41 +175,37 @@ class TestPlusAdjust:
     def test_sign_preserved(self, s):
         # magnitudes below ~1e-154 underflow to zero under beta=2 (see
         # test_underflow_collapses_to_zero); correlations never get there
-        out = plus_adjust(s, PlusParams(alpha=100.0, beta=2.0))
+        out = plus_adjust(s, 100.0, 2.0)
         assert (out > 0) == (s > 0)
         assert (out < 0) == (s < 0)
 
     def test_underflow_collapses_to_zero(self):
         # squaring a subnormal-range score leaves no sign to preserve
-        assert plus_adjust(4e-212, PlusParams(alpha=100.0, beta=2.0)) == 0.0
+        assert plus_adjust(4e-212, 100.0, 2.0) == 0.0
 
     @given(a=scores, b=scores)
     def test_order_preserved(self, a, b):
         # monotone in s, the property neighborhood ranking relies on; adjacent
         # floats may collapse to equal outputs, hence non-strict here
-        p = PlusParams(alpha=80.0, beta=5.0)
         if a < b:
-            assert plus_adjust(a, p) <= plus_adjust(b, p)
+            assert plus_adjust(a, 80.0, 5.0) <= plus_adjust(b, 80.0, 5.0)
 
     def test_order_strict_on_separated_scores(self):
-        p = PlusParams(alpha=80.0, beta=5.0)
         grid = [x / 50.0 for x in range(-50, 51)]
-        outputs = [plus_adjust(s, p) for s in grid]
+        outputs = [plus_adjust(s, 80.0, 5.0) for s in grid]
         assert outputs == sorted(outputs)
         assert len(set(outputs)) == len(outputs)
 
 
 class TestStatic:
     def test_positive_branch_doubles(self):
-        p = StaticParams(t=10, y=0.20)
-        assert apply_static(0.5, 10, p) == pytest.approx(1.0)
-        assert apply_static(0.2, 40, p) == pytest.approx(0.4)
+        assert apply_static(0.5, 10, 10, 0.20) == pytest.approx(1.0)
+        assert apply_static(0.2, 40, 10, 0.20) == pytest.approx(0.4)
 
     def test_negative_branch_shrinks(self):
-        p = StaticParams(t=10, y=0.20)
-        assert apply_static(0.5, 9, p) == pytest.approx(0.5 / 1.25)
-        assert apply_static(0.15, 40, p) == pytest.approx(0.15 / (1 + 0.15 ** 2))
-        assert apply_static(-0.9, 40, p) == pytest.approx(-0.9 / 1.81)
+        assert apply_static(0.5, 9, 10, 0.20) == pytest.approx(0.5 / 1.25)
+        assert apply_static(0.15, 40, 10, 0.20) == pytest.approx(0.15 / (1 + 0.15 ** 2))
+        assert apply_static(-0.9, 40, 10, 0.20) == pytest.approx(-0.9 / 1.81)
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
     def test_non_finite_y_rejected(self, y):
@@ -216,11 +218,15 @@ class TestStatic:
         with pytest.raises(ValueError, match="co-rated threshold"):
             make_method("static", t=math.nan)
 
+    def test_inf_t_rejected(self):
+        # no co-rated count reaches inf either: the same never-doubling method
+        with pytest.raises(ValueError, match="co-rated threshold"):
+            make_method("static", t=math.inf)
+
     @given(s=scores, co=counts)
     def test_total_over_inputs(self, s, co):
         # every (score, count) lands in exactly one branch and yields a float
-        p = StaticParams(t=10, y=0.20)
-        out = apply_static(s, co, p)
+        out = apply_static(s, co, 10, 0.20)
         if co >= 10 and s >= 0.20:
             assert out == pytest.approx(2 * s)
         else:
@@ -239,13 +245,13 @@ class TestStatic:
 
 class TestMethodWrapper:
     def test_dispatch_matches_direct_calls(self, sample_matrix):
-        direct = pcc("u1", "u2", sample_matrix)
+        direct = PCC.score("u1", "u2", sample_matrix)
         co = len(oracles.overlap(oracles.SAMPLE_RATINGS, "u1", "u2"))
         assert make_method("pcc").score("u1", "u2", sample_matrix) == direct
         assert make_method("wpcc", big_t=5).score("u1", "u2", sample_matrix) == \
             apply_wpcc(direct, co, 5)
         assert make_method("plus").score("u1", "u2", sample_matrix) == \
-            plus_adjust(direct, PlusParams())
+            plus_adjust(direct, 100.0, 2.0)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
