@@ -212,8 +212,25 @@ def _convert_config_value(action: argparse.Action, raw: str, path: str, key: str
     return value
 
 
-def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Make the entries of ``args.config`` ``sub``'s defaults, checked like its flags."""
+# a config entry that a narrower flag on the command line overrides, so that
+# an explicit --k beats the file's k-sweep and --method the file's methods
+_NARROWED_BY = {"k_sweep": "k", "methods": "method"}
+
+
+def _flags_given(argv, command: str) -> set[str]:
+    """The dests that ``argv`` itself sets for ``command``, defaults aside."""
+    parser, by_name = build_parser()
+    for action in by_name[command]._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv))) - {"command"}
+
+
+def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv) -> None:
+    """Make the entries of ``args.config`` ``sub``'s defaults, checked like its flags.
+
+    A ``k-sweep`` or ``methods`` entry is dropped when ``argv`` gives ``--k``
+    or ``--method``: the flag wins, as flags win over every entry.
+    """
     options: dict[str, argparse.Action] = {}
     for action in sub._actions:
         for opt in action.option_strings:
@@ -225,6 +242,10 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None
         if action is None or key in ("config", "help"):
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
         values[action.dest] = _convert_config_value(action, raw, args.config, key)
+    given = _flags_given(argv, args.command)
+    for wide, narrow in _NARROWED_BY.items():
+        if narrow in given:
+            values.pop(wide, None)
     sub.set_defaults(**values)
 
 
@@ -269,9 +290,11 @@ def resolve_methods(args: argparse.Namespace) -> list:
 
 
 def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
-    """One run_experiment call per (method, k, fold), running the folds in order.
+    """One run_experiment call per (method, fold), running the folds in order.
 
-    A fold's methods share one sibling cache set, so each pair's base is computed once.
+    Each call serves every k of the sweep from one pass over the fold's test
+    records. A fold's methods share one sibling cache set, so each pair's
+    base is computed once. Rows come method-major, then k, then fold.
     """
     matrix = load_matrix(args)
     methods = resolve_methods(args)
@@ -287,11 +310,12 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     by_fold = []
     for fi, (train, test) in enumerate(splits):
         caches = SimilarityCache.siblings(methods, train)
-        by_fold.append([run_experiment(train, test, method, k=k,
-                                       fold=fi if args.folds is not None else None,
-                                       prediction=args.prediction, metrics=metrics,
-                                       cache=cache, **knobs)
-                        for method, cache in zip(methods, caches) for k in ks])
+        by_fold.append([report for method, cache in zip(methods, caches)
+                        for report in run_experiment(
+                            train, test, method, ks=ks,
+                            fold=fi if args.folds is not None else None,
+                            prediction=args.prediction, metrics=metrics,
+                            cache=cache, **knobs)])
 
     rows: list[EvalReport] = []
     for group in zip(*by_fold):  # one (method, k) cell, fold by fold
@@ -396,7 +420,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            apply_config(args, by_name[args.command])
+            apply_config(args, by_name[args.command], argv)
             args = parser.parse_args(argv)
         fill_defaults(args)
         code = COMMANDS[args.command](args)

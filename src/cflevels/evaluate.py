@@ -139,20 +139,32 @@ def default_relevance_threshold(scale: RatingScale) -> float:
 # experiment driver
 # ---------------------------------------------------------------------------
 
+def _checked_ks(ks) -> tuple[int, ...]:
+    """``ks`` as a tuple; ValueError when it is empty, holds a k below 1 or repeats one."""
+    ks = tuple(ks)
+    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+        raise ValueError(f"ks must be one or more distinct k values >= 1, got {list(ks)}")
+    return ks
+
+
 def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
-                   method: SimilarityMethod, *, k: int, r: int,
+                   method: SimilarityMethod, *, ks, r: int,
                    relevance: float, hit_def: str = "correct",
                    prediction: str = "resnick", metrics: str = "all",
-                   cache: SimilarityCache | None = None) -> dict:
-    """All metrics for one already-made split; returns a plain value dict.
+                   cache: SimilarityCache | None = None) -> list[dict]:
+    """All metrics for one already-made split; one plain value dict per k of ``ks``.
 
     Test records and test users are walked in sorted order so every
     accumulated float is order-stable regardless of how the split was
-    produced or how many workers sit above this call. Rating accuracy asks
-    each test user's row for the raters of its test items only, once per
-    user; top-N ranking asks for full rows. Without a ``cache`` the call
-    makes one for ``method`` and ``train``.
+    produced. Rating accuracy asks each test user's row for the raters of
+    its test items only, once per user; top-N ranking asks for full rows.
+    Without a ``cache`` the call makes one for ``method`` and ``train``.
+    Each test record is predicted once at the largest k, and that value
+    serves every k at or above its support, since the top k raters are then
+    all of its positive raters; only a smaller k predicts it again. Top-N
+    ranks each test user once per k.
     """
+    ks = _checked_ks(ks)
     if hit_def not in HIT_DEFS:
         raise ValueError(f"unknown hit_def {hit_def!r}; expected one of {', '.join(HIT_DEFS)}")
     if metrics not in METRIC_GROUPS:
@@ -163,14 +175,15 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
         cache = SimilarityCache(method, train)
     cache.check(method, train)
 
-    out: dict = {**dict.fromkeys(METRICS), "coverage": 0}
+    outs: list[dict] = [{**dict.fromkeys(METRICS), "coverage": 0} for _ in ks]
     by_user: dict[str, list[RatingRecord]] = {}
     for rec in test:
         by_user.setdefault(rec.user, []).append(rec)
 
     if metrics in ("all", "accuracy"):
-        pairs: list[PredictionPair] = []
+        pairs: list[list[PredictionPair]] = [[] for _ in ks]
         misses = 0
+        top = max(ks)
         users, items = train._user_index, train._item_index
         for user in sorted(by_user):
             recs = by_user[user]
@@ -180,66 +193,75 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                 continue
             cache.row(ia, {ii for rec in recs if (ii := items.get(rec.item)) is not None})
             for rec in sorted(recs, key=lambda t: t.item):
-                p = predict(user, rec.item, k, method, train, cache, prediction)
+                p = predict(user, rec.item, top, method, train, cache, prediction)
                 if p is None:
                     misses += 1
-                else:
-                    pairs.append(PredictionPair(p.value, rec.value))
-        if pairs:
-            m_value = mae(pairs)
-            out["mae"] = m_value
-            out["nmae"] = nmae(m_value, train.scale)
-            out["rmse"] = rmse(pairs)
-        out["coverage"] = misses
+                    continue
+                for k, k_pairs in zip(ks, pairs):
+                    if k < p.support:
+                        q = predict(user, rec.item, k, method, train, cache, prediction)
+                    else:
+                        q = p
+                    k_pairs.append(PredictionPair(q.value, rec.value))
+        for out, k_pairs in zip(outs, pairs):
+            if k_pairs:
+                m_value = mae(k_pairs)
+                out["mae"] = m_value
+                out["nmae"] = nmae(m_value, train.scale)
+                out["rmse"] = rmse(k_pairs)
+            out["coverage"] = misses
 
     if metrics in ("all", "topn"):
-        per_user: list[tuple[float, float, float]] = []
-        hit_counts: list[int] = []
-        for user in sorted(by_user):
-            if train.has_user(user):
-                recs = [item for item, _ in recommend_top_n(
-                    user, r, k, method, train, cache=cache, mode=prediction)]
+        for k, out in zip(ks, outs):
+            per_user: list[tuple[float, float, float]] = []
+            hit_counts: list[int] = []
+            for user in sorted(by_user):
+                if train.has_user(user):
+                    recs = [item for item, _ in recommend_top_n(
+                        user, r, k, method, train, cache=cache, mode=prediction)]
+                else:
+                    recs = []
+                relevant = {rec.item for rec in by_user[user] if rec.value >= relevance}
+                correct = len(set(recs) & relevant)
+                hit_counts.append(correct if hit_def == "correct" else len(recs))
+                if relevant:
+                    per_user.append(precision_recall_f1(recs, relevant))
+            if per_user:
+                precision = math.fsum(p for p, _, _ in per_user) / len(per_user)
+                recall = math.fsum(r_ for _, r_, _ in per_user) / len(per_user)
             else:
-                recs = []
-            relevant = {rec.item for rec in by_user[user] if rec.value >= relevance}
-            correct = len(set(recs) & relevant)
-            hit_counts.append(correct if hit_def == "correct" else len(recs))
-            if relevant:
-                per_user.append(precision_recall_f1(recs, relevant))
-        if per_user:
-            precision = math.fsum(p for p, _, _ in per_user) / len(per_user)
-            recall = math.fsum(r_ for _, r_, _ in per_user) / len(per_user)
-        else:
-            precision = 0.0
-            recall = 0.0
-        out["precision"] = precision
-        out["recall"] = recall
-        out["f1"] = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        out["hit_rate_pct"] = hit_rate(hit_counts)
+                precision = 0.0
+                recall = 0.0
+            out["precision"] = precision
+            out["recall"] = recall
+            out["f1"] = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+            out["hit_rate_pct"] = hit_rate(hit_counts)
 
-    return out
+    return outs
 
 
 def run_experiment(train: RatingsMatrix, test: list[RatingRecord],
-                   method: SimilarityMethod, *, k: int = 40, r: int = 20,
+                   method: SimilarityMethod, *, ks=(40,), r: int = 20,
                    fold: int | None = None, relevance: float | None = None,
                    hit_def: str = "correct", prediction: str = "resnick",
                    metrics: str = "all",
-                   cache: SimilarityCache | None = None) -> EvalReport:
-    """One configuration over a finished split: predict, score, report.
+                   cache: SimilarityCache | None = None) -> list[EvalReport]:
+    """One configuration over a finished split at each k: predict, score, report.
 
     ``(train, test)`` comes from :func:`split_holdout` or one entry of
-    :func:`kfold_split`; ``fold`` labels the report with that entry's index.
-    Identical arguments always produce an identical report (timing aside).
+    :func:`kfold_split`; ``fold`` labels the reports with that entry's index.
+    One :func:`evaluate_split` pass serves every k of ``ks``, so the call
+    returns one report per k, in ``ks`` order, each carrying the whole
+    pass's wall time as ``seconds``. Identical arguments always produce
+    identical reports (timing aside).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    ks = _checked_ks(ks)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     started = time.perf_counter()
     if relevance is None:
         relevance = default_relevance_threshold(train.scale)
-    values = evaluate_split(train, test, method, k=k, r=r, relevance=relevance,
+    values = evaluate_split(train, test, method, ks=ks, r=r, relevance=relevance,
                             hit_def=hit_def, prediction=prediction,
                             metrics=metrics, cache=cache)
     params = dict(method.params)
@@ -247,8 +269,9 @@ def run_experiment(train: RatingsMatrix, test: list[RatingRecord],
         params["fold"] = fold
     if metrics in ("all", "topn"):
         params["r"] = r
-    return EvalReport(method=method.name, k=k, params=params,
-                      seconds=time.perf_counter() - started, **values)
+    seconds = time.perf_counter() - started
+    return [EvalReport(method=method.name, k=k, params=dict(params), seconds=seconds, **v)
+            for k, v in zip(ks, values)]
 
 
 def average_report(reports: list[EvalReport]) -> EvalReport:

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 import _synth
 import oracles
-from cflevels import (RatingScale, SimilarityCache, apply_static,
-                      build_level_table, build_matrix, hit_rate, mae, make_method,
-                      neighborhood_for_item, nmae, precision_recall_f1,
-                      predict, rmse, run_experiment, split_holdout)
+from cflevels import (RatingScale, apply_static, build_level_table, build_matrix,
+                      hit_rate, mae, make_method, neighborhood_for_item, nmae,
+                      precision_recall_f1, predict, rmse, run_experiment, split_holdout)
 from cflevels.cli import main
 
 TOL = 1e-9
@@ -136,8 +135,8 @@ def test_criterion_2_oracle_agreement(scale, sample_matrix):
         records = oracles.ratings_to_records(ratings)
         want = oracles.run_holdout_experiment(records, 0.8, seed, k=3, r=3,
                                               relevance=4.0, scale=(1.0, 5.0))
-        got = run_experiment(*split_holdout(m, 0.8, seed), make_method("pcc"),
-                             k=3, r=3, relevance=4.0)
+        (got,) = run_experiment(*split_holdout(m, 0.8, seed), make_method("pcc"),
+                                ks=(3,), r=3, relevance=4.0)
         close(got.mae, want["mae"])
         close(got.nmae, want["nmae"])
         close(got.rmse, want["rmse"])
@@ -278,19 +277,16 @@ def test_criterion_6_planted_clusters():
     train, test = split_holdout(m, 0.8, 42)
     maes = {}
     for name in ("pcc", "dynamic"):
-        method = make_method(name)
-        cache = SimilarityCache(method, train)
-        maes[name] = {k: run_experiment(train, test, method, k=k,
-                                        metrics="accuracy", cache=cache).mae
-                      for k in (20, 40, 80)}
+        maes[name] = {rep.k: rep.mae for rep in run_experiment(
+            train, test, make_method(name), ks=(20, 40, 80), metrics="accuracy")}
     for k in (20, 40, 80):
         assert maes["dynamic"][k] <= maes["pcc"][k], (
             f"k={k}: dynamic {maes['dynamic'][k]:.6f} > pcc {maes['pcc'][k]:.6f}")
 
     # deterministic under the seed: a fresh run reproduces the same numbers
-    rerun = run_experiment(*split_holdout(m, 0.8, 42), make_method("dynamic"), k=40,
-                           metrics="accuracy").mae
-    assert rerun == maes["dynamic"][40]
+    (rerun,) = run_experiment(*split_holdout(m, 0.8, 42), make_method("dynamic"), ks=(40,),
+                              metrics="accuracy")
+    assert rerun.mae == maes["dynamic"][40]
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"planted-cluster benchmark took {elapsed:.1f}s"

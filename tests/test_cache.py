@@ -378,8 +378,8 @@ class TestDemand:
 
         def scored(cache):
             base_calls.clear()
-            report = evaluate_split(train, test, PCC, k=20, r=5, relevance=4.0,
-                                    metrics="accuracy", cache=cache)
+            (report,) = evaluate_split(train, test, PCC, ks=(20,), r=5, relevance=4.0,
+                                       metrics="accuracy", cache=cache)
             return report, len(base_calls)
 
         restricted_report, restricted = scored(None)
@@ -410,8 +410,8 @@ class TestDemand:
 
         def scored(metrics):
             base_calls.clear()
-            report = evaluate_split(train, test, PCC, k=20, r=5, relevance=4.0,
-                                    metrics=metrics)
+            (report,) = evaluate_split(train, test, PCC, ks=(20,), r=5, relevance=4.0,
+                                       metrics=metrics)
             return report, len(base_calls)
 
         accuracy, _ = scored("accuracy")

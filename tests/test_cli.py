@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -256,6 +257,30 @@ class TestConfigFile:
         assert rows[0][1] == "9"         # flag beats the config value
         assert rows[0][11] != ""         # timing=true via config boolean
 
+    @pytest.mark.parametrize("flags, want", [
+        (["--k", "10", "--method", "static"], [("static", "10")]),
+        (["--k", "10"], [("pcc", "10"), ("dynamic", "10")]),
+        (["--method", "static"], [("static", "20"), ("static", "40")]),
+        # both flags on the command line: --k-sweep and --methods still win
+        (["--k", "10", "--k-sweep", "5:10:5", "--method", "static", "--methods", "spcc"],
+         [("spcc", "5"), ("spcc", "10")]),
+    ], ids=["k-and-method", "k", "method", "both-flags"])
+    def test_narrow_flags_beat_sweep_entries(self, bench_file, tmp_path, capsys, flags, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k-sweep = 20:40:20\nmethods = pcc,dynamic\n", encoding="utf-8")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg), *flags]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert [(r[0], r[1]) for r in rows] == want
+
+    def test_sweep_flags_beat_narrow_entries(self, bench_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 10\nmethod = static\n", encoding="utf-8")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg),
+                     "--k-sweep", "20:40:20", "--methods", "pcc,dynamic"]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert [(r[0], r[1]) for r in rows] == [
+            ("pcc", "20"), ("pcc", "40"), ("dynamic", "20"), ("dynamic", "40")]
+
     def test_dashed_keys_accepted(self, bench_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("out-format = json\n", encoding="utf-8")
@@ -397,6 +422,23 @@ class TestOutputForms:
         assert main(["evaluate", "--ratings", bench_file, "--timing"]) == 0
         header, rows = rows_of(capsys.readouterr().out)
         assert float(rows[0][header.index("seconds")]) >= 0.0
+
+    def test_rows_of_one_pass_share_its_seconds(self, bench_file, capsys):
+        # one pass per (method, fold) serves every k; fold=avg sums the folds
+        assert main(["evaluate", "--ratings", bench_file, "--methods", "pcc,dynamic",
+                     "--k-sweep", "5:15:5", "--folds", "2", "--timing"]) == 0
+        header, rows = rows_of(capsys.readouterr().out)
+        col = header.index("seconds")
+        passes: dict = {}
+        for row in rows:
+            fold = dict(kv.split("=") for kv in row[2].split(";"))["fold"]
+            passes.setdefault((row[0], fold), set()).add(row[col])
+        assert len(passes) == 2 * 3
+        assert all(len(seconds) == 1 for seconds in passes.values())
+        for method in ("pcc", "dynamic"):
+            (avg,) = passes[method, "avg"]
+            folds = [float(next(iter(passes[method, fold]))) for fold in ("0", "1")]
+            assert float(avg) == math.fsum(folds)
 
     def test_repeat_runs_byte_identical(self, bench_file, capsys):
         argv = ["topn", "--ratings", bench_file, "--r", "5", "--method", "dynamic"]

@@ -3,15 +3,18 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+import _synth
+import cflevels.evaluate
 import oracles
 from cflevels import (ConfigError, EmptyInputError, EvalReport, PredictionPair, RatingScale,
-                      average_report, build_matrix,
-                      default_relevance_threshold, hit_rate, kfold_split,
-                      mae, make_method, nmae, precision_recall_f1, render_csv,
-                      render_json, rmse, run_experiment, split_holdout)
+                      SimilarityCache, average_report, build_matrix,
+                      default_relevance_threshold, evaluate_split, hit_rate, kfold_split,
+                      mae, make_method, nmae, predict, precision_recall_f1,
+                      render_csv, render_json, rmse, run_experiment, split_holdout)
 
 
 class TestHoldoutSplit:
@@ -180,8 +183,8 @@ class TestTopNMetrics:
 class TestRunExperiment:
     def test_sample_holdout_seed7_frozen(self, sample_matrix):
         # the 4x4 sample is too sparse to predict anything once split
-        rep = run_experiment(*split_holdout(sample_matrix, 0.8, 7), make_method("pcc"),
-                             k=2, r=2, relevance=4.0)
+        (rep,) = run_experiment(*split_holdout(sample_matrix, 0.8, 7), make_method("pcc"),
+                                ks=(2,), r=2, relevance=4.0)
         assert rep.mae is None and rep.nmae is None and rep.rmse is None
         assert rep.coverage == 3
         assert rep.precision == 0.0 and rep.recall == 0.0 and rep.f1 == 0.0
@@ -194,8 +197,8 @@ class TestRunExperiment:
         want = oracles.run_holdout_experiment(records, 0.8, 11, k=5, r=5,
                                               relevance=4.0, scale=(1, 5))
         m = build_matrix(records, scale)
-        rep = run_experiment(*split_holdout(m, 0.8, 11), make_method("pcc"),
-                             k=5, r=5, relevance=4.0)
+        (rep,) = run_experiment(*split_holdout(m, 0.8, 11), make_method("pcc"),
+                                ks=(5,), r=5, relevance=4.0)
         assert rep.mae == pytest.approx(want["mae"], abs=1e-9)
         assert rep.nmae == pytest.approx(want["nmae"], abs=1e-9)
         assert rep.rmse == pytest.approx(want["rmse"], abs=1e-9)
@@ -209,8 +212,8 @@ class TestRunExperiment:
         rng = random.Random(321)
         ratings = oracles.random_ratings(rng, n_users=25, n_items=18, density=0.4)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        a = run_experiment(*split_holdout(m, 0.75, 5), make_method("dynamic"), k=6, r=4)
-        b = run_experiment(*split_holdout(m, 0.75, 5), make_method("dynamic"), k=6, r=4)
+        (a,) = run_experiment(*split_holdout(m, 0.75, 5), make_method("dynamic"), ks=(6,), r=4)
+        (b,) = run_experiment(*split_holdout(m, 0.75, 5), make_method("dynamic"), ks=(6,), r=4)
         for field in ("method", "k", "params", "mae", "nmae", "rmse", "precision",
                       "recall", "f1", "hit_rate_pct", "coverage"):
             assert getattr(a, field) == getattr(b, field)
@@ -222,7 +225,7 @@ class TestRunExperiment:
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
         with pytest.raises(ValueError, match="relevance must be finite"):
-            run_experiment(*split_holdout(m, 0.8, 2), make_method("pcc"), k=5, r=5,
+            run_experiment(*split_holdout(m, 0.8, 2), make_method("pcc"), ks=(5,), r=5,
                            relevance=relevance)
 
     def test_metric_groups(self, scale):
@@ -230,10 +233,10 @@ class TestRunExperiment:
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
         split = split_holdout(m, 0.8, 2)
-        accuracy = run_experiment(*split, make_method("pcc"), k=5, metrics="accuracy")
+        (accuracy,) = run_experiment(*split, make_method("pcc"), ks=(5,), metrics="accuracy")
         assert accuracy.precision is None and accuracy.hit_rate_pct is None
         assert accuracy.mae is not None
-        topn = run_experiment(*split, make_method("pcc"), k=5, r=5, metrics="topn")
+        (topn,) = run_experiment(*split, make_method("pcc"), ks=(5,), r=5, metrics="topn")
         assert topn.mae is None and topn.rmse is None
         assert topn.precision is not None
         assert topn.params.get("r") == 5
@@ -243,9 +246,9 @@ class TestRunExperiment:
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.55)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
         folds = kfold_split(m, 3, seed=1)
-        reports = [run_experiment(train, test, make_method("pcc"), fold=f,
-                                  k=5, metrics="accuracy")
-                   for f, (train, test) in enumerate(folds)]
+        reports = [rep for f, (train, test) in enumerate(folds)
+                   for rep in run_experiment(train, test, make_method("pcc"), fold=f,
+                                             ks=(5,), metrics="accuracy")]
         assert [rep.params["fold"] for rep in reports] == [0, 1, 2]
         total_test = sum(len(test) for _, test in folds)
         total_misses = sum(rep.coverage for rep in reports)
@@ -266,6 +269,113 @@ class TestRunExperiment:
         assert avg.coverage == 7
         with pytest.raises(EmptyInputError):
             average_report([])
+
+
+# every method, the dynamic method's eq8 form, under both combiners
+SWEEP_CONFIGS = [(name, {}, mode) for name in ("pcc", "wpcc", "spcc", "plus", "static", "dynamic")
+                 for mode in ("resnick", "weighted_mean")] + [
+    ("dynamic", {"negative_form": "eq8"}, mode) for mode in ("resnick", "weighted_mean")]
+SWEEP_IDS = [name + "".join(f"-{v}" for v in kw.values()) + f"-{mode}"
+             for name, kw, mode in SWEEP_CONFIGS]
+
+
+@pytest.fixture(scope="module")
+def planted_split():
+    records = _synth.planted_records(seed=13, n_users=120, n_items=90)
+    return split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
+
+
+class TestKSweep:
+    @pytest.mark.parametrize("ks", [(), (0,), (5, -1), (5, 10, 5)],
+                             ids=["empty", "zero", "negative", "repeated"])
+    def test_ks_checked_before_any_row(self, planted_split, ks):
+        train, test = planted_split
+        sim = make_method("pcc")
+        cache = SimilarityCache(sim, train)
+        with pytest.raises(ValueError, match="ks must"):
+            evaluate_split(train, test, sim, ks=ks, r=5, relevance=4.0, cache=cache)
+        with pytest.raises(ValueError, match="ks must"):
+            run_experiment(train, test, sim, ks=ks, cache=cache)
+        assert cache.rows == {}
+
+    @pytest.mark.parametrize("name, kw, mode", SWEEP_CONFIGS, ids=SWEEP_IDS)
+    def test_sweep_equals_its_single_k_runs(self, planted_split, name, kw, mode):
+        # k 1 and 3 fall below many supports, so they predict records again
+        ks = (1, 3, 10, 40)
+        sim = make_method(name, **kw)
+        sweep = run_experiment(*planted_split, sim, ks=ks, r=5, prediction=mode)
+        assert [rep.k for rep in sweep] == list(ks)
+        assert len({rep.seconds for rep in sweep}) == 1
+        for rep in sweep:
+            (single,) = run_experiment(*planted_split, sim, ks=(rep.k,), r=5, prediction=mode)
+            assert replace(rep, seconds=0.0) == replace(single, seconds=0.0)
+        assert sweep[0].mae != sweep[-1].mae
+
+    def test_reports_follow_ks_order(self, planted_split):
+        sim = make_method("pcc")
+        forward = run_experiment(*planted_split, sim, ks=(3, 40, 10), metrics="accuracy")
+        assert [rep.k for rep in forward] == [3, 40, 10]
+        backward = run_experiment(*planted_split, sim, ks=(10, 40, 3), metrics="accuracy")
+        assert [rep.mae for rep in backward] == [rep.mae for rep in reversed(forward)]
+
+    @pytest.mark.parametrize("name", ["pcc", "dynamic"])
+    def test_each_k_matches_oracle(self, planted_split, name):
+        train, test = planted_split
+        ratings = oracles.records_to_dict((r.user, r.item, r.value) for r in train.records())
+        score = {
+            "pcc": lambda a, b: oracles.pearson(ratings, a, b),
+            "dynamic": lambda a, b: oracles.dynamic_adjusted(
+                ratings, a, b, train.user_count, train.item_count),
+        }[name]
+        memo: dict = {}
+
+        def sim(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in memo:
+                memo[key] = score(*key)
+            return memo[key]
+
+        ks = (1, 3, 10, 40)
+        reports = run_experiment(train, test, make_method(name), ks=ks, metrics="accuracy")
+        for k, rep in zip(ks, reports):
+            pairs, misses = [], 0
+            for user, item, actual in sorted(test, key=lambda t: (t.user, t.item)):
+                p = oracles.predict(ratings, user, item, k, sim, _synth.SCALE) \
+                    if user in ratings else None
+                if p is None:
+                    misses += 1
+                else:
+                    pairs.append((p, actual))
+            assert rep.coverage == misses
+            assert rep.mae == pytest.approx(oracles.mae(pairs), abs=1e-9)
+            assert rep.rmse == pytest.approx(oracles.rmse(pairs), abs=1e-9)
+
+    @pytest.mark.parametrize("ks", [(20, 40), (2, 5, 40)], ids=["20,40", "2,5,40"])
+    def test_one_predict_per_record_plus_one_per_k_below_its_support(self, monkeypatch, ks):
+        records = _synth.planted_records(seed=3, n_users=220, n_items=150)
+        train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
+        sim = make_method("pcc")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(cflevels.evaluate, "predict", counted)
+        evaluate_split(train, test, sim, ks=ks, r=5, relevance=4.0, metrics="accuracy")
+        monkeypatch.undo()
+        # predict is asked about every record of a user known to train, at the
+        # largest k; it answers None (support 0) when no rater of the item is
+        # positively similar. Every smaller k below a support asks again.
+        cache = SimilarityCache(sim, train)
+        supports = [p.support if (p := predict(rec.user, rec.item, max(ks), sim, train, cache))
+                    else 0 for rec in test if train.has_user(rec.user)]
+        again = {k: sum(1 for s in supports if s > k) for k in ks[:-1]}
+        assert calls.count(max(ks)) == len(supports)
+        assert {k: calls.count(k) for k in ks[:-1]} == again
+        assert len(calls) == len(supports) + sum(again.values())
+        if ks == (2, 5, 40):
+            assert again[2] > again[5] > 0
 
 
 class TestRenderers:
