@@ -250,12 +250,13 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv) -
 
 
 def fill_defaults(args: argparse.Namespace) -> None:
-    """Fill the preset's t, y and T where unset; require --ratings."""
+    """Fill the preset's t, y and T where unset; require --ratings, --user and --r."""
     for dest, value in PRESET_PARAMS[args.format].items():
         if getattr(args, dest, 0) is None:
             setattr(args, dest, value)
-    if args.ratings is None:
-        raise ConfigError("--ratings is required")
+    for dest in ("ratings", "user", "r"):  # a command without the flag has no dest
+        if getattr(args, dest, 0) is None:
+            raise ConfigError(f"--{dest} is required")
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +371,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_topn(args: argparse.Namespace) -> int:
-    if args.r is None:
-        raise ConfigError("--r is required")
     rows = run_sweep(args, metrics="topn")
     write_rows(args, rows)
     return 0
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    if args.user is None:
-        raise ConfigError("--user is required")
-    if args.r is None:
-        raise ConfigError("--r is required")
     matrix = load_matrix(args)
     method = resolve_methods(args)[0]
     recs = recommend_top_n(args.user, args.r, args.k, method, matrix,

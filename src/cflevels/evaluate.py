@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from .cache import SimilarityCache
 from .errors import ConfigError, EmptyInputError
-from .predict import predict, recommend_top_n
+from .predict import _checked_cache, predict, recommend_top_n
 from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
 from .similarity import SimilarityMethod
 
@@ -47,6 +47,12 @@ def _shuffled_records(m: RatingsMatrix, seed: int) -> list[RatingRecord]:
     return ordered
 
 
+def _cut(ordered: list[RatingRecord], lo: int, hi: int,
+         scale: RatingScale) -> tuple[RatingsMatrix, list[RatingRecord]]:
+    """Test on ``ordered[lo:hi]``, train on the rest in order: the one split cutter."""
+    return build_matrix(ordered[:lo] + ordered[hi:], scale), ordered[lo:hi]
+
+
 def split_holdout(m: RatingsMatrix, ratio: float, seed: int) -> tuple[RatingsMatrix, list[RatingRecord]]:
     """Seeded record-level partition into a train matrix and test records, neither empty."""
     if not 0.0 < ratio < 1.0:
@@ -56,8 +62,7 @@ def split_holdout(m: RatingsMatrix, ratio: float, seed: int) -> tuple[RatingsMat
     if n_train in (0, len(ordered)):
         raise ConfigError(f"a {ratio} holdout of {len(ordered)} ratings trains on {n_train} "
                           f"and tests {len(ordered) - n_train}; both need at least one")
-    train = build_matrix(ordered[:n_train], m.scale)
-    return train, ordered[n_train:]
+    return _cut(ordered, n_train, len(ordered), m.scale)
 
 
 def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> list[tuple[RatingsMatrix, list[RatingRecord]]]:
@@ -73,17 +78,8 @@ def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> list[tuple[RatingsMa
     if folds > n:
         raise ConfigError(f"{folds} folds of {n} ratings leave {folds - n} with nothing to test")
     base, extra = divmod(n, folds)
-    parts: list[list[RatingRecord]] = []
-    start = 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        parts.append(ordered[start:start + size])
-        start += size
-    out = []
-    for i in range(folds):
-        train_records = [rec for j, part in enumerate(parts) if j != i for rec in part]
-        out.append((build_matrix(train_records, m.scale), parts[i]))
-    return out
+    cuts = [i * base + min(i, extra) for i in range(folds + 1)]
+    return [_cut(ordered, lo, hi, m.scale) for lo, hi in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +135,6 @@ def default_relevance_threshold(scale: RatingScale) -> float:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def _checked_ks(ks) -> tuple[int, ...]:
-    """``ks`` as a tuple; ValueError when it is empty, holds a k below 1 or repeats one."""
-    ks = tuple(ks)
-    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
-        raise ValueError(f"ks must be one or more distinct k values >= 1, got {list(ks)}")
-    return ks
-
-
 def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                    method: SimilarityMethod, *, ks, r: int,
                    relevance: float, hit_def: str = "correct",
@@ -162,18 +150,21 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
     Each test record is predicted once at the largest k, and that value
     serves every k at or above its support, since the top k raters are then
     all of its positive raters; only a smaller k predicts it again. Top-N
-    ranks each test user once per k.
+    ranks each test user once per k. Every argument, the cache included, is
+    checked before any row is built, whatever the test records.
     """
-    ks = _checked_ks(ks)
+    ks = tuple(ks)
+    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+        raise ValueError(f"ks must be one or more distinct k values >= 1, got {list(ks)}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     if hit_def not in HIT_DEFS:
         raise ValueError(f"unknown hit_def {hit_def!r}; expected one of {', '.join(HIT_DEFS)}")
     if metrics not in METRIC_GROUPS:
         raise ValueError(f"unknown metrics group {metrics!r}; expected one of {', '.join(METRIC_GROUPS)}")
     if not math.isfinite(relevance):
         raise ValueError(f"relevance must be finite, got {relevance}")
-    if cache is None:
-        cache = SimilarityCache(method, train)
-    cache.check(method, train)
+    cache = _checked_cache(max(ks), method, train, cache, prediction)
 
     outs: list[dict] = [{**dict.fromkeys(METRICS), "coverage": 0} for _ in ks]
     by_user: dict[str, list[RatingRecord]] = {}
@@ -255,9 +246,7 @@ def run_experiment(train: RatingsMatrix, test: list[RatingRecord],
     pass's wall time as ``seconds``. Identical arguments always produce
     identical reports (timing aside).
     """
-    ks = _checked_ks(ks)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    ks = tuple(ks)
     started = time.perf_counter()
     if relevance is None:
         relevance = default_relevance_threshold(train.scale)

@@ -17,10 +17,10 @@ _ROLES = ("user", "item", "rating", "ignored")
 class DatasetFormat:
     """Column layout of a ratings file.
 
-    ``delimiter`` None splits on any whitespace run. ``columns`` names each
-    field's role in order; exactly one each of user, item and rating, any
-    number of ignored fields. Lines may carry extra trailing fields beyond
-    the declared columns; those are ignored.
+    ``delimiter`` None splits on any whitespace run; an empty one is
+    refused. ``columns`` names each field's role in order; exactly one each
+    of user, item and rating, any number of ignored fields. Lines may carry
+    extra trailing fields beyond the declared columns; those are ignored.
     """
 
     delimiter: str | None
@@ -29,6 +29,8 @@ class DatasetFormat:
     header_lines: int = 0
 
     def __post_init__(self) -> None:
+        if self.delimiter == "":
+            raise ValueError("delimiter must be None or non-empty, got ''")
         for role in self.columns:
             if role not in _ROLES:
                 raise ValueError(f"unknown column role {role!r}")

@@ -74,6 +74,16 @@ class TestExitCodes:
         assert main(["evaluate"]) == 2
         assert "--ratings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["topn"], "--ratings"),
+        (["recommend", "--ratings", "no-such-file"], "--user"),
+        (["recommend", "--ratings", "no-such-file", "--user", "u1"], "--r"),
+        (["topn", "--ratings", "no-such-file"], "--r"),
+    ])
+    def test_required_flags_checked_before_any_file(self, capsys, argv, missing):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {missing} is required\n"
+
     def test_argparse_failures(self, sample_file):
         assert main([]) == 2
         assert main(["nosuchcommand"]) == 2

@@ -10,8 +10,8 @@ import pytest
 import _synth
 import cflevels.evaluate
 import oracles
-from cflevels import (ConfigError, EmptyInputError, EvalReport, PredictionPair, RatingScale,
-                      SimilarityCache, average_report, build_matrix,
+from cflevels import (ConfigError, EmptyInputError, EvalReport, PredictionPair, RatingRecord,
+                      RatingScale, SimilarityCache, average_report, build_matrix,
                       default_relevance_threshold, evaluate_split, hit_rate, kfold_split,
                       mae, make_method, nmae, predict, precision_recall_f1,
                       render_csv, render_json, rmse, run_experiment, split_holdout)
@@ -376,6 +376,30 @@ class TestKSweep:
         assert len(calls) == len(supports) + sum(again.values())
         if ks == (2, 5, 40):
             assert again[2] > again[5] > 0
+
+
+class TestPassChecks:
+    """A pass checks its arguments up front, even when no test record reaches predict."""
+
+    @pytest.mark.parametrize("test_kind", ["unknown-users", "empty"])
+    @pytest.mark.parametrize("run, kwargs, match", [
+        (evaluate_split, {"prediction": "bogus"}, "unknown prediction mode 'bogus'"),
+        (evaluate_split, {"r": 0, "metrics": "topn"}, "r must be >= 1, got 0"),
+        (run_experiment, {"prediction": "bogus"}, "unknown prediction mode 'bogus'"),
+        (run_experiment, {"method": make_method("pcc")}, "serves only"),
+    ], ids=["split-prediction", "split-r", "experiment-prediction", "experiment-foreign-cache"])
+    def test_bad_value_raises_before_any_row(self, planted_split, test_kind, run, kwargs, match):
+        train, test = planted_split
+        if test_kind == "unknown-users":
+            test = [RatingRecord(f"nobody{n}", rec.item, rec.value) for n, rec in enumerate(test[:5])]
+        else:
+            test = []
+        sim = make_method("pcc")
+        cache = SimilarityCache(sim, train)
+        required = {"r": 5, "relevance": 4.0} if run is evaluate_split else {}
+        with pytest.raises(ValueError, match=match):
+            run(train, test, **{"method": sim, "ks": (5,), "cache": cache, **required, **kwargs})
+        assert len(cache) == 0
 
 
 class TestRenderers:

@@ -32,6 +32,11 @@ class TestFormats:
         with pytest.raises(ValueError):
             DatasetFormat(None, ("user", "item", "score"), RatingScale(1, 5))
 
+    def test_empty_delimiter_refused(self):
+        # str.split("") would fail later with a bare "empty separator"
+        with pytest.raises(ValueError, match="delimiter"):
+            DatasetFormat("", ("user", "item", "rating"), RatingScale(1, 5))
+
 
 class TestParseRatings:
     def test_double_colon_with_timestamp(self, tmp_path):
