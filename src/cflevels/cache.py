@@ -47,6 +47,7 @@ class SimilarityCache:
     """
 
     def __init__(self, sim: SimilarityMethod, m: RatingsMatrix) -> None:
+        sim.adjust(0.0, 0, m)  # derives dynamic's bands, or refuses m, up front
         self.sim = sim
         self.m = m
         # shared by siblings: their methods by slot, and each built user's

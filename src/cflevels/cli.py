@@ -22,19 +22,15 @@ from .predict import PREDICTION_MODES, recommend_top_n
 from .ratings import RatingScale, build_matrix
 from .similarity import METHOD_NAMES, make_method
 
-# per-dataset similarity settings; anything here is overridable by flags
+# a similarity knob's default: the --format preset's override, else make_method's
+KNOB_DEFAULTS = dict(make_method.__kwdefaults__)
 PRESET_PARAMS = {
-    "movielens-1m": {"big_t": 50, "t": 10, "y": 0.20},
-    "movietweetings": {"big_t": 10, "t": 10, "y": 0.20},
+    "movietweetings": {"big_t": 10},
     "epinions": {"big_t": 5, "t": 5, "y": 0.15},
-    "custom": {"big_t": 50, "t": 10, "y": 0.20},
 }
 
 # the rating-error metrics, listed first in METRICS: what `evaluate` fills
 ERROR_METRICS = METRICS[:3]
-
-_CUSTOM_FORMAT = DatasetFormat(delimiter=None, columns=("user", "item", "rating"),
-                               scale=RatingScale(1.0, 5.0))
 
 
 def _checked(convert, ok, want: str):
@@ -86,7 +82,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_dataset_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--ratings", help="path to the delimited ratings file")
-        sub.add_argument("--format", choices=sorted(FORMATS) + ["custom"], default="custom",
+        sub.add_argument("--format", choices=FORMATS, default="custom",
                          help="file layout preset (default: %(default)s)")
         sub.add_argument("--delimiter", type=_checked(str, bool, "non-empty"),
                          help="field delimiter override (custom default: any whitespace)")
@@ -108,12 +104,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                               "(default: per --format)")
         sub.add_argument("--T", type=_AT_LEAST_1, dest="big_t",
                          help="co-rated cutoff of the wpcc method (default: per --format)")
-        sub.add_argument("--alpha", type=_POSITIVE, default=100.0,
+        sub.add_argument("--alpha", type=_POSITIVE, default=KNOB_DEFAULTS["alpha"],
                          help="power-law scale factor (default: %(default)s)")
-        sub.add_argument("--beta", type=_POSITIVE, default=2.0,
+        sub.add_argument("--beta", type=_POSITIVE, default=KNOB_DEFAULTS["beta"],
                          help="power-law exponent (default: %(default)s)")
-        sub.add_argument("--negative-form", choices=NEGATIVE_FORMS, default="eq4",
-                         dest="negative_form",
+        sub.add_argument("--negative-form", choices=NEGATIVE_FORMS,
+                         default=KNOB_DEFAULTS["negative_form"], dest="negative_form",
                          help="dynamic method's below-threshold formula (default: %(default)s)")
         sub.add_argument("--prediction", choices=PREDICTION_MODES, default="resnick",
                          help="rating combiner (default: %(default)s)")
@@ -250,8 +246,8 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv) -
 
 
 def fill_defaults(args: argparse.Namespace) -> None:
-    """Fill the preset's t, y and T where unset; require --ratings, --user and --r."""
-    for dest, value in PRESET_PARAMS[args.format].items():
+    """Fill unset knobs from the preset or make_method; require --ratings, --user and --r."""
+    for dest, value in {**KNOB_DEFAULTS, **PRESET_PARAMS.get(args.format, {})}.items():
         if getattr(args, dest, 0) is None:
             setattr(args, dest, value)
     for dest in ("ratings", "user", "r"):  # a command without the flag has no dest
@@ -264,14 +260,12 @@ def fill_defaults(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 def resolve_format(args: argparse.Namespace) -> DatasetFormat:
-    fmt = FORMATS.get(args.format, _CUSTOM_FORMAT)
+    fmt = FORMATS[args.format]
     delimiter = args.delimiter if args.delimiter is not None else fmt.delimiter
     rmin = args.scale_min if args.scale_min is not None else fmt.scale.rmin
     rmax = args.scale_max if args.scale_max is not None else fmt.scale.rmax
     if rmin >= rmax:
         raise ConfigError(f"--scale-min must be below --scale-max, got {rmin} >= {rmax}")
-    if delimiter == fmt.delimiter and (rmin, rmax) == (fmt.scale.rmin, fmt.scale.rmax):
-        return fmt
     return replace(fmt, delimiter=delimiter, scale=RatingScale(rmin, rmax))
 
 
@@ -295,7 +289,8 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
 
     Each call serves every k of the sweep from one pass over the fold's test
     records. A fold's methods share one sibling cache set, so each pair's
-    base is computed once. Rows come method-major, then k, then fold.
+    base is computed once, and one fold is alive at a time. Rows come
+    method-major, then k, then fold.
     """
     matrix = load_matrix(args)
     methods = resolve_methods(args)
@@ -309,14 +304,15 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
              if hasattr(args, name)}
 
     by_fold = []
-    for fi, (train, test) in enumerate(splits):
+    for train, test in splits:
         caches = SimilarityCache.siblings(methods, train)
         by_fold.append([report for method, cache in zip(methods, caches)
                         for report in run_experiment(
                             train, test, method, ks=ks,
-                            fold=fi if args.folds is not None else None,
+                            fold=len(by_fold) if args.folds is not None else None,
                             prediction=args.prediction, metrics=metrics,
                             cache=cache, **knobs)])
+        del train, test, caches  # before the next fold is built
 
     rows: list[EvalReport] = []
     for group in zip(*by_fold):  # one (method, k) cell, fold by fold

@@ -6,7 +6,7 @@ import math
 import random
 import time
 from dataclasses import asdict, field, make_dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cache import SimilarityCache
 from .errors import ConfigError, EmptyInputError
@@ -65,11 +65,12 @@ def split_holdout(m: RatingsMatrix, ratio: float, seed: int) -> tuple[RatingsMat
     return _cut(ordered, n_train, len(ordered), m.scale)
 
 
-def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> list[tuple[RatingsMatrix, list[RatingRecord]]]:
+def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> Iterator[tuple[RatingsMatrix, list[RatingRecord]]]:
     """Seeded shuffle, then ``folds`` nearly equal parts; each tests once.
 
     Part sizes differ by at most one (the first ``n % folds`` parts are one
-    record larger). More folds than ratings raise :class:`ConfigError`.
+    record larger). More folds than ratings raise :class:`ConfigError` at
+    the call. Yields the folds in order, building each when it is reached.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -79,7 +80,7 @@ def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> list[tuple[RatingsMa
         raise ConfigError(f"{folds} folds of {n} ratings leave {folds - n} with nothing to test")
     base, extra = divmod(n, folds)
     cuts = [i * base + min(i, extra) for i in range(folds + 1)]
-    return [_cut(ordered, lo, hi, m.scale) for lo, hi in zip(cuts, cuts[1:])]
+    return (_cut(ordered, lo, hi, m.scale) for lo, hi in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------

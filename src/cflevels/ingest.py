@@ -26,7 +26,6 @@ class DatasetFormat:
     delimiter: str | None
     columns: tuple[str, ...]
     scale: RatingScale
-    header_lines: int = 0
 
     def __post_init__(self) -> None:
         if self.delimiter == "":
@@ -37,11 +36,14 @@ class DatasetFormat:
         for role in ("user", "item", "rating"):
             if self.columns.count(role) != 1:
                 raise ValueError(f"columns must name {role!r} exactly once, got {self.columns}")
-        if self.header_lines < 0:
-            raise ValueError(f"header_lines must be >= 0, got {self.header_lines}")
 
 
+# the --format choices in --help order; "custom" is the default layout
 FORMATS: dict[str, DatasetFormat] = {
+    "epinions": DatasetFormat(
+        delimiter=None,
+        columns=("user", "item", "rating"),
+        scale=RatingScale(1.0, 5.0)),
     "movielens-1m": DatasetFormat(
         delimiter="::",
         columns=("user", "item", "rating", "ignored"),
@@ -50,7 +52,7 @@ FORMATS: dict[str, DatasetFormat] = {
         delimiter="::",
         columns=("user", "item", "rating"),
         scale=RatingScale(0.0, 10.0)),
-    "epinions": DatasetFormat(
+    "custom": DatasetFormat(
         delimiter=None,
         columns=("user", "item", "rating"),
         scale=RatingScale(1.0, 5.0)),
@@ -76,8 +78,6 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
     # undecodable bytes become lone surrogates, so they fail on their own line
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if lineno <= fmt.header_lines:
-                continue
             line = raw.rstrip("\n")
             if not line.strip():
                 continue

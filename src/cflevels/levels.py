@@ -20,6 +20,13 @@ MIN_CO_RATED = 5
 NEGATIVE_FORMS = ("eq4", "eq8", "alg1")
 
 
+def _check_form(negative_form: str) -> None:
+    """Reject a below-threshold formula name outside ``NEGATIVE_FORMS``."""
+    if negative_form not in NEGATIVE_FORMS:
+        raise ValueError(f"unknown negative_form {negative_form!r}; "
+                         f"expected one of {', '.join(NEGATIVE_FORMS)}")
+
+
 def _round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
@@ -65,7 +72,7 @@ class LevelTable:
     dvu: int
     dvi: int
     step: int
-    min_co_rated: int = MIN_CO_RATED
+    min_co_rated = MIN_CO_RATED  # a class constant, not a field: no table sets it
 
     def divisor_for(self, co_rated: int) -> int | None:
         """Band divisor for a co-rated count, or None below the minimum."""
@@ -108,9 +115,7 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
     s * (1/(1 + s^2) - 1), which flips sign. ``alg1``: the eq4 value divided
     by 6. The alternates exist for experimentation only.
     """
-    if negative_form not in NEGATIVE_FORMS:
-        raise ValueError(f"unknown negative_form {negative_form!r}; "
-                         f"expected one of {', '.join(NEGATIVE_FORMS)}")
+    _check_form(negative_form)
     divisor = table.divisor_for(co_rated)
     if divisor is not None:
         return score + score / divisor

@@ -15,11 +15,11 @@ downstream.
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from typing import Callable
 
-from .levels import NEGATIVE_FORMS, LevelTable, apply_dynamic, build_level_table
+from .levels import _check_form, apply_dynamic, build_level_table
 from .ratings import RatingsMatrix
 
 
@@ -60,6 +60,10 @@ def _check_count(what: str, value: float) -> None:
     """Reject a co-rated-count threshold that is not a finite number >= 1."""
     if not 1 <= value < math.inf:
         raise ValueError(f"{what} must be finite and >= 1, got {value}")
+
+
+# dynamic's bands by (user count, item count), the only inputs they have
+_band_table = functools.lru_cache(maxsize=64)(build_level_table)
 
 
 def apply_wpcc(score: float, co_rated: int, threshold: int) -> float:
@@ -114,7 +118,8 @@ class SimilarityMethod:
     the pair and the matrix, so a method instance can be shared freely
     across threads. ``adjust`` must map a zero Pearson base to a score <= 0:
     similarity rows leave out users who share no item with the target on
-    the strength of it.
+    the strength of it. A :class:`SimilarityCache` makes that zero-base call
+    when it is made, so a matrix too small for the method fails there.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
@@ -164,17 +169,8 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
         return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
                                 {"t": t, "y": y})
     if name == "dynamic":
-        if negative_form not in NEGATIVE_FORMS:
-            raise ValueError(f"unknown negative_form {negative_form!r}; "
-                             f"expected one of {', '.join(NEGATIVE_FORMS)}")
-        # one band table per matrix, derived on first use
-        tables: weakref.WeakKeyDictionary[RatingsMatrix, LevelTable] = weakref.WeakKeyDictionary()
-
-        def dynamic(s: float, co: int, m: RatingsMatrix) -> float:
-            table = tables.get(m)
-            if table is None:
-                table = tables[m] = build_level_table(m.user_count, m.item_count)
-            return apply_dynamic(s, co, table, negative_form)
-
-        return SimilarityMethod("dynamic", dynamic, {"negative_form": negative_form})
+        _check_form(negative_form)
+        return SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
+            s, co, _band_table(m.user_count, m.item_count), negative_form),
+            {"negative_form": negative_form})
     raise ValueError(f"unknown similarity method {name!r}; expected one of {', '.join(METHOD_NAMES)}")

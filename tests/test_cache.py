@@ -163,11 +163,12 @@ class TestGetOrCompute:
         calls = []
 
         def adjust(s, co, m_):
-            calls.append(s)
+            calls.append((s, co))
             return s
 
         counting = SimilarityMethod("pcc", adjust)
         cache = fresh_cache(m, counting)
+        assert calls == [(0.0, 0)]  # the zero-base call of a cache being made
         for ia in range(m.user_count):
             cache.row(ia)
         entries = [(ia, ib, s) for ia, row in cache.rows.items() for ib, s in row.items()]
@@ -178,7 +179,7 @@ class TestGetOrCompute:
         rows = m._by_user
         nonzero = [1 for i, a in enumerate(users) for j in range(i + 1, len(users))
                    if rows[i].keys() & rows[j].keys() and PCC.score(a, users[j], m) != 0.0]
-        assert len(calls) == len(nonzero)
+        assert len(calls) == 1 + len(nonzero)
 
     def test_transparency_bit_for_bit(self, scale):
         rng = random.Random(28)

@@ -8,11 +8,12 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import oracles
-from cflevels import build_level_table
+from cflevels import build_level_table, build_matrix, evaluate
 from cflevels.cli import main, parse_k_sweep
 
 SAMPLE_LINES = "\n".join(f"{u} {i} {v:g}" for u, i, v in oracles.SAMPLE_RECORDS) + "\n"
@@ -56,6 +57,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: {path}: no ratings" in err
+
+    @pytest.mark.parametrize("command", [
+        *(["evaluate", "--seed", str(seed)] for seed in range(1, 7)),
+        *(["topn", "--r", "2", "--seed", str(seed)] for seed in range(1, 7)),
+        *(["recommend", "--r", "2", "--user", user] for user in ("u1", "u2", "u3")),
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_dynamic_needs_enough_users_whatever_the_pairs(self, command, tmp_path, capsys):
+        # whether a pair ever reaches the adjuster depends on the seed or the
+        # user; the 10-user floor of the dynamic bands must not (a train
+        # split may hold 2 users or 3)
+        path = tmp_path / "three.txt"
+        path.write_text("u1 i1 5\nu1 i2 3\nu2 i1 4\nu2 i2 2\nu3 i1 1\n", encoding="utf-8")
+        assert main(command + ["--ratings", str(path), "--method", "dynamic"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: level derivation needs at least 10 users, got ")
 
     def test_unknown_user(self, sample_file, capsys):
         rc = main(["recommend", "--ratings", sample_file,
@@ -378,6 +395,21 @@ class TestSweepShape:
         assert rc == 0
         _, rows = rows_of(capsys.readouterr().out)
         assert [r[2] for r in rows] == ["fold=0", "fold=1", "fold=2", "fold=avg"]
+
+    def test_one_fold_alive_at_a_time(self, bench_file, monkeypatch):
+        # every train matrix the sweep was handed is gone before the next is built
+        built, alive = [], []
+
+        def tracked(records, scale):
+            alive.append(sum(ref() is not None for ref in built))
+            m = build_matrix(records, scale)
+            built.append(weakref.ref(m))
+            return m
+
+        monkeypatch.setattr(evaluate, "build_matrix", tracked)
+        assert main(["evaluate", "--ratings", bench_file, "--methods", "pcc,dynamic",
+                     "--folds", "4", "--k", "5", "--output", os.devnull]) == 0
+        assert alive == [0, 0, 0, 0]
 
     def test_duplicate_methods_collapse(self, bench_file, capsys):
         rc = main(["evaluate", "--ratings", bench_file, "--methods", "pcc,pcc"])

@@ -73,7 +73,7 @@ class TestKfoldSplit:
         ratings = oracles.random_ratings(rng, n_users=15, n_items=12, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
         n = len(m.records())
-        pairs = kfold_split(m, 4, seed=9)
+        pairs = list(kfold_split(m, 4, seed=9))
         assert len(pairs) == 4
         all_test = [rec for _, test in pairs for rec in test]
         assert sorted(all_test) == m.records()          # each record tests once
@@ -245,7 +245,7 @@ class TestRunExperiment:
         rng = random.Random(99)
         ratings = oracles.random_ratings(rng, n_users=20, n_items=15, density=0.55)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
-        folds = kfold_split(m, 3, seed=1)
+        folds = list(kfold_split(m, 3, seed=1))
         reports = [rep for f, (train, test) in enumerate(folds)
                    for rep in run_experiment(train, test, make_method("pcc"), fold=f,
                                              ks=(5,), metrics="accuracy")]

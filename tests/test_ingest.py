@@ -23,6 +23,9 @@ class TestFormats:
         assert mt.delimiter == "::" and mt.scale == RatingScale(0.0, 10.0)
         ep = FORMATS["epinions"]
         assert ep.delimiter is None and ep.scale == RatingScale(1.0, 5.0)
+        # the CLI's default layout
+        assert FORMATS["custom"] == DatasetFormat(None, ("user", "item", "rating"),
+                                                  RatingScale(1.0, 5.0))
 
     def test_roles_validated(self):
         with pytest.raises(ValueError):
@@ -113,12 +116,6 @@ class TestParseRatings:
             records = parse_ratings(path, FORMATS["epinions"], skip_bad_lines=True)
         assert len(records) == 2
         assert "rejected 2 bad line(s)" in caplog.text
-
-    def test_header_lines_skipped(self, tmp_path):
-        fmt = DatasetFormat(None, ("user", "item", "rating"), RatingScale(1, 5),
-                            header_lines=1)
-        path = write(tmp_path, "hdr.txt", "user item rating\na i1 3\n")
-        assert len(parse_ratings(path, fmt)) == 1
 
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "crlf.txt"

@@ -140,21 +140,44 @@ class TestDynamicSim:
                         got = method.score(a, b, m)
                         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_method_wrapper_reuses_one_table(self, scale, monkeypatch):
+    def test_method_derives_one_table_per_shape(self, scale):
         rng = random.Random(7)
         ratings = oracles.random_ratings(rng, n_users=16, n_items=30, density=0.5)
         m = build_matrix(oracles.ratings_to_records(ratings), scale)
         method, pearson = make_method("dynamic"), make_method("pcc")
         table = build_level_table(m.user_count, m.item_count)
-        derived = []
-        monkeypatch.setattr(similarity, "build_level_table",
-                            lambda users, items: derived.append((users, items)) or table)
+        similarity._band_table.cache_clear()
         users = sorted(ratings)
         for i, a in enumerate(users):
             for b in users[i + 1:]:
                 co = len(oracles.overlap(ratings, a, b))
                 assert method.score(a, b, m) == apply_dynamic(pearson.score(a, b, m), co, table)
-        assert derived == [(m.user_count, m.item_count)]
+        info = similarity._band_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits == len(users) * (len(users) - 1) // 2 - 1
+
+    def test_bands_follow_each_matrix_shape(self, scale):
+        # one pair with 5 co-rated items, padded out to three shapes whose
+        # bands put 5 co-rated items at divisor 1, 2 and 3: a band table
+        # remembered by anything but (user count, item count) misreads one
+        pair = [("a", f"i{n}", float(va)) for n, va in enumerate((1, 2, 3, 4, 5))] + [
+            ("b", f"i{n}", float(vb)) for n, vb in enumerate((2, 1, 4, 3, 5))]
+
+        def padded(users, items):
+            extra = [(f"p{n}", "i0", 3.0) for n in range(users - 2)]
+            extra += [("p0", f"i{n}", 3.0) for n in range(5, items)]
+            return build_matrix(pair + extra, scale)
+
+        method = make_method("dynamic")
+        divisors = []
+        for users, items in ((10, 16), (10, 400), (400, 400)):
+            m = padded(users, items)
+            assert (m.user_count, m.item_count) == (users, items)
+            ratings = oracles.records_to_dict(m.records())
+            want = oracles.dynamic_adjusted(ratings, "a", "b", users, items, "eq4")
+            assert method.score("a", "b", m) == pytest.approx(want, abs=1e-12)
+            divisors.append(build_level_table(users, items).divisor_for(5))
+        assert divisors == [1, 2, 3]
 
     def test_method_requires_enough_users(self, sample_matrix):
         # the 4-user sample is below the 10-user derivation floor
