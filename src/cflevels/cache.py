@@ -47,7 +47,10 @@ class SimilarityCache:
     """
 
     def __init__(self, sim: SimilarityMethod, m: RatingsMatrix) -> None:
-        sim.adjust(0.0, 0, m)  # derives dynamic's bands, or refuses m, up front
+        # derives dynamic's bands, or refuses m, up front; rows rest on its answer
+        if sim.adjust(0.0, 0, m) > 0.0:
+            raise ValueError(f"method {sim.name!r} scores a zero Pearson base above 0, "
+                             "so its similarity rows would leave out pairs it rates")
         self.sim = sim
         self.m = m
         # shared by siblings: their methods by slot, and each built user's

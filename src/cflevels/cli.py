@@ -294,6 +294,8 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     """
     matrix = load_matrix(args)
     methods = resolve_methods(args)
+    for method in methods:  # the whole file meets each floor; each split must too
+        method.adjust(0.0, 0, matrix)
     ks = args.k_sweep or [args.k]
     if args.folds is not None:
         splits = kfold_split(matrix, args.folds, args.seed)

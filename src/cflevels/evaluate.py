@@ -143,16 +143,17 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                    cache: SimilarityCache | None = None) -> list[dict]:
     """All metrics for one already-made split; one plain value dict per k of ``ks``.
 
-    Test records and test users are walked in sorted order so every
-    accumulated float is order-stable regardless of how the split was
-    produced. Rating accuracy asks each test user's row for the raters of
-    its test items only, once per user; top-N ranking asks for full rows.
-    Without a ``cache`` the call makes one for ``method`` and ``train``.
-    Each test record is predicted once at the largest k, and that value
-    serves every k at or above its support, since the top k raters are then
-    all of its positive raters; only a smaller k predicts it again. Top-N
-    ranks each test user once per k. Every argument, the cache included, is
-    checked before any row is built, whatever the test records.
+    One walk over the test users, in sorted order, serves both metric groups
+    and every k, so every accumulated float is order-stable regardless of
+    how the split was produced. Each known test user's row is built once:
+    against the raters of its test items under ``"accuracy"``, whole
+    whenever top-N ranks. Without a ``cache`` the call makes one for
+    ``method`` and ``train``. Each test record is predicted once at the
+    largest k, and that value serves every k at or above its support, since
+    the top k raters are then all of its positive raters; only a smaller k
+    predicts it again. Top-N ranks each known test user once per k against
+    one relevant set. Every argument, the cache included, is checked before
+    any row is built, whatever the test records.
     """
     ks = tuple(ks)
     if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
@@ -165,25 +166,27 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
         raise ValueError(f"unknown metrics group {metrics!r}; expected one of {', '.join(METRIC_GROUPS)}")
     if not math.isfinite(relevance):
         raise ValueError(f"relevance must be finite, got {relevance}")
-    cache = _checked_cache(max(ks), method, train, cache, prediction)
+    top = max(ks)
+    cache = _checked_cache(top, method, train, cache, prediction)
 
-    outs: list[dict] = [{**dict.fromkeys(METRICS), "coverage": 0} for _ in ks]
+    accuracy, topn = metrics != "topn", metrics != "accuracy"
     by_user: dict[str, list[RatingRecord]] = {}
     for rec in test:
         by_user.setdefault(rec.user, []).append(rec)
-
-    if metrics in ("all", "accuracy"):
-        pairs: list[list[PredictionPair]] = [[] for _ in ks]
-        misses = 0
-        top = max(ks)
-        users, items = train._user_index, train._item_index
-        for user in sorted(by_user):
-            recs = by_user[user]
-            ia = users.get(user)
-            if ia is None:
-                misses += len(recs)
-                continue
-            cache.row(ia, {ii for rec in recs if (ii := items.get(rec.item)) is not None})
+    pairs: list[list[PredictionPair]] = [[] for _ in ks]
+    per_user: list[list[tuple[float, float, float]]] = [[] for _ in ks]
+    hit_counts: list[list[int]] = [[] for _ in ks]
+    misses = 0
+    users, items = train._user_index, train._item_index
+    for user in sorted(by_user):
+        recs = by_user[user]
+        ia = users.get(user)
+        if ia is None:
+            misses += len(recs)
+        elif accuracy:
+            # the one row request: ranking below reads the full row too
+            cache.row(ia, None if topn else
+                      {ii for rec in recs if (ii := items.get(rec.item)) is not None})
             for rec in sorted(recs, key=lambda t: t.item):
                 p = predict(user, rec.item, top, method, train, cache, prediction)
                 if p is None:
@@ -195,40 +198,30 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                     else:
                         q = p
                     k_pairs.append(PredictionPair(q.value, rec.value))
-        for out, k_pairs in zip(outs, pairs):
+        if topn:
+            relevant = {rec.item for rec in recs if rec.value >= relevance}
+            for k, k_users, k_hits in zip(ks, per_user, hit_counts):
+                ranked = [] if ia is None else [item for item, _ in recommend_top_n(
+                    user, r, k, method, train, cache=cache, mode=prediction)]
+                k_hits.append(len(relevant.intersection(ranked)) if hit_def == "correct"
+                              else len(ranked))
+                if relevant:
+                    k_users.append(precision_recall_f1(ranked, relevant))
+
+    outs: list[dict] = []
+    for k_pairs, k_users, k_hits in zip(pairs, per_user, hit_counts):
+        out = {**dict.fromkeys(METRICS), "coverage": 0}
+        if accuracy:
+            out["coverage"] = misses
             if k_pairs:
                 m_value = mae(k_pairs)
-                out["mae"] = m_value
-                out["nmae"] = nmae(m_value, train.scale)
-                out["rmse"] = rmse(k_pairs)
-            out["coverage"] = misses
-
-    if metrics in ("all", "topn"):
-        for k, out in zip(ks, outs):
-            per_user: list[tuple[float, float, float]] = []
-            hit_counts: list[int] = []
-            for user in sorted(by_user):
-                if train.has_user(user):
-                    recs = [item for item, _ in recommend_top_n(
-                        user, r, k, method, train, cache=cache, mode=prediction)]
-                else:
-                    recs = []
-                relevant = {rec.item for rec in by_user[user] if rec.value >= relevance}
-                correct = len(set(recs) & relevant)
-                hit_counts.append(correct if hit_def == "correct" else len(recs))
-                if relevant:
-                    per_user.append(precision_recall_f1(recs, relevant))
-            if per_user:
-                precision = math.fsum(p for p, _, _ in per_user) / len(per_user)
-                recall = math.fsum(r_ for _, r_, _ in per_user) / len(per_user)
-            else:
-                precision = 0.0
-                recall = 0.0
-            out["precision"] = precision
-            out["recall"] = recall
-            out["f1"] = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-            out["hit_rate_pct"] = hit_rate(hit_counts)
-
+                out.update(mae=m_value, nmae=nmae(m_value, train.scale), rmse=rmse(k_pairs))
+        if topn:
+            precision = math.fsum(p for p, _, _ in k_users) / len(k_users) if k_users else 0.0
+            recall = math.fsum(r_ for _, r_, _ in k_users) / len(k_users) if k_users else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+            out.update(precision=precision, recall=recall, f1=f1, hit_rate_pct=hit_rate(k_hits))
+        outs.append(out)
     return outs
 
 

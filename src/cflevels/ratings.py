@@ -106,9 +106,6 @@ class RatingsMatrix:
     def items(self) -> tuple[str, ...]:
         return self._items
 
-    def has_user(self, user: str) -> bool:
-        return user in self._user_index
-
     # -- lookups -------------------------------------------------------
 
     def rating(self, user: str, item: str) -> float | None:

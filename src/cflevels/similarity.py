@@ -119,7 +119,8 @@ class SimilarityMethod:
     across threads. ``adjust`` must map a zero Pearson base to a score <= 0:
     similarity rows leave out users who share no item with the target on
     the strength of it. A :class:`SimilarityCache` makes that zero-base call
-    when it is made, so a matrix too small for the method fails there.
+    when it is made and refuses a method that breaks the rule, so such a
+    method, or a matrix too small for it, fails there.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],

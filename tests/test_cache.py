@@ -9,6 +9,7 @@ import pytest
 
 import _synth
 import cflevels.cache
+import cflevels.evaluate
 import oracles
 from cflevels import (RatingScale, SimilarityCache,
                       SimilarityMethod, UnknownUserError, build_matrix,
@@ -253,6 +254,15 @@ class TestRows:
             for base in (0.0, -0.0):
                 assert sim.adjust(base, co, m) <= 0.0
 
+    def test_method_scoring_a_zero_base_above_0_is_refused(self, sample_matrix):
+        # its rows would leave out users with no co-rated item, whom it rates 1.0
+        shifted = SimilarityMethod("shifted", lambda s, co, m: s + 1.0)
+        for make in (lambda: fresh_cache(sample_matrix, shifted),
+                     lambda: SimilarityCache.siblings([PCC, shifted], sample_matrix),
+                     lambda: predict("u1", "i1", 3, shifted, sample_matrix)):
+            with pytest.raises(ValueError, match="'shifted' scores a zero Pearson base above 0"):
+                make()
+
     def test_threads_sharing_a_cache_see_only_whole_rows(self, scale):
         # sweep threads share one sibling set per fold; a row read while still
         # being built, or reused from a user whose siblings are only partly
@@ -404,24 +414,39 @@ class TestDemand:
         assert restricted == len(needed)
         assert restricted < 0.8 * full
 
-    def test_all_scores_no_more_pairs_than_topn(self, base_calls):
-        # "all" grows each test user's accuracy rows to full rows for ranking
+    def test_all_scores_no_more_pairs_than_topn(self, base_calls, monkeypatch):
+        # "all" asks each known test user for its full row once, up front, so
+        # its accuracy predictions and its rankings read the one row
         records = _synth.planted_records(seed=3, n_users=220, n_items=150)
         train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
+        known = {rec.user for rec in test if train._user_index.get(rec.user) is not None}
+        builds, ranks = [], []
+        build, rank = SimilarityCache._build, cflevels.evaluate.recommend_top_n
+        monkeypatch.setattr(SimilarityCache, "_build",
+                            lambda self, ia, *rest: builds.append(ia) or build(self, ia, *rest))
+        monkeypatch.setattr(cflevels.evaluate, "recommend_top_n",
+                            lambda a, r, k, *rest, **kw: ranks.append((a, k)) or rank(a, r, k, *rest, **kw))
 
         def scored(metrics):
             base_calls.clear()
-            (report,) = evaluate_split(train, test, PCC, ks=(20,), r=5, relevance=4.0,
-                                       metrics=metrics)
-            return report, len(base_calls)
+            builds.clear()
+            ranks.clear()
+            reports = evaluate_split(train, test, PCC, ks=(3, 20), r=5, relevance=4.0,
+                                     metrics=metrics)
+            return reports, len(base_calls)
 
         accuracy, _ = scored("accuracy")
         topn, topn_pairs = scored("topn")
+        assert sorted(ranks) == sorted((user, k) for user in known for k in (3, 20))
         both, both_pairs = scored("all")
         assert topn_pairs > 1000
-        assert both_pairs <= topn_pairs
-        assert both == {**accuracy, **{name: topn[name] for name in
-                                       ("precision", "recall", "f1", "hit_rate_pct")}}
+        assert both_pairs == topn_pairs
+        users = train.users()
+        assert sorted(users[ia] for ia in builds) == sorted(known)  # one build per known user
+        assert sorted(ranks) == sorted((user, k) for user in known for k in (3, 20))
+        assert both == [{**acc, **{name: top[name] for name in
+                                   ("precision", "recall", "f1", "hit_rate_pct")}}
+                        for acc, top in zip(accuracy, topn)]
 
     def test_threads_sharing_a_restricted_cache_see_only_whole_rows(self, scale):
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)

@@ -65,14 +65,14 @@ class TestExitCodes:
     ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
     def test_dynamic_needs_enough_users_whatever_the_pairs(self, command, tmp_path, capsys):
         # whether a pair ever reaches the adjuster depends on the seed or the
-        # user; the 10-user floor of the dynamic bands must not (a train
-        # split may hold 2 users or 3)
+        # user; the 10-user floor of the dynamic bands must not, and the error
+        # counts the file's users, not a train split's (which may hold 2 or 3)
         path = tmp_path / "three.txt"
         path.write_text("u1 i1 5\nu1 i2 3\nu2 i1 4\nu2 i2 2\nu3 i1 1\n", encoding="utf-8")
         assert main(command + ["--ratings", str(path), "--method", "dynamic"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: level derivation needs at least 10 users, got ")
+        assert err.startswith("error: level derivation needs at least 10 users, got 3\n")
 
     def test_unknown_user(self, sample_file, capsys):
         rc = main(["recommend", "--ratings", sample_file,

@@ -369,7 +369,7 @@ class TestKSweep:
         # positively similar. Every smaller k below a support asks again.
         cache = SimilarityCache(sim, train)
         supports = [p.support if (p := predict(rec.user, rec.item, max(ks), sim, train, cache))
-                    else 0 for rec in test if train.has_user(rec.user)]
+                    else 0 for rec in test if rec.user in train.users()]
         again = {k: sum(1 for s in supports if s > k) for k in ks[:-1]}
         assert calls.count(max(ks)) == len(supports)
         assert {k: calls.count(k) for k in ks[:-1]} == again

@@ -60,7 +60,8 @@ def test_stdout_matches_golden(fixture, planted_file, capsys):
 
 @pytest.mark.parametrize("fixture", sorted(RUNS))
 def test_threaded_stdout_matches_golden(fixture, planted_file, capsys):
-    # one thread per fold; a fold's rows serve all its methods and k values
+    # --jobs starts no thread: the folds run in order, whatever it is, and a
+    # fold's rows serve all its methods and k values
     assert main(golden_argv(fixture, planted_file, jobs=8)) == 0
     out, err = capsys.readouterr()
     assert err == ""
