@@ -21,12 +21,14 @@ builds a user's row for every sibling at once, in one pass over the
 inverted index, computing each co-rater's (Pearson, co-rated count) base
 with the same overlap kernel as :meth:`SimilarityMethod.score`, so every
 entry equals the pair score bit for bit. The bases are dropped once the
-rows are filled. A user who shares no item with the target has a zero
-Pearson base, which every adjuster maps to a score <= 0, so leaving such
-users out loses nothing. A user's coverage and rows under all siblings are
-published together, once complete, and a published row is never changed,
-so threads sharing a sibling set never read a half-built row nor reuse a
-user whose rows are only partly published.
+rows are filled. Every pair with a zero Pearson base is left out: users
+who share fewer than two items, or whose overlap has no variance. A cache
+refuses a method that scores a zero base above 0 at any co-rated count a
+pair of its matrix can have, so leaving them out loses nothing. A user's
+coverage and rows under all siblings are published together, once
+complete, and a published row is never changed, so threads sharing a
+sibling set never read a half-built row nor reuse a user whose rows are
+only partly published.
 """
 
 from __future__ import annotations
@@ -47,10 +49,14 @@ class SimilarityCache:
     """
 
     def __init__(self, sim: SimilarityMethod, m: RatingsMatrix) -> None:
-        # derives dynamic's bands, or refuses m, up front; rows rest on its answer
-        if sim.adjust(0.0, 0, m) > 0.0:
-            raise ValueError(f"method {sim.name!r} scores a zero Pearson base above 0, "
-                             "so its similarity rows would leave out pairs it rates")
+        # derives dynamic's bands, or refuses m, up front. Rows leave out every
+        # pair with a zero base, so its score must be <= 0 at each co-rated
+        # count a pair can have: at most the longest user row
+        for co in range(max(map(len, m._by_user), default=0) + 1):
+            if sim.adjust(0.0, co, m) > 0.0:
+                raise ValueError(f"method {sim.name!r} scores a zero Pearson base above 0 "
+                                 f"at co-rated count {co}, so its similarity rows would "
+                                 "leave out pairs it rates")
         self.sim = sim
         self.m = m
         # shared by siblings: their methods by slot, and each built user's

@@ -9,7 +9,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .cache import SimilarityCache
 from .errors import (CfLevelsError, ConfigError, TooFewItemsError,
@@ -266,7 +265,7 @@ def resolve_format(args: argparse.Namespace) -> DatasetFormat:
     rmax = args.scale_max if args.scale_max is not None else fmt.scale.rmax
     if rmin >= rmax:
         raise ConfigError(f"--scale-min must be below --scale-max, got {rmin} >= {rmax}")
-    return replace(fmt, delimiter=delimiter, scale=RatingScale(rmin, rmax))
+    return DatasetFormat(delimiter, fmt.columns, RatingScale(rmin, rmax))
 
 
 def load_matrix(args: argparse.Namespace):
@@ -362,7 +361,7 @@ def cmd_levels(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = run_sweep(args, metrics="accuracy")
     if args.metric != "all":
-        rows = [replace(row, **{name: None for name in ERROR_METRICS if name != args.metric})
+        rows = [row._replace(**{name: None for name in ERROR_METRICS if name != args.metric})
                 for row in rows]
     write_rows(args, rows)
     return 0

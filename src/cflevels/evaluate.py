@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, field, make_dataclass
+from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .cache import SimilarityCache
@@ -25,18 +25,21 @@ class PredictionPair(NamedTuple):
     actual: float
 
 
-EvalReport = make_dataclass(
-    "EvalReport",
-    [("method", str), ("k", int), ("params", dict, field(default_factory=dict)),
-     *((name, float | None, None) for name in METRICS),
-     ("coverage", int, 0), ("seconds", float, 0.0)],
-    namespace={"__module__": __name__}, frozen=True)
-EvalReport.__doc__ = """Metric results for one experiment configuration.
+class EvalReport(namedtuple("EvalReport",
+                            ("method", "k", "params", *METRICS, "coverage", "seconds"),
+                            defaults=(None, *(None for _ in METRICS), 0, 0.0))):
+    """Metric results for one experiment configuration.
 
-One field per name in ``METRICS``. Metrics outside the requested group are
-None, as are error metrics when no test pair was predictable. ``coverage``
-counts the test records that got no prediction.
-"""
+    One field per name in ``METRICS``. Metrics outside the requested group are
+    None, as are error metrics when no test pair was predictable. ``coverage``
+    counts the test records that got no prediction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, method: str, k: int, params: dict | None = None, *rest, **named) -> EvalReport:
+        # each report gets its own params dict, never one shared default
+        return super().__new__(cls, method, k, {} if params is None else params, *rest, **named)
 
 
 def _shuffled_records(m: RatingsMatrix, seed: int) -> list[RatingRecord]:
@@ -298,7 +301,7 @@ def _cell(value) -> str:
 
 def _rows(reports: list[EvalReport], include_timing: bool) -> list[dict]:
     """Each report as a field dict; ``seconds`` is None unless timing is wanted."""
-    return [{**asdict(rep), "seconds": rep.seconds if include_timing else None}
+    return [{**rep._asdict(), "seconds": rep.seconds if include_timing else None}
             for rep in reports]
 
 

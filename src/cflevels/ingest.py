@@ -2,40 +2,51 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedLineError, OutOfScaleRatingError
 from .ratings import RatingRecord, RatingScale
 
-log = logging.getLogger(__name__)
-
 _ROLES = ("user", "item", "rating", "ignored")
 
 
-@dataclass(frozen=True)
-class DatasetFormat:
+class _Layout(NamedTuple):
+    delimiter: str | None
+    columns: tuple[str, ...]
+    scale: RatingScale
+
+
+class DatasetFormat(_Layout):
     """Column layout of a ratings file.
 
     ``delimiter`` None splits on any whitespace run; an empty one is
     refused. ``columns`` names each field's role in order; exactly one each
     of user, item and rating, any number of ignored fields. Lines may carry
     extra trailing fields beyond the declared columns; those are ignored.
+
+    An immutable named tuple. Every way to make one (the constructor,
+    ``_replace``, ``_make``, unpickling) goes through ``_make``, which
+    checks the layout.
     """
 
-    delimiter: str | None
-    columns: tuple[str, ...]
-    scale: RatingScale
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delimiter == "":
+    def __new__(cls, delimiter: str | None, columns: tuple[str, ...],
+                scale: RatingScale) -> DatasetFormat:
+        return cls._make((delimiter, columns, scale))
+
+    @classmethod
+    def _make(cls, iterable) -> DatasetFormat:
+        fmt = super()._make(iterable)
+        if fmt.delimiter == "":
             raise ValueError("delimiter must be None or non-empty, got ''")
-        for role in self.columns:
+        for role in fmt.columns:
             if role not in _ROLES:
                 raise ValueError(f"unknown column role {role!r}")
         for role in ("user", "item", "rating"):
-            if self.columns.count(role) != 1:
-                raise ValueError(f"columns must name {role!r} exactly once, got {self.columns}")
+            if fmt.columns.count(role) != 1:
+                raise ValueError(f"columns must name {role!r} exactly once, got {fmt.columns}")
+        return fmt
 
 
 # the --format choices in --help order; "custom" is the default layout
@@ -102,10 +113,14 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
             except (MalformedLineError, OutOfScaleRatingError) as exc:
                 if not skip_bad_lines:
                     raise
-                log.warning("skipping bad line: %s", exc)
+                import logging
+
+                logging.getLogger(__name__).warning("skipping bad line: %s", exc)
                 rejected += 1
                 continue
             records.append(RatingRecord(parts[user_at], parts[item_at], value))
     if rejected:
-        log.warning("%s: rejected %d bad line(s)", path, rejected)
+        import logging
+
+        logging.getLogger(__name__).warning("%s: rejected %d bad line(s)", path, rejected)
     return records

@@ -11,7 +11,7 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TooFewItemsError, TooFewUsersError
 
@@ -52,8 +52,7 @@ def derive_step(dvi: int, dvu: int) -> int:
     return max(1, _round_half_away(dvi / dvu))
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """One contiguous co-rated-count range; ``upper`` None means unbounded."""
 
     lower: int
@@ -64,8 +63,7 @@ class Band:
         return co_rated >= self.lower and (self.upper is None or co_rated <= self.upper)
 
 
-@dataclass(frozen=True)
-class LevelTable:
+class LevelTable(NamedTuple):
     """Ordered bands (descending co-rated count) plus the derivation inputs."""
 
     bands: tuple[Band, ...]

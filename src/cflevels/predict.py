@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cache import SimilarityCache
 from .errors import UnknownUserError
@@ -14,8 +14,7 @@ from .similarity import SimilarityMethod
 PREDICTION_MODES = ("resnick", "weighted_mean")
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """A predicted rating and the number of neighbors that backed it."""
 
     user: str

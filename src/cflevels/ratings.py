@@ -9,24 +9,38 @@ accumulations are identical from run to run regardless of hash seeding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfScaleRatingError, UnknownUserError
 
 
-@dataclass(frozen=True)
-class RatingScale:
-    """Inclusive bounds of the rating range, e.g. 1-5 or 0-10."""
-
+class _Bounds(NamedTuple):
     rmin: float
     rmax: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rmin) and math.isfinite(self.rmax)):
-            raise ValueError(f"rating scale bounds must be finite, got [{self.rmin}, {self.rmax}]")
-        if not self.rmin < self.rmax:
-            raise ValueError(f"rating scale requires rmin < rmax, got [{self.rmin}, {self.rmax}]")
+
+class RatingScale(_Bounds):
+    """Inclusive bounds of the rating range, e.g. 1-5 or 0-10.
+
+    An immutable named tuple. Every way to make one (the constructor,
+    ``_replace``, ``_make``, unpickling) goes through ``_make``, which
+    checks the bounds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rmin: float, rmax: float) -> RatingScale:
+        return cls._make((rmin, rmax))
+
+    @classmethod
+    def _make(cls, iterable) -> RatingScale:
+        scale = super()._make(iterable)
+        rmin, rmax = scale
+        if not (math.isfinite(rmin) and math.isfinite(rmax)):
+            raise ValueError(f"rating scale bounds must be finite, got [{rmin}, {rmax}]")
+        if not rmin < rmax:
+            raise ValueError(f"rating scale requires rmin < rmax, got [{rmin}, {rmax}]")
+        return scale
 
     @property
     def span(self) -> float:

@@ -116,11 +116,12 @@ class SimilarityMethod:
     ``score(a, b, m)`` computes (Pearson, co-rated count) for the pair and
     hands both to ``adjust(pcc, co_rated, m)``. Both are pure functions of
     the pair and the matrix, so a method instance can be shared freely
-    across threads. ``adjust`` must map a zero Pearson base to a score <= 0:
-    similarity rows leave out users who share no item with the target on
-    the strength of it. A :class:`SimilarityCache` makes that zero-base call
-    when it is made and refuses a method that breaks the rule, so such a
-    method, or a matrix too small for it, fails there.
+    across threads. ``adjust`` must map a zero Pearson base to a score <= 0
+    at every co-rated count: similarity rows leave out every zero-base pair
+    on the strength of it. A :class:`SimilarityCache` makes one zero-base
+    call per co-rated count a pair of its matrix can have when it is made,
+    and refuses a method that breaks the rule, so such a method, or a
+    matrix too small for it, fails there.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],

@@ -169,7 +169,9 @@ class TestGetOrCompute:
 
         counting = SimilarityMethod("pcc", adjust)
         cache = fresh_cache(m, counting)
-        assert calls == [(0.0, 0)]  # the zero-base call of a cache being made
+        # the zero-base calls of a cache being made, one per reachable count
+        probes = [(0.0, co) for co in range(max(map(len, m._by_user)) + 1)]
+        assert calls == probes
         for ia in range(m.user_count):
             cache.row(ia)
         entries = [(ia, ib, s) for ia, row in cache.rows.items() for ib, s in row.items()]
@@ -180,7 +182,7 @@ class TestGetOrCompute:
         rows = m._by_user
         nonzero = [1 for i, a in enumerate(users) for j in range(i + 1, len(users))
                    if rows[i].keys() & rows[j].keys() and PCC.score(a, users[j], m) != 0.0]
-        assert len(calls) == 1 + len(nonzero)
+        assert len(calls) == len(probes) + len(nonzero)
 
     def test_transparency_bit_for_bit(self, scale):
         rng = random.Random(28)
@@ -262,6 +264,26 @@ class TestRows:
                      lambda: predict("u1", "i1", 3, shifted, sample_matrix)):
             with pytest.raises(ValueError, match="'shifted' scores a zero Pearson base above 0"):
                 make()
+
+    def test_method_scoring_a_zero_base_above_0_at_any_count_is_refused(self, scale):
+        # rows leave out every zero-base pair, not only those sharing no item:
+        # built, this method's rows would miss 112 pairs its score rates above 0
+        m = build_matrix(_synth.planted_records(seed=3, n_users=40, n_items=30), scale)
+        counted = SimilarityMethod("counted", lambda s, co, m_: s + 0.01 * co)
+        assert counted.adjust(0.0, 0, m) == 0.0  # passes a probe at count 0 alone
+        for make in (lambda: fresh_cache(m, counted),
+                     lambda: SimilarityCache.siblings([PCC, counted], m),
+                     lambda: predict("u000", "i000", 3, counted, m)):
+            with pytest.raises(ValueError, match="'counted' scores a zero Pearson base "
+                                                 "above 0 at co-rated count 1,"):
+                make()
+        # no pair co-rates more items than the longest row holds, so the
+        # probe stops there
+        longest = max(map(len, m._by_user))
+        at_longest = SimilarityMethod("at", lambda s, co, m_: s + (co == longest))
+        with pytest.raises(ValueError, match=f"at co-rated count {longest},"):
+            fresh_cache(m, at_longest)
+        fresh_cache(m, SimilarityMethod("beyond", lambda s, co, m_: s + (co > longest)))
 
     def test_threads_sharing_a_cache_see_only_whole_rows(self, scale):
         # sweep threads share one sibling set per fold; a row read while still

@@ -2,8 +2,8 @@
 
 import json
 import math
+import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -254,6 +254,20 @@ class TestRunExperiment:
         total_misses = sum(rep.coverage for rep in reports)
         assert total_misses <= total_test
 
+    def test_report_fields_defaults_and_fresh_params(self):
+        one, two = EvalReport("pcc", 5), EvalReport(method="pcc", k=5)
+        assert EvalReport._fields == ("method", "k", "params", "mae", "nmae", "rmse",
+                                      "precision", "recall", "f1", "hit_rate_pct",
+                                      "coverage", "seconds")
+        assert one == two == ("pcc", 5, {}, *[None] * 7, 0, 0.0)
+        assert one.params is not two.params  # no shared default to leak through
+        one.params["fold"] = 0
+        assert EvalReport("pcc", 5).params == {}
+        assert "counts the test records that got no prediction" in EvalReport.__doc__
+        full = EvalReport("dynamic", 9, {"fold": 1}, mae=0.5, coverage=3, seconds=1.5)
+        assert pickle.loads(pickle.dumps(full)) == full
+        assert full._replace(mae=None).mae is None and full.mae == 0.5
+
     def test_average_report(self):
         reports = [
             EvalReport("pcc", 5, {"fold": 0}, mae=1.0, nmae=0.25, rmse=1.5,
@@ -308,7 +322,7 @@ class TestKSweep:
         assert len({rep.seconds for rep in sweep}) == 1
         for rep in sweep:
             (single,) = run_experiment(*planted_split, sim, ks=(rep.k,), r=5, prediction=mode)
-            assert replace(rep, seconds=0.0) == replace(single, seconds=0.0)
+            assert rep._replace(seconds=0.0) == single._replace(seconds=0.0)
         assert sweep[0].mae != sweep[-1].mae
 
     def test_reports_follow_ks_order(self, planted_split):

@@ -1,6 +1,10 @@
 """Delimited rating-file parsing."""
 
 import logging
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +43,20 @@ class TestFormats:
         # str.split("") would fail later with a bare "empty separator"
         with pytest.raises(ValueError, match="delimiter"):
             DatasetFormat("", ("user", "item", "rating"), RatingScale(1, 5))
+
+    def test_every_way_to_make_one_checks_the_layout(self):
+        good = FORMATS["custom"]
+        for make, match in [
+                (lambda: good._replace(delimiter=""), "delimiter"),
+                (lambda: good._replace(columns=("user", "item")), "'rating' exactly once"),
+                (lambda: DatasetFormat._make((None, ("user", "item", "score"), good.scale)),
+                 "unknown column role 'score'"),
+                (lambda: DatasetFormat(delimiter=None, columns=("user", "user", "item", "rating"),
+                                       scale=good.scale), "'user' exactly once")]:
+            with pytest.raises(ValueError, match=match):
+                make()
+        assert good._replace(delimiter=",").delimiter == ","
+        assert pickle.loads(pickle.dumps(good)) == good
 
 
 class TestParseRatings:
@@ -116,6 +134,20 @@ class TestParseRatings:
             records = parse_ratings(path, FORMATS["epinions"], skip_bad_lines=True)
         assert len(records) == 2
         assert "rejected 2 bad line(s)" in caplog.text
+
+    def test_skipped_lines_are_reported_on_stderr(self, tmp_path):
+        # the command line's own stderr: no handler is configured, so each
+        # warning prints as its bare message
+        path = write(tmp_path, "mixed.txt", "a i1 3\nbroken\nb i2 9\nc i3 4\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-m", "cflevels", "recommend", "--ratings", path,
+                               "--user", "a", "--r", "1", "--skip-bad-lines"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "")
+        assert proc.stderr == (f"skipping bad line: {path}:2: expected 3 fields, got 1\n"
+                               f"skipping bad line: {path}:3: rating 9.0 outside scale "
+                               "[1.0, 5.0]\n"
+                               f"{path}: rejected 2 bad line(s)\n")
 
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "crlf.txt"

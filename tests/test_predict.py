@@ -376,11 +376,13 @@ class TestRecommendTopN:
         counting = SimilarityMethod("pcc", adjust)
         a = m.users()[0]
         got = recommend_top_n(a, 5, 3, counting, m)
-        # the zero-base call of the cache being made, then one row for a: each
-        # co-rater with a nonzero Pearson base is adjusted once
+        # the zero-base calls of the cache being made, one per co-rated count
+        # up to the longest row, then one row for a: each co-rater with a
+        # nonzero Pearson base is adjusted once
         bases = [(PCC.score(a, b, m), len(co)) for b in m.users()
                  if b != a and (co := oracles.overlap(ratings, a, b))]
-        want = sorted([(0.0, 0)] + [base for base in bases if base[0] != 0.0])
+        probes = [(0.0, co) for co in range(max(len(row) for row in ratings.values()) + 1)]
+        want = sorted(probes + [base for base in bases if base[0] != 0.0])
         assert len(want) > 6
         assert sorted((s, co) for s, co, _ in calls) == want
         assert got == recommend_top_n(a, 5, 3, counting, m, cache=SimilarityCache(counting, m))

@@ -1,6 +1,7 @@
 """Rating store construction, lookups, and canonical ordering."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,17 @@ class TestRatingScale:
     def test_rejects_infinite_bounds(self, bounds):
         with pytest.raises(ValueError, match="must be finite"):
             RatingScale(*bounds)
+
+    def test_every_way_to_make_one_checks_the_bounds(self):
+        good = RatingScale(1.0, 5.0)
+        for make in (lambda: RatingScale(5.0, 1.0), lambda: RatingScale(rmin=1.0, rmax=1.0),
+                     lambda: good._replace(rmax=0.5), lambda: RatingScale._make((5.0, 1.0))):
+            with pytest.raises(ValueError, match="rmin < rmax"):
+                make()
+        with pytest.raises(ValueError, match="must be finite"):
+            good._replace(rmax=math.inf)
+        assert good._replace(rmax=10.0) == RatingScale._make((1.0, 10.0)) == (1.0, 10.0)
+        assert pickle.loads(pickle.dumps(good)) == good
 
     def test_span_contains_clamp(self):
         s = RatingScale(0.0, 10.0)

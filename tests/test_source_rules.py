@@ -6,10 +6,14 @@
 - every public method and property of a class has a reader.
 
 Each rule lists its offenders as ``path:line: what``, so a failure names them.
+One more rule runs the package instead of parsing it: importing it, or its
+command line, loads none of the slow-to-import modules in ``SLOW_IMPORTS``.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +109,21 @@ def test_every_public_member_has_a_reader():
                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not f.name.startswith("_") and f.name not in read]
     assert bad == []
+
+
+# each costs start-up time that every CLI run pays: dataclasses pulls in
+# inspect, ast, dis and tokenize; logging pulls in traceback and string
+SLOW_IMPORTS = {"dataclasses", "inspect", "logging"}
+
+
+def test_import_loads_no_slow_module():
+    # a fresh interpreter, compared with what it held before the import, so
+    # a module that site loads at start-up is not counted against the package
+    code = ("import sys; before = set(sys.modules); import cflevels, cflevels.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    added = set(proc.stdout.split())
+    assert "cflevels.cli" in added
+    assert added & SLOW_IMPORTS == set()
