@@ -212,20 +212,9 @@ def _convert_config_value(action: argparse.Action, raw: str, path: str, key: str
 _NARROWED_BY = {"k_sweep": "k", "methods": "method"}
 
 
-def _flags_given(argv, command: str) -> set[str]:
-    """The dests that ``argv`` itself sets for ``command``, defaults aside."""
-    parser, by_name = build_parser()
-    for action in by_name[command]._actions:
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv))) - {"command"}
-
-
-def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv) -> None:
-    """Make the entries of ``args.config`` ``sub``'s defaults, checked like its flags.
-
-    A ``k-sweep`` or ``methods`` entry is dropped when ``argv`` gives ``--k``
-    or ``--method``: the flag wins, as flags win over every entry.
-    """
+def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                 sub: argparse.ArgumentParser, argv) -> None:
+    """Set ``args`` from ``args.config``'s entries, checked like ``sub``'s flags; ``argv``'s flags win."""
     options: dict[str, argparse.Action] = {}
     for action in sub._actions:
         for opt in action.option_strings:
@@ -237,11 +226,18 @@ def apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv) -
         if action is None or key in ("config", "help"):
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
         values[action.dest] = _convert_config_value(action, raw, args.config, key)
-    given = _flags_given(argv, args.command)
-    for wide, narrow in _NARROWED_BY.items():
-        if narrow in given:
-            values.pop(wide, None)
-    sub.set_defaults(**values)
+    # the dests argv itself sets: parse it again with sub's defaults suppressed
+    defaults = {action: action.default for action in sub._actions}
+    for action in defaults:
+        action.default = argparse.SUPPRESS
+    try:
+        given = vars(parser.parse_args(argv))
+    finally:
+        for action, default in defaults.items():
+            action.default = default
+    for dest, value in values.items():
+        if dest not in given and _NARROWED_BY.get(dest) not in given:
+            setattr(args, dest, value)
 
 
 def fill_defaults(args: argparse.Namespace) -> None:
@@ -313,7 +309,7 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
                             fold=len(by_fold) if args.folds is not None else None,
                             prediction=args.prediction, metrics=metrics,
                             cache=cache, **knobs)])
-        del train, test, caches  # before the next fold is built
+        del train, test, caches  # before the next fold is cut
 
     rows: list[EvalReport] = []
     for group in zip(*by_fold):  # one (method, k) cell, fold by fold
@@ -412,8 +408,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            apply_config(args, by_name[args.command], argv)
-            args = parser.parse_args(argv)
+            apply_config(args, parser, by_name[args.command], argv)
         fill_defaults(args)
         code = COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -11,7 +11,7 @@ from typing import Iterator, NamedTuple
 from .cache import SimilarityCache
 from .errors import ConfigError, EmptyInputError
 from .predict import _checked_cache, predict, recommend_top_n
-from .ratings import RatingRecord, RatingScale, RatingsMatrix, build_matrix
+from .ratings import RatingRecord, RatingScale, RatingsMatrix
 from .similarity import SimilarityMethod
 
 HIT_DEFS = ("correct", "coverage")
@@ -42,30 +42,23 @@ class EvalReport(namedtuple("EvalReport",
         return super().__new__(cls, method, k, {} if params is None else params, *rest, **named)
 
 
-def _shuffled_records(m: RatingsMatrix, seed: int) -> list[RatingRecord]:
-    # records() is already canonically ordered, so the shuffle is the only
-    # randomness and the split depends on nothing but the seed
-    ordered = list(m.records())
-    random.Random(seed).shuffle(ordered)
-    return ordered
-
-
-def _cut(ordered: list[RatingRecord], lo: int, hi: int,
-         scale: RatingScale) -> tuple[RatingsMatrix, list[RatingRecord]]:
-    """Test on ``ordered[lo:hi]``, train on the rest in order: the one split cutter."""
-    return build_matrix(ordered[:lo] + ordered[hi:], scale), ordered[lo:hi]
+def _shuffled_cells(m: RatingsMatrix, seed: int) -> list[tuple[int, int]]:
+    # cells in the canonical order of m.records(): the split depends on nothing but the seed
+    cells = [(ui, ii) for ui, row in enumerate(m._by_user) for ii in row]
+    random.Random(seed).shuffle(cells)
+    return cells
 
 
 def split_holdout(m: RatingsMatrix, ratio: float, seed: int) -> tuple[RatingsMatrix, list[RatingRecord]]:
-    """Seeded record-level partition into a train matrix and test records, neither empty."""
+    """Seeded record-level partition into test records and a train matrix cut from ``m``, neither empty."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0,1), got {ratio}")
-    ordered = _shuffled_records(m, seed)
+    ordered = _shuffled_cells(m, seed)
     n_train = int(round(len(ordered) * ratio))
     if n_train in (0, len(ordered)):
         raise ConfigError(f"a {ratio} holdout of {len(ordered)} ratings trains on {n_train} "
                           f"and tests {len(ordered) - n_train}; both need at least one")
-    return _cut(ordered, n_train, len(ordered), m.scale)
+    return m._cut(ordered[n_train:])
 
 
 def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> Iterator[tuple[RatingsMatrix, list[RatingRecord]]]:
@@ -73,17 +66,17 @@ def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> Iterator[tuple[Ratin
 
     Part sizes differ by at most one (the first ``n % folds`` parts are one
     record larger). More folds than ratings raise :class:`ConfigError` at
-    the call. Yields the folds in order, building each when it is reached.
+    the call. Yields the folds in order, cutting each from ``m``'s indexes when it is reached.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
-    ordered = _shuffled_records(m, seed)
+    ordered = _shuffled_cells(m, seed)
     n = len(ordered)
     if folds > n:
         raise ConfigError(f"{folds} folds of {n} ratings leave {folds - n} with nothing to test")
     base, extra = divmod(n, folds)
     cuts = [i * base + min(i, extra) for i in range(folds + 1)]
-    return (_cut(ordered, lo, hi, m.scale) for lo, hi in zip(cuts, cuts[1:]))
+    return (m._cut(ordered[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MalformedLineError, OutOfScaleRatingError
-from .ratings import RatingRecord, RatingScale
+from .ratings import RatingRecord, RatingScale, _record
 
 _ROLES = ("user", "item", "rating", "ignored")
 
@@ -84,6 +84,8 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
     user_at = fmt.columns.index("user")
     item_at = fmt.columns.index("item")
     rating_at = fmt.columns.index("rating")
+    delimiter, width = fmt.delimiter, len(fmt.columns)
+    lo, hi = fmt.scale.rmin, fmt.scale.rmax
     records: list[RatingRecord] = []
     rejected = 0
     # undecodable bytes become lone surrogates, so they fail on their own line
@@ -95,21 +97,18 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
             try:
                 if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
                     raise MalformedLineError(f"{path}:{lineno}: not UTF-8 text")
-                parts = line.split(fmt.delimiter)
-                if len(parts) < len(fmt.columns):
-                    raise MalformedLineError(
-                        f"{path}:{lineno}: expected {len(fmt.columns)} fields, got {len(parts)}")
-                if not parts[user_at] or not parts[item_at]:
+                parts = line.split(delimiter)
+                if len(parts) < width:
+                    raise MalformedLineError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+                if not (user := parts[user_at]) or not (item := parts[item_at]):
                     raise MalformedLineError(f"{path}:{lineno}: empty user or item id")
                 try:
                     value = float(parts[rating_at])
                 except ValueError:
                     raise MalformedLineError(
                         f"{path}:{lineno}: unparsable rating {parts[rating_at]!r}") from None
-                if not fmt.scale.contains(value):
-                    raise OutOfScaleRatingError(
-                        f"{path}:{lineno}: rating {value} outside scale "
-                        f"[{fmt.scale.rmin}, {fmt.scale.rmax}]")
+                if not lo <= value <= hi:
+                    raise OutOfScaleRatingError(f"{path}:{lineno}: rating {value} outside scale [{lo}, {hi}]")
             except (MalformedLineError, OutOfScaleRatingError) as exc:
                 if not skip_bad_lines:
                     raise
@@ -118,7 +117,7 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                 logging.getLogger(__name__).warning("skipping bad line: %s", exc)
                 rejected += 1
                 continue
-            records.append(RatingRecord(parts[user_at], parts[item_at], value))
+            records.append(_record(RatingRecord, (user, item, value)))
     if rejected:
         import logging
 

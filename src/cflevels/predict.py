@@ -7,7 +7,6 @@ import math
 from typing import NamedTuple
 
 from .cache import SimilarityCache
-from .errors import UnknownUserError
 from .ratings import RatingsMatrix
 from .similarity import SimilarityMethod
 
@@ -145,9 +144,7 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    ia = m._user_index.get(a)
-    if ia is None:
-        raise UnknownUserError(f"unknown user {a!r}")
+    ia = m._require_user(a)
     cache = _checked_cache(k, sim, m, cache, mode)
     rated = m._by_user[ia]
     if candidates is None:

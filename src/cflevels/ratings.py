@@ -61,44 +61,63 @@ class RatingRecord(NamedTuple):
     value: float
 
 
+_record = tuple.__new__  # _record(RatingRecord, fields) skips NamedTuple's Python-level __new__
+
+
 class RatingsMatrix:
     """Immutable user x item rating store.
 
     Construction deduplicates (user, item) pairs with last-write-wins and
     builds both the forward (user -> {item: rating}) and inverted
-    (item -> {users}) indexes. Use :func:`build_matrix` rather than calling
-    the constructor with raw records from several places.
+    (item -> {users}) indexes; a split cuts its train matrix from them
+    (:meth:`_cut`). Use :func:`build_matrix`, not the constructor.
     """
 
     def __init__(self, records: Iterable[RatingRecord], scale: RatingScale) -> None:
-        dedup: dict[tuple[str, str], float] = {}
+        lo, hi = scale.rmin, scale.rmax
+        rows: dict[str, dict[str, float]] = {}
         for user, item, raw in records:
             value = float(raw)
-            if not scale.contains(value):
+            if not lo <= value <= hi:
                 raise OutOfScaleRatingError(
-                    f"rating {value} for ({user!r}, {item!r}) outside "
-                    f"scale [{scale.rmin}, {scale.rmax}]"
-                )
-            dedup[(str(user), str(item))] = value
+                    f"rating {value} for ({user!r}, {item!r}) outside scale [{lo}, {hi}]")
+            rows.setdefault(str(user), {})[str(item)] = value
+        users, items = sorted(rows), sorted(set().union(*rows.values()))
+        at = {item: n for n, item in enumerate(items)}
+        self._index(scale, users, items,
+                    [{at[i]: row[i] for i in sorted(row)} for row in map(rows.get, users)])
 
+    def _index(self, scale: RatingScale, users: list[str], items: list[str],
+               rows: list[dict[int, float]]) -> None:
+        """Fill every index from sorted ids and each user's row in item-index order."""
         self._scale = scale
-        self._users: tuple[str, ...] = tuple(sorted({u for u, _ in dedup}))
-        self._items: tuple[str, ...] = tuple(sorted({i for _, i in dedup}))
-        self._user_index = {u: n for n, u in enumerate(self._users)}
-        self._item_index = {i: n for n, i in enumerate(self._items)}
+        self._users: tuple[str, ...] = tuple(users)
+        self._items: tuple[str, ...] = tuple(items)
+        self._user_index = {u: n for n, u in enumerate(users)}
+        self._item_index = {i: n for n, i in enumerate(items)}
+        by_item: list[set[int]] = [set() for _ in items]
+        for ui, row in enumerate(rows):
+            for ii in row:
+                by_item[ii].add(ui)
+        self._by_user = tuple(rows)
+        self._by_item = tuple(map(frozenset, by_item))
+        self._user_means = tuple(math.fsum(row.values()) / len(row) for row in rows)
 
-        by_user: list[dict[int, float]] = [{} for _ in self._users]
-        by_item: list[set[int]] = [set() for _ in self._items]
-        for (u, i), v in sorted(dedup.items()):
-            ui = self._user_index[u]
-            ii = self._item_index[i]
-            by_user[ui][ii] = v
-            by_item[ii].add(ui)
-        self._by_user = tuple(by_user)
-        self._by_item = tuple(frozenset(s) for s in by_item)
-        self._user_means = tuple(
-            math.fsum(row.values()) / len(row) for row in self._by_user
-        )
+    def _cut(self, cells: list[tuple[int, int]]) -> tuple[RatingsMatrix, list[RatingRecord]]:
+        """Every rating but ``cells``, indexed as :func:`build_matrix` would, and ``cells``' records."""
+        users, items, rows = self._users, self._items, self._by_user
+        gone: dict[int, set[int]] = {}
+        for ui, ii in cells:
+            gone.setdefault(ui, set()).add(ii)
+        kept = {ui: left for ui, row in enumerate(rows)  # old user index -> its train ratings
+                if (left := {ii: v for ii, v in row.items() if ii not in gone[ui]} if ui in gone else row)}
+        live = sorted(set().union(*kept.values()))
+        if len(live) < len(items):
+            at = {ii: n for n, ii in enumerate(live)}
+            kept = {ui: {at[ii]: v for ii, v in row.items()} for ui, row in kept.items()}
+        train = object.__new__(type(self))
+        train._index(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live], list(kept.values()))
+        return train, [_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])) for ui, ii in cells]
 
     # -- basic shape ---------------------------------------------------
 
@@ -135,12 +154,8 @@ class RatingsMatrix:
 
     def records(self) -> list[RatingRecord]:
         """All ratings in canonical (user, item) order."""
-        out = []
-        for ui, u in enumerate(self._users):
-            row = self._by_user[ui]
-            for ii in sorted(row):
-                out.append(RatingRecord(u, self._items[ii], row[ii]))
-        return out
+        return [_record(RatingRecord, (u, self._items[ii], v))
+                for u, row in zip(self._users, self._by_user) for ii, v in row.items()]
 
     # -- index-level access for in-package hot paths --------------------
 

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 import oracles
-from cflevels import build_level_table, build_matrix, evaluate
+from cflevels import RatingsMatrix, build_level_table
 from cflevels.cli import main, parse_k_sweep
 
 SAMPLE_LINES = "\n".join(f"{u} {i} {v:g}" for u, i, v in oracles.SAMPLE_RECORDS) + "\n"
@@ -397,16 +397,17 @@ class TestSweepShape:
         assert [r[2] for r in rows] == ["fold=0", "fold=1", "fold=2", "fold=avg"]
 
     def test_one_fold_alive_at_a_time(self, bench_file, monkeypatch):
-        # every train matrix the sweep was handed is gone before the next is built
+        # every train matrix the sweep was handed is gone before the next is cut
         built, alive = [], []
+        cut = RatingsMatrix._cut
 
-        def tracked(records, scale):
+        def tracked(m, cells):
             alive.append(sum(ref() is not None for ref in built))
-            m = build_matrix(records, scale)
-            built.append(weakref.ref(m))
-            return m
+            train, test = cut(m, cells)
+            built.append(weakref.ref(train))
+            return train, test
 
-        monkeypatch.setattr(evaluate, "build_matrix", tracked)
+        monkeypatch.setattr(RatingsMatrix, "_cut", tracked)
         assert main(["evaluate", "--ratings", bench_file, "--methods", "pcc,dynamic",
                      "--folds", "4", "--k", "5", "--output", os.devnull]) == 0
         assert alive == [0, 0, 0, 0]

@@ -61,6 +61,11 @@ class TestMatrixConstruction:
         records = [("u1", "i1", 3.0), ("u1", "i2", 6.0)]
         with pytest.raises(OutOfScaleRatingError):
             build_matrix(records, scale)
+        # NaN fails every comparison, so the bound check must refuse it too
+        for raw, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), ("nan", "nan")):
+            with pytest.raises(OutOfScaleRatingError) as caught:
+                build_matrix([("u1", "i1", 3.0), ("u2", "i2", raw)], scale)
+            assert str(caught.value) == f"rating {shown} for ('u2', 'i2') outside scale [1.0, 5.0]"
 
     def test_duplicate_pair_keeps_last(self, scale):
         m = build_matrix([("u1", "i1", 2.0), ("u2", "i1", 3.0), ("u1", "i1", 5.0)], scale)
