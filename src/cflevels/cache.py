@@ -17,27 +17,25 @@ pair is scored at most once.
 
 Caches of several methods over one matrix can be siblings
 (:meth:`SimilarityCache.siblings`): one row builder serves them all. It
-builds a user's row for every sibling at once, in one pass over the
-inverted index, computing each co-rater's (Pearson, co-rated count) base
-with the same overlap kernel as :meth:`SimilarityMethod.score`, so every
-entry equals the pair score bit for bit. The bases are dropped once the
-rows are filled. Every pair with a zero Pearson base is left out: users
-who share fewer than two items, or whose overlap has no variance. A cache
-refuses a method that scores a zero base above 0 at any co-rated count a
-pair of its matrix can have, so leaving them out loses nothing. A user's
-coverage and rows under all siblings are published together, once
-complete, and a published row is never changed, so threads sharing a
-sibling set never read a half-built row nor reuse a user whose rows are
-only partly published.
+builds a user's row for every sibling at once: one walk of the user's
+ratings over the inverted index gathers each co-rater's overlap, and the
+Pearson formula of :meth:`SimilarityMethod.score` makes it a (Pearson,
+co-rated count) base, so every entry equals the pair score bit for bit. The
+bases are dropped once the rows are filled. Every pair with a zero Pearson
+base is left out: users who share fewer than two items, or whose overlap
+has no variance; so is every pair with a covariance <= 0 when no sibling
+lifts negatives. A cache refuses a method that scores such a base above 0
+at any co-rated count a pair of its matrix can have, so leaving them out
+loses nothing. A user's coverage and rows under all siblings are published
+together, once complete, and a published row is never changed, so threads
+sharing a sibling set never read a half-built row nor reuse a user whose
+rows are only partly published.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-
 from .ratings import RatingsMatrix
-from .similarity import SimilarityMethod, _base
+from .similarity import SimilarityMethod, _pearson
 
 
 class SimilarityCache:
@@ -50,13 +48,17 @@ class SimilarityCache:
 
     def __init__(self, sim: SimilarityMethod, m: RatingsMatrix) -> None:
         # derives dynamic's bands, or refuses m, up front. Rows leave out every
-        # pair with a zero base, so its score must be <= 0 at each co-rated
-        # count a pair can have: at most the longest user row
+        # pair with a zero base, and with lifts_negatives False every negative
+        # one, so such a base must score <= 0 at each co-rated count a pair
+        # can have: at most the longest user row
+        probes = (0.0,) if sim.lifts_negatives else (0.0, -1e-9, -1.0)
         for co in range(max(map(len, m._by_user), default=0) + 1):
-            if sim.adjust(0.0, co, m) > 0.0:
-                raise ValueError(f"method {sim.name!r} scores a zero Pearson base above 0 "
-                                 f"at co-rated count {co}, so its similarity rows would "
-                                 "leave out pairs it rates")
+            for base in probes:
+                if sim.adjust(base, co, m) > 0.0:
+                    raise ValueError(
+                        f"method {sim.name!r} scores a {'negative' if base else 'zero'} Pearson "
+                        f"base above 0 at co-rated count {co}, so its similarity rows would leave "
+                        f"out pairs it rates{', as lifts_negatives=False' if base else ''}")
         self.sim = sim
         self.m = m
         # shared by siblings: their methods by slot, and each built user's
@@ -111,37 +113,37 @@ class SimilarityCache:
     def _build(self, ia: int, items, old):
         """User ``ia``'s entry grown to cover ``items``, from one base per new co-rater.
 
-        Co-raters the old rows already judged, those who rated an item the
-        old entry covers, are kept as they are. Another user b's finished
-        rows give the pair, as ``rows_b[slot].get(ia)``, when b's coverage
-        holds ``ia``: b's entry covers every item, or an item ``ia`` rated.
+        The pool is the raters of newly covered items, less the raters of items
+        the old rows cover, which are kept as they are. Another user b's
+        finished rows give the pair, as ``rows_b[slot].get(ia)``, when b's
+        coverage holds ``ia``: b's entry covers every item, or an item ``ia``
+        rated. One walk of ``ia``'s ratings gathers the rest's overlaps.
         """
         m, done = self.m, self._done
         by_user, by_item = m._by_user, m._by_item
         ra = by_user[ia]
-        shared = Counter(chain.from_iterable(by_item[ii] for ii in ra))
-        del shared[ia]
         had, old_rows = old if old is not None else (frozenset(), ())
-        if items is None:
-            cover, wanted = None, shared.keys()
-        else:
-            cover = had.union(items)
-            wanted = shared.keys() & set().union(*(by_item[ii] for ii in cover - had))
+        cover = None if items is None else had.union(items)
+        pool = set().union(*(by_item[ii] for ii in (ra if cover is None else cover - had)))
         if had:
-            wanted = wanted - set().union(*(by_item[ii] for ii in had))
-        covered = []  # (ib, b's finished rows): symmetric, they hold the pair
+            pool -= set().union(*(by_item[ii] for ii in had))
+        pool.discard(ia)
+        covered = [  # (ib, b's finished rows): symmetric, they hold the pair
+            (ib, entry_b[1]) for ib in pool if (entry_b := done.get(ib)) is not None
+            and (entry_b[0] is None or not ra.keys().isdisjoint(entry_b[0]))]
+        pool.difference_update(ib for ib, _ in covered)
+        gathered = {ib: ([], []) for ib in pool}  # ib -> (a's, b's ratings) on the overlap
+        for ii, x in ra.items():
+            for ib in by_item[ii] & pool:
+                xs, ys = gathered[ib]
+                xs.append(x)
+                ys.append(by_user[ib][ii])
+        keep_negative = any(sim.lifts_negatives for sim in self._sims)
         bases = []  # (ib, base, co) of every other co-rater, dropped with the build
-        for ib in wanted:
-            if shared[ib] < 2:  # Pearson 0
-                continue
-            entry_b = done.get(ib)
-            if entry_b is not None and (entry_b[0] is None or not ra.keys().isdisjoint(entry_b[0])):
-                covered.append((ib, entry_b[1]))
-            else:
-                base, co = _base(ra, by_user[ib])
-                # a zero base never scores above 0; a negative one may (eq8)
-                if base != 0.0:
-                    bases.append((ib, base, co))
+        for ib, (xs, ys) in gathered.items():
+            # Pearson is 0 below 2 items; a zero base never scores above 0, a negative one may (eq8)
+            if len(xs) >= 2 and (base := _pearson(xs, ys, keep_negative)) != 0.0:
+                bases.append((ib, base, len(xs)))
         filled = []
         for slot, sim in enumerate(self._sims):
             adjust = sim.adjust

@@ -10,7 +10,8 @@ The base correlation is Pearson over the co-rated item set, with both means
 taken over that same set. Degenerate pairs (fewer than 2 co-rated items, or
 zero rating variance on the overlap for either user) score 0, which keeps
 them out of positive-similarity neighborhoods without special-casing
-downstream.
+downstream. :func:`_pearson` is the one formula, fed one overlap by
+:func:`_base` and many by the row builder.
 """
 
 from __future__ import annotations
@@ -27,29 +28,34 @@ from .ratings import RatingsMatrix
 # base correlation
 # ---------------------------------------------------------------------------
 
-def _base(ra: dict[int, float], rb: dict[int, float]) -> tuple[float, int]:
-    """(Pearson over the overlap, co-rated count) of two users' rating rows.
+def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> float:
+    """Pearson of a pair's ratings on an overlap of 2 or more items, as aligned lists.
 
-    The one overlap kernel: the overlap is the key-set intersection and both
-    means are taken over it. Two ``math.fsum`` passes keep every sum exactly
-    rounded, so the result does not depend on the order of the items. The
-    Pearson is 0 below 2 items or without variance on either side.
+    ``math.fsum`` keeps every sum exactly rounded, so the result does not
+    depend on the order of the items. It is 0 without variance on either
+    side, and, with ``keep_negative`` False, as soon as the covariance is <= 0.
     """
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    if num <= 0.0 and not keep_negative:
+        return 0.0
+    dx = math.fsum((x - mx) ** 2 for x in xs)
+    dy = math.fsum((y - my) ** 2 for y in ys)
+    if dx == 0.0 or dy == 0.0:
+        return 0.0
+    # clamp: floating error can push |r| a hair past 1
+    return min(1.0, max(-1.0, num / math.sqrt(dx * dy)))
+
+
+def _base(ra: dict[int, float], rb: dict[int, float]) -> tuple[float, int]:
+    """(Pearson over the overlap, co-rated count) of two rating rows; Pearson 0 below 2 items."""
     co = ra.keys() & rb.keys()
     n = len(co)
     if n < 2:
         return 0.0, n
-    xs = [ra[ii] for ii in co]
-    ys = [rb[ii] for ii in co]
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    dx = math.fsum((x - mx) ** 2 for x in xs)
-    dy = math.fsum((y - my) ** 2 for y in ys)
-    if dx == 0.0 or dy == 0.0:
-        return 0.0, n
-    # clamp: floating error can push |r| a hair past 1
-    return min(1.0, max(-1.0, num / math.sqrt(dx * dy))), n
+    return _pearson([ra[ii] for ii in co], [rb[ii] for ii in co]), n
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +127,18 @@ class SimilarityMethod:
     on the strength of it. A :class:`SimilarityCache` makes one zero-base
     call per co-rated count a pair of its matrix can have when it is made,
     and refuses a method that breaks the rule, so such a method, or a
-    matrix too small for it, fails there.
+    matrix too small for it, fails there. ``lifts_negatives`` says whether
+    ``adjust`` may score a negative base above 0: of :func:`make_method`'s
+    methods only dynamic ``eq8`` does; a hand-made one is assumed to.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
-                 params: dict[str, object] | None = None) -> None:
+                 params: dict[str, object] | None = None, *,
+                 lifts_negatives: bool = True) -> None:
         self.name = name
         self.params = dict(params or {})
         self.adjust = adjust
+        self.lifts_negatives = lifts_negatives
 
     def score(self, a: str, b: str, m: RatingsMatrix) -> float:
         return self.adjust(*_base(m._by_user[m._require_user(a)],
@@ -152,27 +162,28 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     ValueError before any pair is scored.
     """
     if name == "pcc":
-        return SimilarityMethod("pcc", lambda s, co, m: s)
+        return SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False)
     if name == "wpcc":
         _check_count("WPCC threshold", big_t)
-        return SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t), {"T": big_t})
+        return SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t), {"T": big_t},
+                                lifts_negatives=False)
     if name == "spcc":
-        return SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co))
+        return SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co), lifts_negatives=False)
     if name == "plus":
         if not (0 < alpha < math.inf and 0 < beta < math.inf):
             raise ValueError("power-law parameters must be positive and finite, "
                              f"got alpha={alpha} beta={beta}")
         return SimilarityMethod("plus", lambda s, co, m: plus_adjust(s, alpha, beta),
-                                {"alpha": alpha, "beta": beta})
+                                {"alpha": alpha, "beta": beta}, lifts_negatives=False)
     if name == "static":
         _check_count("co-rated threshold t", t)
         if not math.isfinite(y):
             raise ValueError(f"correlation threshold y must be finite, got {y}")
         return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
-                                {"t": t, "y": y})
+                                {"t": t, "y": y}, lifts_negatives=False)
     if name == "dynamic":
         _check_form(negative_form)
         return SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
             s, co, _band_table(m.user_count, m.item_count), negative_form),
-            {"negative_form": negative_form})
+            {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8")
     raise ValueError(f"unknown similarity method {name!r}; expected one of {', '.join(METHOD_NAMES)}")

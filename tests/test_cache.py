@@ -63,11 +63,11 @@ def sibling_methods():
 
 @pytest.fixture()
 def base_calls(monkeypatch):
-    """One entry per call of the overlap kernel the row builder uses."""
+    """One entry per pair the row builder scores: a call of the Pearson formula."""
     calls = []
-    base = cflevels.cache._base
-    monkeypatch.setattr(cflevels.cache, "_base",
-                        lambda ra, rb: calls.append(1) or base(ra, rb))
+    pearson = cflevels.cache._pearson
+    monkeypatch.setattr(cflevels.cache, "_pearson",
+                        lambda *args: calls.append(1) or pearson(*args))
     return calls
 
 
@@ -284,6 +284,32 @@ class TestRows:
         with pytest.raises(ValueError, match=f"at co-rated count {longest},"):
             fresh_cache(m, at_longest)
         fresh_cache(m, SimilarityMethod("beyond", lambda s, co, m_: s + (co > longest)))
+
+    def test_method_declared_sign_keeping_that_lifts_a_negative_base_is_refused(self, scale):
+        # rows of methods declared lifts_negatives=False stop a pair at a
+        # covariance <= 0, so they would leave out the pairs these rate above 0
+        m = random_matrix(random.Random(5), scale)
+        lifts = {
+            "flipped": (lambda s, co, m_: -s, 0),
+            "hair": (lambda s, co, m_: -s if s > -1e-6 else s, 0),  # lifts -1e-9 only
+            "strong": (lambda s, co, m_: -s if s < -0.5 else s, 0),  # lifts -1.0 only
+            "at-three": (lambda s, co, m_: -s if co == 3 else s, 3),
+        }
+        for name, (adjust, co) in lifts.items():
+            wrong = SimilarityMethod(name, adjust, lifts_negatives=False)
+            for make in (lambda: fresh_cache(m, wrong),
+                         lambda: SimilarityCache.siblings([PCC, wrong], m),
+                         lambda: predict(m.users()[0], m.items()[0], 3, wrong, m)):
+                with pytest.raises(ValueError, match=f"{name!r} scores a negative Pearson base "
+                                                     f"above 0 at co-rated count {co},"):
+                    make()
+            # declared as lifting negatives, the default, it is served
+            right = SimilarityMethod(name, adjust)
+            users = m.users()
+            for ia in range(m.user_count):
+                assert fresh_cache(m, right).row(ia) == {
+                    ib: s for ib, b in enumerate(users)
+                    if ib != ia and (s := right.score(users[ia], b, m)) > 0.0}
 
     def test_threads_sharing_a_cache_see_only_whole_rows(self, scale):
         # sweep threads share one sibling set per fold; a row read while still

@@ -326,9 +326,9 @@ class TestRecommendTopN:
         m = build_matrix(_synth.planted_records(seed=3, n_users=220, n_items=150),
                          RatingScale(*_synth.SCALE))
         calls = []
-        base = cflevels.cache._base
-        monkeypatch.setattr(cflevels.cache, "_base",
-                            lambda ra, rb: calls.append(1) or base(ra, rb))
+        pearson = cflevels.cache._pearson
+        monkeypatch.setattr(cflevels.cache, "_pearson",
+                            lambda *args: calls.append(1) or pearson(*args))
         user, pool = "u000", {"i001", "i050", "i120"}
         got = recommend_top_n(user, 5, 20, PCC, m, candidates=pool)
         # the raters, with >= 2 co-rated items, of the pool items the user has not rated

@@ -1,0 +1,135 @@
+"""The similarity row builder against brute force, bit for bit.
+
+A row built by :class:`SimilarityCache` must equal the pair-by-pair row
+``{ib: s for ib in raters if (s := sim.adjust(*_base(ra, rb), m)) > 0}``
+over the raters of the items it covers, whatever order rows are built and
+extended in, whichever siblings share the builder, and whether or not they
+let the builder stop a pair at a covariance <= 0.
+"""
+
+import random
+
+import pytest
+
+import _synth
+import cflevels.cache
+import oracles
+from cflevels import RatingScale, SimilarityCache, SimilarityMethod, build_matrix, make_method
+from cflevels.similarity import _base
+
+SCALE = RatingScale(*_synth.SCALE)
+
+# a method made by hand, without the keyword: it rates anti-correlated pairs
+FLIPPED = SimilarityMethod("flipped", lambda s, co, m: -s)
+
+SIBLING_SETS = {
+    "sign-keeping": lambda: [make_method(name) for name in
+                             ("pcc", "wpcc", "spcc", "plus", "static", "dynamic")]
+    + [make_method("dynamic", negative_form="alg1"), make_method("static", t=1, y=-0.5)],
+    "eq8-alone": lambda: [make_method("dynamic", negative_form="eq8")],
+    "eq8-mixed": lambda: [make_method("pcc"), make_method("dynamic", negative_form="eq8"),
+                          make_method("static", t=1, y=-0.5), make_method("dynamic")],
+    "hand-made-alone": lambda: [FLIPPED],
+    "hand-made-mixed": lambda: [make_method("pcc"), FLIPPED, make_method("wpcc")],
+}
+
+
+def matrices():
+    """Random matrices of several densities, and planted-cluster ones."""
+    rng = random.Random(20)
+    for density in (0.2, 0.45, 0.8):
+        ratings = oracles.random_ratings(rng, n_users=24, n_items=16, density=density)
+        yield build_matrix(oracles.ratings_to_records(ratings), SCALE)
+    for seed in (3, 4):
+        yield build_matrix(_synth.planted_records(seed=seed, n_users=60, n_items=40), SCALE)
+
+
+MATRICES = list(matrices())
+
+
+def brute_row(sim, m, ia, items=None):
+    """a's row by scoring every candidate pair on its own."""
+    ra = m._by_user[ia]
+    raters = range(m.user_count) if items is None else set().union(
+        *(m._by_item[ii] for ii in items))
+    return {ib: s for ib in raters
+            if ib != ia and (s := sim.adjust(*_base(ra, m._by_user[ib]), m)) > 0.0}
+
+
+def covered_items(cache, ia):
+    cover = cache._done[ia][0]
+    return None if cover is None else sorted(cover)
+
+
+def assert_published_rows_are_brute(caches, sims, m):
+    for ia in list(caches[0]._done):
+        items = covered_items(caches[0], ia)
+        for sim, cache in zip(sims, caches):
+            assert cache.rows[ia] == brute_row(sim, m, ia, items)
+
+
+@pytest.mark.parametrize("sibling_set", sorted(SIBLING_SETS))
+@pytest.mark.parametrize("mi", range(len(MATRICES)))
+def test_full_partial_and_twice_extended_rows_equal_brute_force(sibling_set, mi):
+    m = MATRICES[mi]
+    sims = SIBLING_SETS[sibling_set]()
+    rng = random.Random(mi)
+    caches = SimilarityCache.siblings(sims, m)
+    order = list(range(m.user_count))
+    rng.shuffle(order)
+    for n, ia in enumerate(order):
+        cache = caches[rng.randrange(len(caches))]  # any sibling builds all
+        if n % 3 == 0:  # a full row at once
+            cache.row(ia)
+        else:  # items, then more items, then (every other user) the full row
+            first = rng.sample(range(m.item_count), 2)
+            more = rng.sample(range(m.item_count), 3)
+            cache.row(ia, first)
+            assert covered_items(cache, ia) == sorted(set(first))
+            cache.row(ia, more)
+            assert covered_items(cache, ia) == sorted(set(first) | set(more))
+            if n % 3 == 1:
+                cache.row(ia)
+        for sim, sib in zip(sims, caches):
+            assert sib.rows[ia] == brute_row(sim, m, ia, covered_items(sib, ia))
+    assert_published_rows_are_brute(caches, sims, m)
+    # rows built one by one, without reuse, agree as well
+    for sim in sims:
+        alone = SimilarityCache(sim, m)
+        for ia in order[:8]:
+            assert alone.row(ia) == brute_row(sim, m, ia)
+
+
+@pytest.mark.parametrize("sibling_set", ["eq8-alone", "eq8-mixed", "hand-made-alone",
+                                         "hand-made-mixed"])
+def test_methods_that_lift_negatives_keep_negative_base_pairs(sibling_set):
+    # every such method rates some pair whose base is negative
+    sims = SIBLING_SETS[sibling_set]()
+    lifted = 0
+    for m in MATRICES:
+        caches = SimilarityCache.siblings(sims, m)
+        for ia in range(m.user_count):
+            caches[0].row(ia)
+        for sim, cache in zip(sims, caches):
+            if sim.lifts_negatives:
+                lifted += sum(1 for ia, row in cache.rows.items() for ib in row
+                              if _base(m._by_user[ia], m._by_user[ib])[0] < 0.0)
+        assert_published_rows_are_brute(caches, sims, m)
+    assert lifted > 50
+
+
+@pytest.mark.parametrize("sibling_set,keep", [("sign-keeping", False), ("eq8-alone", True),
+                                              ("eq8-mixed", True), ("hand-made-mixed", True)])
+def test_builder_stops_at_covariance_only_when_no_sibling_lifts_negatives(
+        sibling_set, keep, monkeypatch):
+    kept = []
+    pearson = cflevels.cache._pearson
+    monkeypatch.setattr(cflevels.cache, "_pearson",
+                        lambda xs, ys, keep_negative: kept.append(keep_negative)
+                        or pearson(xs, ys, keep_negative))
+    m = MATRICES[1]
+    caches = SimilarityCache.siblings(SIBLING_SETS[sibling_set](), m)
+    for ia in range(m.user_count):
+        caches[0].row(ia)
+    assert len(kept) > 100
+    assert set(kept) == {keep}

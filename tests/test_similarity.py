@@ -7,13 +7,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from cflevels import (apply_spcc, apply_static, apply_wpcc, build_matrix,
-                      make_method, plus_adjust)
+from cflevels import (NEGATIVE_FORMS, RatingScale, apply_spcc, apply_static, apply_wpcc,
+                      build_matrix, make_method, plus_adjust)
 
 PCC = make_method("pcc")
 
 scores = st.floats(min_value=-1.0, max_value=1.0)
 counts = st.integers(min_value=0, max_value=500)
+
+# matrices of several shapes (users, items); dynamic's bands follow the shape
+SHAPES = [build_matrix([(f"u{j % users}", f"i{j % items}", 3.0)
+                        for j in range(max(users, items))], RatingScale(1.0, 5.0))
+          for users, items in ((10, 2), (40, 30), (220, 150), (800, 450), (2000, 1000))]
+# positive and finite, extremes included
+knobs = st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, exclude_max=True)
+# every make_method configuration, at drawn knobs
+configs = st.one_of(
+    st.tuples(st.sampled_from(("pcc", "spcc")), st.just({})),
+    st.tuples(st.just("wpcc"), st.fixed_dictionaries({"big_t": st.integers(1, 400)})),
+    st.tuples(st.just("plus"), st.fixed_dictionaries({"alpha": knobs, "beta": knobs})),
+    st.tuples(st.just("static"), st.fixed_dictionaries(
+        {"t": st.integers(1, 400), "y": st.floats(allow_nan=False, allow_infinity=False)})),
+    st.tuples(st.just("dynamic"), st.fixed_dictionaries(
+        {"negative_form": st.sampled_from(NEGATIVE_FORMS)})),
+)
 
 
 class TestPcc:
@@ -270,3 +287,21 @@ class TestMethodWrapper:
                 for i, a in enumerate(users):
                     for b in users[i + 1:]:
                         assert method.score(a, b, m) == method.score(b, a, m)
+
+    @given(config=configs, base=st.one_of(st.sampled_from((-1.0, -1e-9, -0.0, 0.0)),
+                                          st.floats(-1.0, 0.0)),
+           co=st.integers(0, 200), m=st.sampled_from(SHAPES))
+    def test_declared_sign_keeping_methods_score_non_positive_bases_at_most_0(
+            self, config, base, co, m):
+        # rows stop a pair at a covariance <= 0 on the strength of this
+        name, kw = config
+        sim = make_method(name, **kw)
+        if sim.lifts_negatives:
+            assert (name, kw.get("negative_form")) == ("dynamic", "eq8")
+        else:
+            assert sim.adjust(base, co, m) <= 0.0
+
+    def test_eq8_lifts_negatives(self):
+        sim = make_method("dynamic", negative_form="eq8")
+        assert sim.lifts_negatives
+        assert all(sim.adjust(-0.5, co, m) > 0.0 for m in SHAPES for co in range(5))
