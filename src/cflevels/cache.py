@@ -26,10 +26,15 @@ base is left out: users who share fewer than two items, or whose overlap
 has no variance; so is every pair with a covariance <= 0 when no sibling
 lifts negatives. A cache refuses a method that scores such a base above 0
 at any co-rated count a pair of its matrix can have, so leaving them out
-loses nothing. A user's coverage and rows under all siblings are published
-together, once complete, and a published row is never changed, so threads
-sharing a sibling set never read a half-built row nor reuse a user whose
-rows are only partly published.
+loses nothing. Co-raters who share fewer than two items with the user leave
+the pool first, before the reuse test and the gather, by one AND of the two
+users' item bitsets (``RatingsMatrix._masks``). The bitsets are bounded by
+the input: a user has one only when its highest item index is below 64
+times its rating count, about one machine word per rating. A co-rater
+without one stays in the pool, and a user without one keeps the whole pool,
+so long-tail sparse data builds rows as it would without bitsets. A user's
+coverage and rows under all siblings are published together, in one store,
+once complete, and a published row is never changed.
 """
 
 from __future__ import annotations
@@ -83,9 +88,9 @@ class SimilarityCache:
 
     @property
     def rows(self) -> dict[int, dict[int, float]]:
-        """The finished rows by user index, as a snapshot."""
+        """The finished rows by user index."""
         slot = self._slot
-        return {ia: rows[slot] for ia, (_, rows) in list(self._done.items())}
+        return {ia: rows[slot] for ia, (_, rows) in self._done.items()}
 
     def __len__(self) -> int:
         return len(self._done)
@@ -114,7 +119,8 @@ class SimilarityCache:
         """User ``ia``'s entry grown to cover ``items``, from one base per new co-rater.
 
         The pool is the raters of newly covered items, less the raters of items
-        the old rows cover, which are kept as they are. Another user b's
+        the old rows cover, which are kept as they are, less those whose
+        bitset shares fewer than two items with ``ia``'s. Another user b's
         finished rows give the pair, as ``rows_b[slot].get(ia)``, when b's
         coverage holds ``ia``: b's entry covers every item, or an item ``ia``
         rated. One walk of ``ia``'s ratings gathers the rest's overlaps.
@@ -128,6 +134,9 @@ class SimilarityCache:
         if had:
             pool -= set().union(*(by_item[ii] for ii in had))
         pool.discard(ia)
+        masks = m._masks
+        if (mask := masks[ia]) is not None:  # a co-rater sharing < 2 items has Pearson 0
+            pool = {ib for ib in pool if (mask_b := masks[ib]) is None or (mask & mask_b).bit_count() >= 2}
         covered = [  # (ib, b's finished rows): symmetric, they hold the pair
             (ib, entry_b[1]) for ib in pool if (entry_b := done.get(ib)) is not None
             and (entry_b[0] is None or not ra.keys().isdisjoint(entry_b[0]))]

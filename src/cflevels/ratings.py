@@ -9,6 +9,7 @@ accumulations are identical from run to run regardless of hash seeding.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfScaleRatingError, UnknownUserError
@@ -118,6 +119,17 @@ class RatingsMatrix:
         train = object.__new__(type(self))
         train._index(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live], list(kept.values()))
         return train, [_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])) for ui, ii in cells]
+
+    @cached_property
+    def _masks(self) -> tuple[int | None, ...]:
+        """Per user index, an int with bit ``ii`` set for each item index ``ii`` rated.
+
+        Built on first use, never by :meth:`_index`. A user gets None when its
+        highest item index is not below 64 times its rating count, so the
+        bitsets hold about one machine word per rating at most.
+        """
+        return tuple(sum(1 << ii for ii in row) if max(row) < 64 * len(row) else None
+                     for row in self._by_user)
 
     # -- basic shape ---------------------------------------------------
 

@@ -121,8 +121,8 @@ class SimilarityMethod:
 
     ``score(a, b, m)`` computes (Pearson, co-rated count) for the pair and
     hands both to ``adjust(pcc, co_rated, m)``. Both are pure functions of
-    the pair and the matrix, so a method instance can be shared freely
-    across threads. ``adjust`` must map a zero Pearson base to a score <= 0
+    the pair and the matrix, so one method instance serves any number of
+    caches and matrices. ``adjust`` must map a zero Pearson base to a score <= 0
     at every co-rated count: similarity rows leave out every zero-base pair
     on the strength of it. A :class:`SimilarityCache` makes one zero-base
     call per co-rated count a pair of its matrix can have when it is made,

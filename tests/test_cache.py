@@ -312,9 +312,9 @@ class TestRows:
                     if ib != ia and (s := right.score(users[ia], b, m)) > 0.0}
 
     def test_threads_sharing_a_cache_see_only_whole_rows(self, scale):
-        # sweep threads share one sibling set per fold; a row read while still
-        # being built, or reused from a user whose siblings are only partly
-        # published, or lost to a racing writer, breaks equality
+        # a row is published once complete and never changed: one read while
+        # still being built, or reused from a user whose siblings are only
+        # partly published, or lost to a racing writer, breaks equality
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
         assert_threads_see_whole_rows(m, grow=False)
 
@@ -366,7 +366,7 @@ class TestSiblings:
     @pytest.mark.parametrize("command", [["evaluate"], ["topn", "--r", "5"]],
                              ids=["evaluate", "topn"])
     def test_jobs_do_not_change_pairs_scored(self, command, tmp_path, base_calls, capsys):
-        # one thread per fold, so no two threads build the same row
+        # --jobs starts no thread: the folds run in order, whatever it is
         argv = command + ["--ratings", planted_file(tmp_path, 5), "--folds", "5",
                           "--methods", "pcc,wpcc,spcc,plus,static,dynamic",
                           "--k-sweep", "10:40:10", "--seed", "5"]
@@ -499,3 +499,56 @@ class TestDemand:
     def test_threads_sharing_a_restricted_cache_see_only_whole_rows(self, scale):
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)
         assert_threads_see_whole_rows(m, grow=True)
+
+
+class TestBitsets:
+    """Item bitsets that drop co-raters sharing fewer than two items: lazy,
+    one set per matrix object, bounded by the input, and no pair count moves."""
+
+    @pytest.mark.parametrize("methods", ["pcc", "pcc,dynamic"])
+    def test_bitsets_change_no_pair_count_on_a_planted_holdout(self, methods, base_calls):
+        # every known test user's full row, each pair with 2+ co-rated items
+        # scored once; 1,701 is also what a builder without bitsets scores here
+        records = _synth.planted_records(seed=3, n_users=220, n_items=150)
+        train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
+        sims = [make_method(name) for name in methods.split(",")]
+        caches = SimilarityCache.siblings(sims, train)
+        base_calls.clear()
+        for sim, cache in zip(sims, caches):
+            evaluate_split(train, test, sim, ks=(20,), r=5, relevance=4.0, cache=cache)
+        by_user = train._by_user
+        known = {ia for user, _, _ in test if (ia := train._user_index.get(user)) is not None}
+        needed = {frozenset((ia, ib)) for ia in known for ib in range(train.user_count)
+                  if ib != ia and len(by_user[ia].keys() & by_user[ib].keys()) >= 2}
+        assert len(base_calls) == len(needed) == 1701
+
+    def test_built_once_per_matrix_and_never_shared_with_a_cut(self, monkeypatch):
+        prop = cflevels.ratings.RatingsMatrix.__dict__["_masks"]
+        built = []
+        func = prop.func
+        monkeypatch.setattr(prop, "func", lambda m: built.append(m) or func(m))
+        records = _synth.planted_records(seed=3, n_users=60, n_items=40)
+        m = build_matrix(records, RatingScale(*_synth.SCALE))
+        train, _ = split_holdout(m, 0.8, 42)
+        assert built == []  # neither building nor cutting a matrix makes them
+        for matrix in (m, train):
+            cache = SimilarityCache(PCC, matrix)
+            for ia in range(matrix.user_count):
+                cache.row(ia)
+            SimilarityCache(PCC, matrix).row(0)
+        assert built == [m, train]
+        assert train._masks is not m._masks
+        for matrix in (m, train):
+            assert matrix._masks == tuple(sum(1 << ii for ii in row) for row in matrix._by_user)
+
+    def test_user_at_64_bits_per_rating_gets_none(self, scale):
+        # every one of 200 items is rated, so item ids map to their own index
+        records = [("all", f"i{ii:03d}", 3.0) for ii in range(200)]
+        records += [("over", "i000", 4.0), ("over", "i128", 2.0),   # 128 = 64 * 2
+                    ("under", "i000", 4.0), ("under", "i127", 2.0),
+                    ("one", "i063", 1.0), ("one-over", "i064", 1.0)]
+        m = build_matrix(records, scale)
+        masks = dict(zip(m.users(), m._masks))
+        assert masks["over"] is None and masks["one-over"] is None
+        assert masks["under"] == 1 | 1 << 127 and masks["one"] == 1 << 63
+        assert masks["all"] == (1 << 200) - 1

@@ -3,8 +3,10 @@
 A row built by :class:`SimilarityCache` must equal the pair-by-pair row
 ``{ib: s for ib in raters if (s := sim.adjust(*_base(ra, rb), m)) > 0}``
 over the raters of the items it covers, whatever order rows are built and
-extended in, whichever siblings share the builder, and whether or not they
-let the builder stop a pair at a covariance <= 0.
+extended in, whichever siblings share the builder, whether or not they let
+the builder stop a pair at a covariance <= 0, and whether or not the target
+and its co-raters have item bitsets to drop those sharing fewer than two
+items.
 """
 
 import random
@@ -34,17 +36,53 @@ SIBLING_SETS = {
 }
 
 
+def mixed_bitsets(rng):
+    """Users with item bitsets and users over the 64-bits-per-rating bound.
+
+    Twenty users rate 40 of 300 items each, so nearly every item is live and
+    each of them gets a bitset. Fifteen rate 2-3 of the first 12 items and
+    one of the last 20, an item index above 64 times their rating count, so
+    none of them gets one; they still share items with both kinds.
+    """
+    ratings = {f"d{u:02d}": {f"i{ii:03d}": float(rng.randint(1, 5))
+                             for ii in rng.sample(range(300), 40)} for u in range(20)}
+    for u in range(15):
+        items = rng.sample(range(12), rng.randint(2, 3)) + [rng.randrange(280, 300)]
+        ratings[f"s{u:02d}"] = {f"i{ii:03d}": float(rng.randint(1, 5)) for ii in items}
+    return build_matrix(oracles.ratings_to_records(ratings), SCALE)
+
+
+def wide_sparse(rng):
+    """A wide sparse random shape in which no user gets an item bitset.
+
+    Each of 120 users rates 2-3 of ten shared items, 5 of 600 middle items
+    that no other user rates, and one of 50 items sorted after those: its
+    index, 610 or more, is above 64 times any user's rating count (at most 9).
+    """
+    middle = rng.sample(range(600), 600)
+    ratings = {}
+    for u in range(120):
+        items = ([f"a{ii}" for ii in rng.sample(range(10), rng.randint(2, 3))]
+                 + [f"m{ii:03d}" for ii in middle[5 * u:5 * u + 5]] + [f"z{rng.randrange(50):02d}"])
+        ratings[f"w{u:03d}"] = {item: float(rng.randint(1, 5)) for item in items}
+    return build_matrix(oracles.ratings_to_records(ratings), SCALE)
+
+
 def matrices():
-    """Random matrices of several densities, and planted-cluster ones."""
+    """Random matrices of several densities, planted-cluster ones, and two
+    whose users have bitsets in part or not at all."""
     rng = random.Random(20)
     for density in (0.2, 0.45, 0.8):
         ratings = oracles.random_ratings(rng, n_users=24, n_items=16, density=density)
         yield build_matrix(oracles.ratings_to_records(ratings), SCALE)
     for seed in (3, 4):
         yield build_matrix(_synth.planted_records(seed=seed, n_users=60, n_items=40), SCALE)
+    yield mixed_bitsets(rng)
+    yield wide_sparse(rng)
 
 
 MATRICES = list(matrices())
+MIXED, WIDE = MATRICES[-2:]
 
 
 def brute_row(sim, m, ia, items=None):
@@ -133,3 +171,19 @@ def test_builder_stops_at_covariance_only_when_no_sibling_lifts_negatives(
         caches[0].row(ia)
     assert len(kept) > 100
     assert set(kept) == {keep}
+
+
+def test_matrices_mix_targets_and_co_raters_with_and_without_bitsets():
+    # the shapes the rows above are checked on: in MIXED each kind is a
+    # target whose row holds the other kind; in WIDE no user has a bitset
+    assert WIDE._masks == (None,) * WIDE.user_count
+    wide = SimilarityCache(make_method("pcc"), WIDE)
+    assert sum(len(wide.row(ia)) for ia in range(WIDE.user_count)) > 100
+    masks = MIXED._masks
+    assert [user[0] for user, mask in zip(MIXED.users(), masks)] == ["d"] * 20 + ["s"] * 15
+    assert [mask is None for mask in masks] == [False] * 20 + [True] * 15
+    caches = SimilarityCache.siblings(SIBLING_SETS["eq8-mixed"](), MIXED)
+    kinds = set()
+    for ia in range(MIXED.user_count):
+        kinds.update((masks[ia] is None, masks[ib] is None) for ib in caches[1].row(ia))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
