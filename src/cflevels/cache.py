@@ -6,14 +6,15 @@ experiment. ``rows`` maps a user index to ``{rater index: score}``, keeping
 only positive scores: those are the only ones a neighborhood can use.
 Indexes follow the matrix's sorted user order.
 
-A row covers what it was asked for. :meth:`SimilarityCache.row` with item
-indexes returns a's scores against the raters of those items; without, a's
+A row is built on its first request. :meth:`SimilarityCache.row` with item
+indexes builds a's scores against the raters of those items; without, a's
 full row: every user who shares at least one item with a. A row that does
-not cover a request is extended, never answered from, so a prediction
-always sees the same candidates a full row would give it. Extending scores
-only the co-raters the row does not hold yet, and a row reuses another
-user's finished rows for the pair when their coverage holds it, so each
-pair is scored at most once.
+not cover a later request is never answered from: it is rebuilt as the full
+row, so a prediction always sees the same candidates a full row would give
+it. A row reuses another user's finished rows for the pair when their
+coverage holds it, so each pair is scored at most once unless a row is
+rebuilt, which no command does: each asks for a user's row once, up front,
+or for the full row.
 
 Caches of several methods over one matrix can be siblings
 (:meth:`SimilarityCache.siblings`): one row builder serves them all. It
@@ -106,33 +107,30 @@ class SimilarityCache:
         """The positive scores of user ``ia`` against the raters of ``items``.
 
         ``items`` holds item indexes; None asks for every co-rater. The row
-        may hold more than was asked for, never less: a row that does not
-        cover ``items`` is extended first.
+        may hold more than was asked for, never less: the first request
+        builds it, and a row that does not cover ``items`` is rebuilt as the
+        full row.
         """
         entry = self._done.get(ia)
         if entry is None or not (entry[0] is None
                                  or items is not None and entry[0].issuperset(items)):
-            entry = self._build(ia, items, entry)
+            entry = self._build(ia, items if entry is None else None)
         return entry[1][self._slot]
 
-    def _build(self, ia: int, items, old):
-        """User ``ia``'s entry grown to cover ``items``, from one base per new co-rater.
+    def _build(self, ia: int, items):
+        """User ``ia``'s entry covering ``items`` (None: every item), one base per co-rater.
 
-        The pool is the raters of newly covered items, less the raters of items
-        the old rows cover, which are kept as they are, less those whose
-        bitset shares fewer than two items with ``ia``'s. Another user b's
-        finished rows give the pair, as ``rows_b[slot].get(ia)``, when b's
-        coverage holds ``ia``: b's entry covers every item, or an item ``ia``
-        rated. One walk of ``ia``'s ratings gathers the rest's overlaps.
+        The pool is the raters of the covered items, less those whose bitset
+        shares fewer than two items with ``ia``'s. Another user b's finished
+        rows give the pair, as ``rows_b[slot].get(ia)``, when b's coverage
+        holds ``ia``: b's entry covers every item, or an item ``ia`` rated.
+        One walk of ``ia``'s ratings gathers the rest's overlaps.
         """
         m, done = self.m, self._done
         by_user, by_item = m._by_user, m._by_item
         ra = by_user[ia]
-        had, old_rows = old if old is not None else (frozenset(), ())
-        cover = None if items is None else had.union(items)
-        pool = set().union(*(by_item[ii] for ii in (ra if cover is None else cover - had)))
-        if had:
-            pool -= set().union(*(by_item[ii] for ii in had))
+        cover = None if items is None else frozenset(items)
+        pool = set().union(*(by_item[ii] for ii in (ra if cover is None else cover)))
         pool.discard(ia)
         masks = m._masks
         if (mask := masks[ia]) is not None:  # a co-rater sharing < 2 items has Pearson 0
@@ -158,8 +156,6 @@ class SimilarityCache:
             adjust = sim.adjust
             row = {ib: s for ib, base, co in bases if (s := adjust(base, co, m)) > 0.0}
             row.update((ib, s) for ib, rows_b in covered if (s := rows_b[slot].get(ia)) is not None)
-            if old_rows:
-                row.update(old_rows[slot])
             filled.append(row)
         entry = (cover, tuple(filled))
         done[ia] = entry  # one store for all siblings, so none is seen half-built

@@ -114,8 +114,9 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     ``resnick`` combines mean-centered deviations weighted by similarity on
     top of a's own mean; ``weighted_mean`` averages the neighbors' raw
     ratings instead. Either way the result is clamped to the rating scale.
-    Scores come from a's row in ``cache``, extended to cover the item when
-    it does not; None scores through a fresh one made for this call.
+    Scores come from a's row in ``cache``, rebuilt as the full row when it
+    does not cover the item; None scores through a fresh one made for this
+    call.
     """
     cache = _checked_cache(k, sim, m, cache, mode)
     ia, ii = m._user_index.get(a), m._item_index.get(item)

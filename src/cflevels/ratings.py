@@ -47,9 +47,6 @@ class RatingScale(_Bounds):
     def span(self) -> float:
         return self.rmax - self.rmin
 
-    def contains(self, value: float) -> bool:
-        return self.rmin <= value <= self.rmax
-
     def clamp(self, value: float) -> float:
         return min(self.rmax, max(self.rmin, value))
 
@@ -68,29 +65,16 @@ _record = tuple.__new__  # _record(RatingRecord, fields) skips NamedTuple's Pyth
 class RatingsMatrix:
     """Immutable user x item rating store.
 
-    Construction deduplicates (user, item) pairs with last-write-wins and
-    builds both the forward (user -> {item: rating}) and inverted
-    (item -> {users}) indexes; a split cuts its train matrix from them
-    (:meth:`_cut`). Use :func:`build_matrix`, not the constructor.
+    The constructor takes sorted user and item ids and each user's ratings
+    keyed by item index in item-index order, and builds the forward
+    (user -> {item: rating}) and inverted (item -> {users}) indexes. Use
+    :func:`build_matrix`, which checks and deduplicates records, to make one
+    from records; a split cuts its train matrix from the parent's rows
+    (:meth:`_cut`).
     """
 
-    def __init__(self, records: Iterable[RatingRecord], scale: RatingScale) -> None:
-        lo, hi = scale.rmin, scale.rmax
-        rows: dict[str, dict[str, float]] = {}
-        for user, item, raw in records:
-            value = float(raw)
-            if not lo <= value <= hi:
-                raise OutOfScaleRatingError(
-                    f"rating {value} for ({user!r}, {item!r}) outside scale [{lo}, {hi}]")
-            rows.setdefault(str(user), {})[str(item)] = value
-        users, items = sorted(rows), sorted(set().union(*rows.values()))
-        at = {item: n for n, item in enumerate(items)}
-        self._index(scale, users, items,
-                    [{at[i]: row[i] for i in sorted(row)} for row in map(rows.get, users)])
-
-    def _index(self, scale: RatingScale, users: list[str], items: list[str],
-               rows: list[dict[int, float]]) -> None:
-        """Fill every index from sorted ids and each user's row in item-index order."""
+    def __init__(self, scale: RatingScale, users: list[str], items: list[str],
+                 rows: list[dict[int, float]]) -> None:
         self._scale = scale
         self._users: tuple[str, ...] = tuple(users)
         self._items: tuple[str, ...] = tuple(items)
@@ -116,15 +100,15 @@ class RatingsMatrix:
         if len(live) < len(items):
             at = {ii: n for n, ii in enumerate(live)}
             kept = {ui: {at[ii]: v for ii, v in row.items()} for ui, row in kept.items()}
-        train = object.__new__(type(self))
-        train._index(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live], list(kept.values()))
+        train = RatingsMatrix(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live],
+                              list(kept.values()))
         return train, [_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])) for ui, ii in cells]
 
     @cached_property
     def _masks(self) -> tuple[int | None, ...]:
         """Per user index, an int with bit ``ii`` set for each item index ``ii`` rated.
 
-        Built on first use, never by :meth:`_index`. A user gets None when its
+        Built on first use, never by the constructor. A user gets None when its
         highest item index is not below 64 times its rating count, so the
         bitsets hold about one machine word per rating at most.
         """
@@ -180,5 +164,16 @@ class RatingsMatrix:
 
 def build_matrix(records: Iterable[RatingRecord], scale: RatingScale) -> RatingsMatrix:
     """Build an immutable matrix; duplicate (user, item) pairs keep the last record."""
-    return RatingsMatrix(records, scale)
+    lo, hi = scale.rmin, scale.rmax
+    rows: dict[str, dict[str, float]] = {}
+    for user, item, raw in records:
+        value = float(raw)
+        if not lo <= value <= hi:
+            raise OutOfScaleRatingError(
+                f"rating {value} for ({user!r}, {item!r}) outside scale [{lo}, {hi}]")
+        rows.setdefault(str(user), {})[str(item)] = value
+    users, items = sorted(rows), sorted(set().union(*rows.values()))
+    at = {item: n for n, item in enumerate(items)}
+    return RatingsMatrix(scale, users, items,
+                         [{at[i]: row[i] for i in sorted(row)} for row in map(rows.get, users)])
 

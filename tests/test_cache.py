@@ -71,8 +71,8 @@ def base_calls(monkeypatch):
     return calls
 
 
-def planted_file(tmp_path, seed):
-    records = _synth.planted_records(seed=seed, n_users=220, n_items=150)
+def planted_file(tmp_path, seed, n_users=220, n_items=150):
+    records = _synth.planted_records(seed=seed, n_users=n_users, n_items=n_items)
     path = tmp_path / "planted.txt"
     path.write_text("".join(f"{u} {i} {v:g}\n" for u, i, v in records), encoding="utf-8")
     return str(path)
@@ -93,7 +93,8 @@ def assert_threads_see_whole_rows(m, grow, rounds=5):
 
     A published row must hold exactly the full row's raters of the items it
     covers. With ``grow`` each thread asks for a user's row one item at a
-    time before the full row, so rows are extended while others read them.
+    time before the full row, so partial rows are rebuilt as full rows while
+    others read them.
     """
     sims = sibling_methods()
     want = [{ia: SimilarityCache(sim, m).row(ia) for ia in range(m.user_count)}
@@ -388,8 +389,8 @@ class TestDemand:
     @pytest.mark.parametrize("name,kw", DEMAND_CONFIGS, ids=DEMAND_IDS)
     def test_prediction_equals_full_row_and_oracle(self, name, kw, scale):
         # one cache per split, walked user by user: each row is first asked for
-        # two test items, then grown by each other unrated item and to the full
-        # row, while other users' partial rows are reused
+        # two test items, then for each other unrated item, which rebuilds it
+        # as the full row, while other users' partial rows are reused
         rng = random.Random(11)
         checked = 0
         for seed in range(4):
@@ -495,6 +496,34 @@ class TestDemand:
         assert both == [{**acc, **{name: top[name] for name in
                                    ("precision", "recall", "f1", "hit_rate_pct")}}
                         for acc, top in zip(accuracy, topn)]
+
+    def test_commands_build_each_row_once(self, tmp_path, monkeypatch, capsys):
+        # a row that does not cover a request is rebuilt, rescoring its pairs;
+        # no command path may ask for that, so _build only meets new users
+        rebuilt, builds = [], []
+        build = SimilarityCache._build
+
+        def spy(self, ia, *rest):
+            builds.append(ia)
+            if ia in self._done:
+                rebuilt.append(ia)
+            return build(self, ia, *rest)
+
+        monkeypatch.setattr(SimilarityCache, "_build", spy)
+        path = planted_file(tmp_path, 3, n_users=120, n_items=90)
+        sweep = ["--ratings", path, "--methods", "pcc,wpcc,spcc,plus,static,dynamic",
+                 "--folds", "3", "--k-sweep", "2:12:5"]
+        for command in (["evaluate"], ["topn", "--r", "10"]):
+            for form in ([], ["--negative-form", "eq8"]):
+                assert main(command + sweep + form) == 0
+        assert main(["evaluate", "--ratings", path]) == 0
+        assert main(["recommend", "--ratings", path, "--user", "u000", "--r", "10"]) == 0
+        capsys.readouterr()
+        records = _synth.planted_records(seed=3, n_users=120, n_items=90)
+        train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
+        evaluate_split(train, test, PCC, ks=(3, 20), r=5, relevance=4.0, metrics="all")
+        assert len(builds) > 1000
+        assert rebuilt == []
 
     def test_threads_sharing_a_restricted_cache_see_only_whole_rows(self, scale):
         m = random_matrix(random.Random(9), scale, n_users=40, n_items=20)

@@ -7,8 +7,8 @@ import random
 import pytest
 
 import oracles
-from cflevels import (OutOfScaleRatingError, RatingRecord, RatingScale,
-                      UnknownUserError, build_matrix)
+from cflevels import (FORMATS, OutOfScaleRatingError, RatingRecord, RatingScale,
+                      UnknownUserError, build_matrix, parse_ratings)
 
 
 def rated_items(m, user):
@@ -39,11 +39,23 @@ class TestRatingScale:
         assert good._replace(rmax=10.0) == RatingScale._make((1.0, 10.0)) == (1.0, 10.0)
         assert pickle.loads(pickle.dumps(good)) == good
 
-    def test_span_contains_clamp(self):
+    def test_span_contains_clamp(self, tmp_path):
         s = RatingScale(0.0, 10.0)
         assert s.span == 10.0
-        assert s.contains(0.0) and s.contains(10.0)
-        assert not s.contains(-0.001) and not s.contains(10.001)
+        # both bounds are inclusive, in build_matrix and in parse_ratings
+        fmt = FORMATS["movietweetings"]
+        assert fmt.scale == s
+        path = tmp_path / "ratings.dat"
+        path.write_text("u1::i1::0\nu2::i2::10\n", encoding="utf-8")
+        records = parse_ratings(str(path), fmt)
+        assert [value for _, _, value in records] == [0.0, 10.0]
+        assert build_matrix(records, s).records() == records
+        for value in (-0.001, 10.001):
+            with pytest.raises(OutOfScaleRatingError):
+                build_matrix([("u1", "i1", value)], s)
+            path.write_text(f"u1::i1::{value}\n", encoding="utf-8")
+            with pytest.raises(OutOfScaleRatingError):
+                parse_ratings(str(path), fmt)
         assert s.clamp(11.5) == 10.0
         assert s.clamp(-2.0) == 0.0
         assert s.clamp(7.25) == 7.25
