@@ -277,7 +277,7 @@ def average_report(reports: list[EvalReport]) -> EvalReport:
 # report serialization
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("method", "k", "params", *METRICS, "coverage", "seconds")
+CSV_COLUMNS = EvalReport._fields
 
 
 def _params_text(params: dict) -> str:

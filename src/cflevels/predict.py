@@ -14,10 +14,8 @@ PREDICTION_MODES = ("resnick", "weighted_mean")
 
 
 class Prediction(NamedTuple):
-    """A predicted rating and the number of neighbors that backed it."""
+    """A predicted rating and its support, the number of neighbors that backed it."""
 
-    user: str
-    item: str
     value: float
     support: int
 
@@ -86,12 +84,13 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
 
 
 def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,
-              mode: str) -> tuple[float, int]:
-    """(Clamped prediction, support) of user ``ia`` on item ``ii`` from its neighbors.
+              mode: str) -> float:
+    """The clamped prediction of user ``ia`` on item ``ii`` from its neighbors.
 
-    ``best`` is a non-empty neighborhood from :func:`_top_k`. The one place
-    neighbors are combined: :func:`predict` and :func:`recommend_top_n` both
-    call it on matrix indexes.
+    ``best`` is a non-empty neighborhood from :func:`_top_k`; its length is
+    the prediction's support. The one place neighbors are combined:
+    :func:`predict` and :func:`recommend_top_n` both call it on matrix
+    indexes.
     """
     by_user, means = m._by_user, m._user_means
     # row scores are positive and finite, so the total is > 0
@@ -102,7 +101,7 @@ def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,
     else:
         num = math.fsum(-neg * by_user[ib][ii] for neg, ib in best)
         raw = num / weight_total
-    return m.scale.clamp(raw), len(best)
+    return m.scale.clamp(raw)
 
 
 def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -125,7 +124,7 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     best = _top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii)
     if best is None:
         return None
-    return Prediction(a, item, *_estimate(best, ia, ii, m, mode))
+    return Prediction(_estimate(best, ia, ii, m, mode), len(best))
 
 
 def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -136,9 +135,9 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     by default every unrated item in the matrix is considered. Items with
     no computable prediction are dropped. Output is (item, value) pairs
     sorted by value descending, item id ascending, at most r of them.
-    Scores come from a's row in ``cache``: against the pool's raters when
-    ``candidates`` is given, else a's full row. Without a cache the call
-    makes one for all its items, so each (a, rater) pair is scored once.
+    Ranking always reads a's full row in ``cache``, whatever the pool, so a
+    second pool on the same cache reuses it. Without a cache the call makes
+    one, so each (a, rater) pair is scored once.
     The whole pool's neighborhoods come from one best-first walk of that
     row (:func:`_top_k`), and each is combined exactly as :func:`predict`
     combines it.
@@ -153,8 +152,8 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     else:
         index = m._item_index
         pool = {ii for i in candidates if (ii := index.get(i)) is not None and ii not in rated}
-    hoods = _top_k(cache.row(ia, None if candidates is None else pool), pool, k, m)
+    hoods = _top_k(cache.row(ia), pool, k, m)
     # item indexes follow sorted item ids, so ties break on ascending id
-    ranked = sorted((-_estimate(best, ia, ii, m, mode)[0], ii) for ii, best in hoods.items())
+    ranked = sorted((-_estimate(best, ia, ii, m, mode), ii) for ii, best in hoods.items())
     items = m.items()
     return tuple((items[ii], -neg) for neg, ii in ranked[:r])

@@ -1,12 +1,18 @@
-"""Seeded planted-cluster ratings generator for desk-scale benchmarks.
+"""Seeded ratings generators for desk-scale benchmarks and tests.
 
-Users come in clusters that share a preferred block of items. Inside the
-block a cluster rates an item around its own quality draw (4-5 stars);
-outside it the quality draw is low (1-2 stars). Ratings add a little
-per-user noise, so pairs with many co-rated items correlate strongly
+``planted_records``: users come in clusters that share a preferred block of
+items. Inside the block a cluster rates an item around its own quality draw
+(4-5 stars); outside it the quality draw is low (1-2 stars). Ratings add a
+little per-user noise, so pairs with many co-rated items correlate strongly
 while pairs with only a couple of shared items can correlate spuriously.
+
+``zipf_records``: the sparse, heavy-tailed regime the co-rated-count
+adjustment is for, shaped like Epinions (about 13.5 ratings per user, a few
+very popular items and a long tail). Most co-rating pairs share only a
+handful of items.
 """
 
+import itertools
 import random
 
 N_USERS = 500
@@ -48,5 +54,40 @@ def planted_records(seed=13, n_users=N_USERS, n_items=N_ITEMS,
                 continue
             value = quality[c][j] + rng.choice((-1.0, 0.0, 0.0, 0.0, 1.0))
             records.append((f"u{ui:03d}", f"i{j:03d}",
+                            min(SCALE[1], max(SCALE[0], value))))
+    return records
+
+
+def zipf_records(seed=13, n_users=150, n_items=900, mean_count=13.5,
+                 n_clusters=N_CLUSTERS):
+    """List of (user, item, rating) triples with heavy-tailed item popularity.
+
+    Item popularity follows Zipf with s = 1 over shuffled item ids: the item
+    of popularity rank r is drawn with weight 1/r, and ranks map to ids in a
+    seeded random order, so popular items are spread over the sorted item
+    index. Each user rates max(2, round(x)) distinct items, x exponential
+    with mean ``mean_count``, at most ``n_items``. Users fall into
+    ``n_clusters`` clusters by index; a cluster rates each item around its
+    own 1-5 quality draw, with the same per-rating noise as
+    :func:`planted_records`. Standard library ``random`` only.
+    """
+    rng = random.Random(seed)
+    ids = [f"i{j:0{len(str(n_items - 1))}d}" for j in range(n_items)]
+    rng.shuffle(ids)
+    user_width = len(str(n_users - 1))
+    cum = list(itertools.accumulate(1.0 / rank for rank in range(1, n_items + 1)))
+    quality = [[rng.choice((1.0, 2.0, 3.0, 4.0, 5.0)) for _ in range(n_items)]
+               for _ in range(n_clusters)]
+    ranks = range(n_items)
+    records = []
+    for ui in range(n_users):
+        count = min(n_items, max(2, round(rng.expovariate(1.0 / mean_count))))
+        rated = set()
+        while len(rated) < count:
+            rated.update(rng.choices(ranks, cum_weights=cum, k=count - len(rated)))
+        cluster = quality[ui % n_clusters]
+        for rank in sorted(rated):
+            value = cluster[rank] + rng.choice((-1.0, 0.0, 0.0, 0.0, 1.0))
+            records.append((f"u{ui:0{user_width}d}", ids[rank],
                             min(SCALE[1], max(SCALE[0], value))))
     return records

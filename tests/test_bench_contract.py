@@ -4,29 +4,38 @@ The traced benchmark wraps the functions named in the ``COARSE`` and ``HOT``
 tables of ``perfbench/tracer.py``, patches ``SimilarityMethod.score``, binds
 ``predict`` and ``recommend_top_n`` arguments by name for its oracle check,
 and builds a matrix through top-level names in its set-up probe. A rename of
-any of these fails here instead of as a crashed benchmark run.
+any of these fails here instead of as a crashed benchmark run. Its recorded
+stdout digests are keyed by the sha256 of the ratings file it writes from
+``tests/_synth.planted_records``, so that data must not change by a byte.
 """
 
 import importlib
 import inspect
+import json
+import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import _synth
 import cflevels
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
+def load_bench(name, **imports):
     # exec'd from source so that reading it leaves no bytecode cache behind
-    module = types.ModuleType("_perfbench_tracer")
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(module))
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"_perfbench_{name}")
+    module.__file__ = str(path)
+    with mock.patch.dict(sys.modules, {module.__name__: module, **imports}):
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
     return module
 
 
-_tracer = load_tracer()
+_tracer = load_bench("tracer")
 
 
 @pytest.mark.parametrize("home,attr,name", _tracer.COARSE + _tracer.HOT,
@@ -62,3 +71,13 @@ def test_cache_first_argument_and_length(sample_matrix):
 def test_setup_probe_names():
     for name in ("DatasetFormat", "RatingScale", "parse_ratings", "build_matrix"):
         assert hasattr(cflevels, name)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 24])
+def test_planted_data_is_what_the_references_were_recorded_on(seed, tmp_path):
+    run = load_bench("run", tracer=_tracer)
+    table = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    for name, w in sorted(run.WORKLOADS.items()):
+        records = _synth.planted_records(seed=seed, n_users=w.users, n_items=w.items)
+        data_sha = run.write_ratings(records, tmp_path / f"{name}.tsv")
+        assert table[name][data_sha]["seed"] == seed, name

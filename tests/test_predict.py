@@ -6,10 +6,9 @@ import random
 import pytest
 
 import _synth
-import cflevels.cache
 import oracles
-from cflevels import (PREDICTION_MODES, RatingScale, SimilarityCache, SimilarityMethod,
-                      UnknownUserError, build_matrix, make_method,
+from cflevels import (PREDICTION_MODES, Prediction, RatingScale, SimilarityCache,
+                      SimilarityMethod, UnknownUserError, build_matrix, make_method,
                       neighborhood_for_item, predict, recommend_top_n)
 
 PCC = make_method("pcc")
@@ -156,6 +155,10 @@ class TestPredict:
         p = predict("a", "x", 5, PCC, m)
         assert p is not None
         assert p.support == 2
+
+    def test_prediction_holds_value_and_support(self):
+        # the caller already holds the user and item it asked about
+        assert Prediction._fields == ("value", "support")
 
 
 class TestIndexPath:
@@ -322,28 +325,27 @@ class TestRecommendTopN:
                 assert got and {i for i, _ in got} <= known
                 assert pool == before
 
-    def test_candidate_pool_scores_only_its_raters(self, monkeypatch):
+    def test_candidate_pool_ranks_from_the_full_row(self, monkeypatch):
         m = build_matrix(_synth.planted_records(seed=3, n_users=220, n_items=150),
                          RatingScale(*_synth.SCALE))
-        calls = []
-        pearson = cflevels.cache._pearson
-        monkeypatch.setattr(cflevels.cache, "_pearson",
-                            lambda *args: calls.append(1) or pearson(*args))
+        builds = []
+        build = SimilarityCache._build
+
+        def spy(self, ia, items):
+            builds.append((ia, items))
+            return build(self, ia, items)
+
+        monkeypatch.setattr(SimilarityCache, "_build", spy)
         user, pool = "u000", {"i001", "i050", "i120"}
-        got = recommend_top_n(user, 5, 20, PCC, m, candidates=pool)
-        # the raters, with >= 2 co-rated items, of the pool items the user has not rated
         ia = m._user_index[user]
-        ra = m._by_user[ia]
-        unrated = {i for i in pool if m._item_index[i] not in ra}
-        raters = {ib for i in unrated for ib in m._by_item[m._item_index[i]]
-                  if len(ra.keys() & m._by_user[ib].keys()) >= 2}
-        assert len(calls) == len(raters)
-        calls.clear()
+        got = recommend_top_n(user, 5, 20, PCC, m, candidates=pool)
+        # a pool is ranked from the user's full row, not from its raters' scores
+        assert builds == [(ia, None)]
         full = SimilarityCache(PCC, m)
         full.row(ia)
-        assert len(calls) > len(raters)
         assert got and got == recommend_top_n(user, 5, 20, PCC, m, candidates=pool, cache=full)
         ratings = oracles.records_to_dict(m.records())
+        unrated = {i for i in pool if m._item_index[i] not in m._by_user[ia]}
         want = oracles.top_n(ratings, user, 5, 20, oracle_sim(ratings), (1, 5), unrated)
         assert [i for i, _ in got] == [i for i, _ in want]
         assert all(abs(x - y) <= 1e-9 for (_, x), (_, y) in zip(got, want))

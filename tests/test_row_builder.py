@@ -69,8 +69,8 @@ def wide_sparse(rng):
 
 
 def matrices():
-    """Random matrices of several densities, planted-cluster ones, and two
-    whose users have bitsets in part or not at all."""
+    """Random matrices of several densities, planted-cluster ones, two whose
+    users have bitsets in part or not at all, and a heavy-tailed sparse one."""
     rng = random.Random(20)
     for density in (0.2, 0.45, 0.8):
         ratings = oracles.random_ratings(rng, n_users=24, n_items=16, density=density)
@@ -79,10 +79,11 @@ def matrices():
         yield build_matrix(_synth.planted_records(seed=seed, n_users=60, n_items=40), SCALE)
     yield mixed_bitsets(rng)
     yield wide_sparse(rng)
+    yield build_matrix(_synth.zipf_records(seed=13, n_users=150, n_items=900), SCALE)
 
 
 MATRICES = list(matrices())
-MIXED, WIDE = MATRICES[-2:]
+MIXED, WIDE, ZIPF = MATRICES[-3:]
 
 
 def brute_row(sim, m, ia, items=None):
@@ -187,3 +188,18 @@ def test_matrices_mix_targets_and_co_raters_with_and_without_bitsets():
     for ia in range(MIXED.user_count):
         kinds.update((masks[ia] is None, masks[ib] is None) for ib in caches[1].row(ia))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_zipf_matrix_is_the_sparse_regime():
+    # most co-rating pairs share one to four items; the item count, bound by
+    # the rating count, gives every user with 9 or more ratings a bitset and
+    # most others none, so targets of both kinds build rows
+    overlaps = [len(ZIPF._by_user[ia].keys() & ZIPF._by_user[ib].keys())
+                for ia in range(ZIPF.user_count) for ib in range(ia)]
+    shared = [n for n in overlaps if n]
+    assert sum(n <= 4 for n in shared) > 0.8 * len(shared)
+    cache = SimilarityCache(make_method("pcc"), ZIPF)
+    entries = {True: 0, False: 0}  # row entries by whether the target has no bitset
+    for ia, mask in enumerate(ZIPF._masks):
+        entries[mask is None] += len(cache.row(ia))
+    assert min(entries.values()) > 100
