@@ -354,17 +354,11 @@ def cmd_levels(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    rows = run_sweep(args, metrics="accuracy")
-    if args.metric != "all":
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = run_sweep(args, metrics="accuracy" if args.command == "evaluate" else "topn")
+    if getattr(args, "metric", "all") != "all":
         rows = [row._replace(**{name: None for name in ERROR_METRICS if name != args.metric})
                 for row in rows]
-    write_rows(args, rows)
-    return 0
-
-
-def cmd_topn(args: argparse.Namespace) -> int:
-    rows = run_sweep(args, metrics="topn")
     write_rows(args, rows)
     return 0
 
@@ -381,8 +375,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 COMMANDS = {
     "levels": cmd_levels,
-    "evaluate": cmd_evaluate,
-    "topn": cmd_topn,
+    "evaluate": cmd_sweep,
+    "topn": cmd_sweep,
     "recommend": cmd_recommend,
 }
 

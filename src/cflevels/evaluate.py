@@ -284,14 +284,6 @@ def _params_text(params: dict) -> str:
     return ";".join(f"{key}={params[key]}" for key in sorted(params))
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _rows(reports: list[EvalReport], include_timing: bool) -> list[dict]:
     """Each report as a field dict; ``seconds`` is None unless timing is wanted."""
     return [{**rep._asdict(), "seconds": rep.seconds if include_timing else None}
@@ -299,12 +291,20 @@ def _rows(reports: list[EvalReport], include_timing: bool) -> list[dict]:
 
 
 def render_csv(reports: list[EvalReport], include_timing: bool = False) -> str:
-    """Stable-order CSV; timing cells stay empty unless explicitly wanted."""
-    lines = [",".join(CSV_COLUMNS)]
+    """Stable-order CSV; timing cells stay empty unless explicitly wanted.
+
+    None is an empty cell and a float its ``repr``; a field holding a comma,
+    a quote or a newline is quoted.
+    """
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.DictWriter(out, CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
     for row in _rows(reports, include_timing):
-        row["params"] = _params_text(row["params"])
-        lines.append(",".join(_cell(row[col]) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        writer.writerow({**row, "params": _params_text(row["params"])})
+    return out.getvalue()
 
 
 def render_json(reports: list[EvalReport], include_timing: bool = False) -> str:

@@ -118,8 +118,6 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                 rejected += 1
                 continue
             records.append(_record(RatingRecord, (user, item, value)))
-    if rejected:
-        import logging
-
+    if rejected:  # the first skipped line imported logging
         logging.getLogger(__name__).warning("%s: rejected %d bad line(s)", path, rejected)
     return records

@@ -122,13 +122,16 @@ class TestExitCodes:
     def test_missing_ratings_file(self, tmp_path):
         assert main(["levels", "--ratings", str(tmp_path / "nope.txt")]) == 1
 
-    def test_closed_stdout_exits_quietly(self, bench_file, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", [
+        ["evaluate"], ["topn", "--r", "3"], ["levels"], ["recommend", "--user", "u000", "--r", "3"],
+    ], ids=["evaluate", "topn", "levels", "recommend"])
+    def test_closed_stdout_exits_quietly(self, bench_file, command, capsys, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        assert main(["evaluate", "--ratings", bench_file]) == 0
+        assert main(command + ["--ratings", bench_file]) == 0
         assert capsys.readouterr().err == ""
 
     def test_closed_pipe_in_child_process(self, bench_file):
@@ -283,6 +286,15 @@ class TestConfigFile:
         assert rows[0][0] == "spcc"      # config beats the pcc default
         assert rows[0][1] == "9"         # flag beats the config value
         assert rows[0][11] != ""         # timing=true via config boolean
+
+    @pytest.mark.parametrize("value", ["false", "no", "off", "0"])
+    def test_false_timing_entry_leaves_seconds_empty(self, bench_file, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"timing = {value}\n", encoding="utf-8")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg)]) == 0
+        header, rows = rows_of(capsys.readouterr().out)
+        assert header[11] == "seconds"
+        assert rows and all(row[11] == "" for row in rows)
 
     @pytest.mark.parametrize("flags, want", [
         (["--k", "10", "--method", "static"], [("static", "10")]),

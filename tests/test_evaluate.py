@@ -1,5 +1,7 @@
 """Splits, metrics, experiment runs, and report serialization."""
 
+import csv
+import io
 import json
 import math
 import pickle
@@ -399,9 +401,12 @@ class TestPassChecks:
     @pytest.mark.parametrize("run, kwargs, match", [
         (evaluate_split, {"prediction": "bogus"}, "unknown prediction mode 'bogus'"),
         (evaluate_split, {"r": 0, "metrics": "topn"}, "r must be >= 1, got 0"),
+        (evaluate_split, {"hit_def": "bogus"}, "unknown hit_def 'bogus'"),
+        (evaluate_split, {"metrics": "bogus"}, "unknown metrics group 'bogus'"),
         (run_experiment, {"prediction": "bogus"}, "unknown prediction mode 'bogus'"),
         (run_experiment, {"method": make_method("pcc")}, "serves only"),
-    ], ids=["split-prediction", "split-r", "experiment-prediction", "experiment-foreign-cache"])
+    ], ids=["split-prediction", "split-r", "split-hit-def", "split-metrics",
+            "experiment-prediction", "experiment-foreign-cache"])
     def test_bad_value_raises_before_any_row(self, planted_split, test_kind, run, kwargs, match):
         train, test = planted_split
         if test_kind == "unknown-users":
@@ -433,6 +438,12 @@ class TestRenderers:
         assert lines[1] == "pcc,40,,0.75,0.1875,1.0,,,,,2,"
         assert lines[2].startswith("dynamic,40,fold=0;negative_form=eq4,,,,0.5,0.25,")
         assert text.endswith("\n")
+
+    def test_csv_quotes_fields_holding_delimiters(self):
+        report = EvalReport('a,"b"', 40, {"note": "x,y"}, mae=0.5, coverage=1)
+        header, row = csv.reader(io.StringIO(render_csv([report])))
+        assert len(row) == len(header) == 12
+        assert row == ['a,"b"', "40", "note=x,y", "0.5", "", "", "", "", "", "", "1", ""]
 
     def test_csv_timing_gate(self):
         silent = render_csv(self.REPORTS)
