@@ -79,87 +79,85 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     "co-rated-count similarity adjustments.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add_dataset_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--ratings", help="path to the delimited ratings file")
-        sub.add_argument("--format", choices=FORMATS, default="custom",
+    # the flag groups several commands share, each declared once; a parent's
+    # Action objects are shared by every subcommand that lists it
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--ratings", help="path to the delimited ratings file")
+    dataset.add_argument("--format", choices=FORMATS, default="custom",
                          help="file layout preset (default: %(default)s)")
-        sub.add_argument("--delimiter", type=_checked(str, bool, "non-empty"),
+    dataset.add_argument("--delimiter", type=_checked(str, bool, "non-empty"),
                          help="field delimiter override (custom default: any whitespace)")
-        sub.add_argument("--scale-min", type=_FINITE, dest="scale_min",
-                         help="lowest valid rating")
-        sub.add_argument("--scale-max", type=_FINITE, dest="scale_max",
-                         help="highest valid rating")
-        sub.add_argument("--skip-bad-lines", action="store_true", dest="skip_bad_lines",
+    dataset.add_argument("--scale-min", type=_FINITE, help="lowest valid rating")
+    dataset.add_argument("--scale-max", type=_FINITE, help="highest valid rating")
+    dataset.add_argument("--skip-bad-lines", action="store_true",
                          help="log and skip malformed lines instead of failing")
-        sub.add_argument("--config", help="flat key=value file merged below flags")
+    dataset.add_argument("--config", help="flat key=value file merged below flags")
 
-    def add_method_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--method", choices=METHOD_NAMES, default="pcc",
-                         help="similarity method (default: %(default)s)")
-        sub.add_argument("--t", type=_AT_LEAST_1,
-                         help="co-rated threshold of the static method (default: per --format)")
-        sub.add_argument("--y", type=_FINITE,
-                         help="correlation threshold of the static method "
-                              "(default: per --format)")
-        sub.add_argument("--T", type=_AT_LEAST_1, dest="big_t",
-                         help="co-rated cutoff of the wpcc method (default: per --format)")
-        sub.add_argument("--alpha", type=_POSITIVE, default=KNOB_DEFAULTS["alpha"],
-                         help="power-law scale factor (default: %(default)s)")
-        sub.add_argument("--beta", type=_POSITIVE, default=KNOB_DEFAULTS["beta"],
-                         help="power-law exponent (default: %(default)s)")
-        sub.add_argument("--negative-form", choices=NEGATIVE_FORMS,
-                         default=KNOB_DEFAULTS["negative_form"], dest="negative_form",
-                         help="dynamic method's below-threshold formula (default: %(default)s)")
-        sub.add_argument("--prediction", choices=PREDICTION_MODES, default="resnick",
-                         help="rating combiner (default: %(default)s)")
-        sub.add_argument("--k", type=_AT_LEAST_1, default=40,
-                         help="neighborhood size (default: %(default)s)")
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", choices=METHOD_NAMES, default="pcc",
+                        help="similarity method (default: %(default)s)")
+    method.add_argument("--t", type=_AT_LEAST_1,
+                        help="co-rated threshold of the static method (default: per --format)")
+    method.add_argument("--y", type=_FINITE,
+                        help="correlation threshold of the static method "
+                             "(default: per --format)")
+    method.add_argument("--T", type=_AT_LEAST_1, dest="big_t",
+                        help="co-rated cutoff of the wpcc method (default: per --format)")
+    method.add_argument("--alpha", type=_POSITIVE, default=KNOB_DEFAULTS["alpha"],
+                        help="power-law scale factor (default: %(default)s)")
+    method.add_argument("--beta", type=_POSITIVE, default=KNOB_DEFAULTS["beta"],
+                        help="power-law exponent (default: %(default)s)")
+    method.add_argument("--negative-form", choices=NEGATIVE_FORMS,
+                        default=KNOB_DEFAULTS["negative_form"],
+                        help="dynamic method's below-threshold formula (default: %(default)s)")
+    method.add_argument("--prediction", choices=PREDICTION_MODES, default="resnick",
+                        help="rating combiner (default: %(default)s)")
+    method.add_argument("--k", type=_AT_LEAST_1, default=40,
+                        help="neighborhood size (default: %(default)s)")
 
-    def add_experiment_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--methods", type=parse_methods,
-                         help="comma-separated method list (overrides --method)")
-        sub.add_argument("--k-sweep", type=parse_k_sweep, dest="k_sweep",
-                         help="inclusive start:stop:step neighborhood sweep")
-        sub.add_argument("--train", type=_checked(float, lambda v: 0 < v < 1, "in (0,1)"),
-                         default=0.8, help="holdout training fraction (default: %(default)s)")
-        sub.add_argument("--folds", type=_checked(int, lambda v: v >= 2, ">= 2"),
-                         help="cross-validate with this many folds instead of a holdout")
-        sub.add_argument("--seed", type=int, default=42,
-                         help="split shuffle seed (default: %(default)s)")
-        sub.add_argument("--jobs", type=_AT_LEAST_1, default=1,
-                         help="kept for existing command lines: folds run in order, "
-                              "so the value changes neither output nor speed")
-        sub.add_argument("--output", help="write rows here instead of stdout")
-        sub.add_argument("--out-format", choices=("csv", "json"), default="csv",
-                         dest="out_format", help="row format (default: %(default)s)")
-        sub.add_argument("--timing", action="store_true",
-                         help="fill the seconds column with measured wall time")
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--methods", type=parse_methods,
+                            help="comma-separated method list (overrides --method)")
+    experiment.add_argument("--k-sweep", type=parse_k_sweep,
+                            help="inclusive start:stop:step neighborhood sweep")
+    experiment.add_argument("--train", type=_checked(float, lambda v: 0 < v < 1, "in (0,1)"),
+                            default=0.8, help="holdout training fraction (default: %(default)s)")
+    experiment.add_argument("--folds", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                            help="cross-validate with this many folds instead of a holdout")
+    experiment.add_argument("--seed", type=int, default=42,
+                            help="split shuffle seed (default: %(default)s)")
+    experiment.add_argument("--jobs", type=_AT_LEAST_1, default=1,
+                            help="kept for existing command lines: folds run in order, "
+                                 "so the value changes neither output nor speed")
+    experiment.add_argument("--output", help="write rows here instead of stdout")
+    experiment.add_argument("--out-format", choices=("csv", "json"), default="csv",
+                            help="row format (default: %(default)s)")
+    experiment.add_argument("--timing", action="store_true",
+                            help="fill the seconds column with measured wall time")
 
-    levels = subs.add_parser("levels", help="print the co-rated bands a dataset derives")
-    add_dataset_flags(levels)
+    levels = subs.add_parser("levels", parents=[dataset],
+                             help="print the co-rated bands a dataset derives")
+    levels.set_defaults(handler=cmd_levels)
 
-    evaluate = subs.add_parser("evaluate", help="rating-error benchmark (MAE/NMAE/RMSE)")
-    add_dataset_flags(evaluate)
-    add_method_flags(evaluate)
-    add_experiment_flags(evaluate)
+    evaluate = subs.add_parser("evaluate", parents=[dataset, method, experiment],
+                               help="rating-error benchmark (MAE/NMAE/RMSE)")
+    evaluate.set_defaults(handler=cmd_sweep)
     evaluate.add_argument("--metric", choices=(*ERROR_METRICS, "all"), default="all",
                           help="report only this error metric (default: %(default)s)")
 
-    topn = subs.add_parser("topn", help="recommendation-quality benchmark "
-                           "(precision/recall/F1/hit rate)")
-    add_dataset_flags(topn)
-    add_method_flags(topn)
-    add_experiment_flags(topn)
+    topn = subs.add_parser("topn", parents=[dataset, method, experiment],
+                           help="recommendation-quality benchmark (precision/recall/F1/hit rate)")
+    topn.set_defaults(handler=cmd_sweep)
     topn.add_argument("--r", type=_AT_LEAST_1, help="recommendations per user (required)")
     topn.add_argument("--relevance", type=_FINITE,
                       help="test rating at or above this counts as relevant "
                            "(default: top quarter of the scale)")
-    topn.add_argument("--hit-def", choices=HIT_DEFS, default="correct", dest="hit_def",
+    topn.add_argument("--hit-def", choices=HIT_DEFS, default="correct",
                       help="what counts as a user's hit (default: %(default)s)")
 
-    recommend = subs.add_parser("recommend", help="print one user's top-N items")
-    add_dataset_flags(recommend)
-    add_method_flags(recommend)
+    recommend = subs.add_parser("recommend", parents=[dataset, method],
+                                help="print one user's top-N items")
+    recommend.set_defaults(handler=cmd_recommend)
     recommend.add_argument("--user", help="user id to recommend for (required)")
     recommend.add_argument("--r", type=_AT_LEAST_1, help="number of recommendations (required)")
 
@@ -226,7 +224,8 @@ def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if action is None or key in ("config", "help"):
             raise ConfigError(f"{args.config}: unknown config key {key!r}")
         values[action.dest] = _convert_config_value(action, raw, args.config, key)
-    # the dests argv itself sets: parse it again with sub's defaults suppressed
+    # the dests argv itself sets: parse it again with sub's defaults suppressed,
+    # then put them back, as the flag-group parents share these actions
     defaults = {action: action.default for action in sub._actions}
     for action in defaults:
         action.default = argparse.SUPPRESS
@@ -241,31 +240,29 @@ def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 
 def fill_defaults(args: argparse.Namespace) -> None:
-    """Fill unset knobs from the preset or make_method; require --ratings, --user and --r."""
-    for dest, value in {**KNOB_DEFAULTS, **PRESET_PARAMS.get(args.format, {})}.items():
+    """Fill unset values from --format's preset or make_method; require --ratings,
+    --user and --r; then require --scale-min below --scale-max."""
+    fmt = FORMATS[args.format]
+    unset = {**KNOB_DEFAULTS, **PRESET_PARAMS.get(args.format, {}), "delimiter": fmt.delimiter,
+             "scale_min": fmt.scale.rmin, "scale_max": fmt.scale.rmax}
+    for dest, value in unset.items():
         if getattr(args, dest, 0) is None:
             setattr(args, dest, value)
     for dest in ("ratings", "user", "r"):  # a command without the flag has no dest
         if getattr(args, dest, 0) is None:
             raise ConfigError(f"--{dest} is required")
+    if args.scale_min >= args.scale_max:
+        raise ConfigError("--scale-min must be below --scale-max, "
+                          f"got {args.scale_min} >= {args.scale_max}")
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def resolve_format(args: argparse.Namespace) -> DatasetFormat:
-    fmt = FORMATS[args.format]
-    delimiter = args.delimiter if args.delimiter is not None else fmt.delimiter
-    rmin = args.scale_min if args.scale_min is not None else fmt.scale.rmin
-    rmax = args.scale_max if args.scale_max is not None else fmt.scale.rmax
-    if rmin >= rmax:
-        raise ConfigError(f"--scale-min must be below --scale-max, got {rmin} >= {rmax}")
-    return DatasetFormat(delimiter, fmt.columns, RatingScale(rmin, rmax))
-
-
 def load_matrix(args: argparse.Namespace):
-    fmt = resolve_format(args)
+    fmt = DatasetFormat(args.delimiter, FORMATS[args.format].columns,
+                        RatingScale(args.scale_min, args.scale_max))
     records = parse_ratings(args.ratings, fmt, skip_bad_lines=args.skip_bad_lines)
     if not records:
         raise TooFewUsersError(f"{args.ratings}: no ratings")
@@ -373,14 +370,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = {
-    "levels": cmd_levels,
-    "evaluate": cmd_sweep,
-    "topn": cmd_sweep,
-    "recommend": cmd_recommend,
-}
-
-
 def _stdout_to_devnull() -> None:
     """Point stdout's descriptor at os.devnull so the final flush stays quiet."""
     try:
@@ -404,7 +393,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             apply_config(args, parser, by_name[args.command], argv)
         fill_defaults(args)
-        code = COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

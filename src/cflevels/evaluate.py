@@ -254,9 +254,16 @@ def run_experiment(train: RatingsMatrix, test: list[RatingRecord],
 
 
 def average_report(reports: list[EvalReport]) -> EvalReport:
-    """Mean row over fold reports: metric means, summed coverage and time."""
+    """Mean row over one (method, k) cell's fold reports: metric means, summed coverage and time."""
     if not reports:
         raise EmptyInputError("cannot average zero reports")
+
+    def cell(rep: EvalReport) -> tuple:
+        return rep.method, rep.k, {**rep.params, "fold": None}
+
+    if any(cell(rep) != cell(reports[0]) for rep in reports):
+        raise ValueError("cannot average reports that differ in method, k or a param "
+                         "other than fold")
 
     def mean_of(name: str) -> float | None:
         vals = [getattr(rep, name) for rep in reports if getattr(rep, name) is not None]

@@ -285,6 +285,13 @@ class TestRunExperiment:
         assert avg.coverage == 7
         with pytest.raises(EmptyInputError):
             average_report([])
+        # the averaged row is labelled with one cell, so every report must be of it
+        for other in (EvalReport("dynamic", 5, {"fold": 2}), EvalReport("pcc", 4, {"fold": 2}),
+                      EvalReport("pcc", 5, {"fold": 2, "r": 10})):
+            with pytest.raises(ValueError, match="differ in method, k or a param"):
+                average_report([*reports, other])
+        with pytest.raises(ValueError):
+            average_report([EvalReport("pcc", 2), EvalReport("dynamic", 4)])
 
 
 # every method, the dynamic method's eq8 form, under both combiners

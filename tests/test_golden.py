@@ -1,4 +1,4 @@
-"""Frozen CLI output: byte-for-byte stdout of evaluate and topn runs.
+"""Frozen CLI output: byte-for-byte stdout of evaluate and topn runs, and help.
 
 The fixtures under ``tests/golden/`` were recorded from the CLI before the
 similarity, split and neighborhood layers were reworked; any change to a
@@ -8,6 +8,10 @@ fixtures cover the dynamic method's ``eq8`` form (the one adjuster that
 turns a negative Pearson into a positive score), the ``weighted_mean``
 combiner, and a six-method ``eq8`` k sweep, where every method of a fold
 and every k reads rows built from one shared set of Pearson bases.
+
+The ``help_<command>.txt`` fixtures hold the ``--help`` text of the program
+and of each subcommand at an 80-column terminal, so a rework of how the
+parser declares its flags cannot change what a reader sees.
 """
 
 from pathlib import Path
@@ -33,6 +37,7 @@ RUNS = {
     "evaluate_six_eq8_ksweep.csv": ["evaluate"] + SIX_EQ8_KSWEEP,
     "topn_r10_six_eq8_ksweep.csv": ["topn", "--r", "10"] + SIX_EQ8_KSWEEP,
 }
+HELP = ["cflevels", "levels", "evaluate", "topn", "recommend"]
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +71,13 @@ def test_threaded_stdout_matches_golden(fixture, planted_file, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (GOLDEN / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_matches_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    argv = [] if command == "cflevels" else [command]
+    assert main(argv + ["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (GOLDEN / f"help_{command}.txt").read_bytes()

@@ -30,6 +30,8 @@ class TestDerivations:
     def test_step_never_below_one(self):
         assert derive_step(1, 5) == 1
         assert derive_step(0, 3) == 1
+        with pytest.raises(ValueError, match="dvu must be >= 1"):
+            derive_step(5, 0)
 
     def test_too_few_users(self):
         with pytest.raises(TooFewUsersError):

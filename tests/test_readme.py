@@ -1,10 +1,13 @@
-"""The README's examples: python blocks run in order in one namespace, and
-the ``levels`` block prints what the command prints."""
+"""The README's examples: python blocks run in order in one namespace, the
+``levels`` block prints what the command prints, and the ``ini`` config block
+drives the sweep it describes."""
 
+import csv
 import re
 import shlex
 from pathlib import Path
 
+import _synth
 from cflevels.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,3 +34,21 @@ def test_levels_block_matches_command_output(tmp_path, capsys):
     argv[argv.index("--ratings") + 1] = str(path)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_config_block_drives_its_sweep(tmp_path, capsys):
+    block, = re.findall(r"^```ini\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(block, encoding="utf-8")
+    ratings = tmp_path / "planted.txt"
+    ratings.write_text("".join(f"{u} {i} {v:g}\n" for u, i, v
+                               in _synth.planted_records(n_users=120, n_items=90)),
+                       encoding="utf-8")
+    assert main(["evaluate", "--config", str(config), "--ratings", str(ratings)]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 60
+    assert [(row["method"], row["k"], row["params"].split(";")[0]) for row in rows] == [
+        (method, str(k), f"fold={fold}") for method in ("pcc", "dynamic")
+        for k in range(20, 101, 20) for fold in (0, 1, 2, 3, 4, "avg")]
+    assert all(row["seconds"] for row in rows)  # timing = true
