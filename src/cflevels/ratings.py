@@ -1,6 +1,8 @@
 """Sparse rating storage with forward and inverted indexes.
 
-The matrix is immutable once built. User and item identifiers are opaque
+The matrix is immutable once built, and :func:`build_matrix` is the one
+public way to build it: it checks every rating against the scale. A split
+cuts its train matrix from a built one. User and item identifiers are opaque
 strings at the boundary and are mapped to dense integer indexes internally;
 every internal iteration runs in sorted index order so that floating-point
 accumulations are identical from run to run regardless of hash seeding.
@@ -65,16 +67,21 @@ _record = tuple.__new__  # _record(RatingRecord, fields) skips NamedTuple's Pyth
 class RatingsMatrix:
     """Immutable user x item rating store.
 
-    The constructor takes sorted user and item ids and each user's ratings
-    keyed by item index in item-index order, and builds the forward
-    (user -> {item: rating}) and inverted (item -> {users}) indexes. Use
-    :func:`build_matrix`, which checks and deduplicates records, to make one
-    from records; a split cuts its train matrix from the parent's rows
-    (:meth:`_cut`).
+    It holds a forward (user -> {item: rating}) and an inverted
+    (item -> {users}) index. A matrix is made by :func:`build_matrix`, which
+    checks and deduplicates records, or by a split, which cuts its train
+    matrix from the parent's rows (:meth:`_cut`). Calling the class raises
+    ``TypeError``.
     """
 
-    def __init__(self, scale: RatingScale, users: list[str], items: list[str],
-                 rows: list[dict[int, float]]) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("RatingsMatrix has no public constructor; use build_matrix(records, scale)")
+
+    @classmethod
+    def _index(cls, scale: RatingScale, users: list[str], items: list[str],
+               rows: list[dict[int, float]]) -> RatingsMatrix:
+        """Index sorted ids and each user's non-empty row, keyed by item index in order; no checks."""
+        self = cls.__new__(cls)
         self._scale = scale
         self._users: tuple[str, ...] = tuple(users)
         self._items: tuple[str, ...] = tuple(items)
@@ -87,6 +94,7 @@ class RatingsMatrix:
         self._by_user = tuple(rows)
         self._by_item = tuple(map(frozenset, by_item))
         self._user_means = tuple(math.fsum(row.values()) / len(row) for row in rows)
+        return self
 
     def _cut(self, cells: list[tuple[int, int]]) -> tuple[RatingsMatrix, list[RatingRecord]]:
         """Every rating but ``cells``, indexed as :func:`build_matrix` would, and ``cells``' records."""
@@ -100,15 +108,15 @@ class RatingsMatrix:
         if len(live) < len(items):
             at = {ii: n for n, ii in enumerate(live)}
             kept = {ui: {at[ii]: v for ii, v in row.items()} for ui, row in kept.items()}
-        train = RatingsMatrix(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live],
-                              list(kept.values()))
+        train = self._index(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live],
+                            list(kept.values()))
         return train, [_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])) for ui, ii in cells]
 
     @cached_property
     def _masks(self) -> tuple[int | None, ...]:
         """Per user index, an int with bit ``ii`` set for each item index ``ii`` rated.
 
-        Built on first use, never by the constructor. A user gets None when its
+        Built on first use, never by :meth:`_index`. A user gets None when its
         highest item index is not below 64 times its rating count, so the
         bitsets hold about one machine word per rating at most.
         """
@@ -174,6 +182,6 @@ def build_matrix(records: Iterable[RatingRecord], scale: RatingScale) -> Ratings
         rows.setdefault(str(user), {})[str(item)] = value
     users, items = sorted(rows), sorted(set().union(*rows.values()))
     at = {item: n for n, item in enumerate(items)}
-    return RatingsMatrix(scale, users, items,
-                         [{at[i]: row[i] for i in sorted(row)} for row in map(rows.get, users)])
+    return RatingsMatrix._index(scale, users, items,
+                                [{at[i]: row[i] for i in sorted(row)} for row in map(rows.get, users)])
 

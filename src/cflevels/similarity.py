@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable
 
 from .levels import _check_form, apply_dynamic, build_level_table
@@ -45,8 +46,11 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
     dy = math.fsum((y - my) ** 2 for y in ys)
     if dx == 0.0 or dy == 0.0:
         return 0.0
+    # dx * dy can leave the normal float range where dx and dy do not: take the roots apart then
+    prod = dx * dy
+    den = math.sqrt(prod) if sys.float_info.min <= prod < math.inf else math.sqrt(dx) * math.sqrt(dy)
     # clamp: floating error can push |r| a hair past 1
-    return min(1.0, max(-1.0, num / math.sqrt(dx * dy)))
+    return min(1.0, max(-1.0, num / den))
 
 
 def _base(ra: dict[int, float], rb: dict[int, float]) -> tuple[float, int]:

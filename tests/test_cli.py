@@ -267,6 +267,16 @@ class TestRecommendCommand:
                      "--user", "a", "--r", "1"]) == 0
         assert capsys.readouterr().out.splitlines() == ["i4\t4.933333"]
 
+    def test_tiny_in_scale_ratings_score_their_pair(self, tmp_path, capsys):
+        # the squared deviations of 1e-160 steps multiply out of float range
+        path = tmp_path / "tiny.dat"
+        path.write_text("".join(f"{u}::i{n}::{v}\n" for u in "ab"
+                                for n, v in enumerate(("0", "1e-160", "2e-160")))
+                        + "b::i3::7\n", encoding="utf-8")
+        assert main(["recommend", "--ratings", str(path), "--format", "movietweetings",
+                     "--user", "a", "--r", "2"]) == 0
+        assert capsys.readouterr() == ("i3\t5.250000\n", "")
+
     def test_no_positive_neighbors_prints_nothing(self, sample_file, capsys):
         assert main(["recommend", "--ratings", sample_file,
                      "--user", "u3", "--r", "2"]) == 0

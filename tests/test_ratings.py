@@ -1,5 +1,6 @@
 """Rating store construction, lookups, and canonical ordering."""
 
+import copy
 import math
 import pickle
 import random
@@ -7,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from cflevels import (FORMATS, OutOfScaleRatingError, RatingRecord, RatingScale,
+from cflevels import (FORMATS, OutOfScaleRatingError, RatingRecord, RatingScale, RatingsMatrix,
                       UnknownUserError, build_matrix, parse_ratings)
 
 
@@ -62,6 +63,19 @@ class TestRatingScale:
 
 
 class TestMatrixConstruction:
+    def test_build_matrix_is_the_one_way_in(self):
+        # calling the class would skip build_matrix's checks, so it raises
+        for args in ((RatingScale(1.0, 5.0), ["a"], ["x"], [{0: 99.0}]), ()):
+            with pytest.raises(TypeError, match="build_matrix"):
+                RatingsMatrix(*args)
+
+    def test_pickle_and_deepcopy_round_trip(self, sample_matrix):
+        for copy_of in (lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy):
+            twin = copy_of(sample_matrix)
+            assert type(twin) is RatingsMatrix
+            assert twin.records() == sample_matrix.records()
+            assert twin.mean_of("u2") == sample_matrix.mean_of("u2")
+
     def test_sample_shape(self, sample_matrix):
         assert sample_matrix.user_count == 4
         assert sample_matrix.item_count == 4

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from cflevels import (NEGATIVE_FORMS, RatingScale, apply_spcc, apply_static, apply_wpcc,
-                      build_matrix, make_method, plus_adjust)
+from cflevels import (NEGATIVE_FORMS, RatingScale, SimilarityCache, apply_spcc, apply_static,
+                      apply_wpcc, build_matrix, make_method, plus_adjust)
 
 PCC = make_method("pcc")
 
@@ -57,15 +57,35 @@ class TestPcc:
         for a, b in self.FROZEN:
             assert PCC.score(a, b, sample_matrix) == PCC.score(b, a, sample_matrix)
 
-    def test_identical_rows_score_one(self, scale):
-        m = build_matrix([("a", "i1", 1.0), ("a", "i2", 3.0), ("a", "i3", 5.0),
-                          ("b", "i1", 1.0), ("b", "i2", 3.0), ("b", "i3", 5.0)], scale)
-        assert PCC.score("a", "b", m) == pytest.approx(1.0)
+    # in-scale ratings whose squared deviations multiply out of float range
+    # (down to 0, up to inf) though each user's sum of them stays in it
+    EXTREMES = [pytest.param(RatingScale(0.0, 10.0), (0.0, 1e-160, 2e-160), id="tiny"),
+                pytest.param(RatingScale(0.0, 1e200), (0.0, 1e150, 2e150), id="huge")]
 
-    def test_opposite_rows_score_minus_one(self, scale):
-        m = build_matrix([("a", "i1", 1.0), ("a", "i2", 5.0),
-                          ("b", "i1", 5.0), ("b", "i2", 1.0)], scale)
-        assert PCC.score("a", "b", m) == pytest.approx(-1.0)
+    @pytest.mark.parametrize("bounds, values",
+                             [pytest.param(RatingScale(1.0, 5.0), (1.0, 3.0, 5.0), id="1-5"), *EXTREMES])
+    def test_identical_rows_score_one(self, bounds, values):
+        m = build_matrix([(u, f"i{n}", v) for u in "ab" for n, v in enumerate(values)], bounds)
+        assert PCC.score("a", "b", m) == 1.0
+        assert SimilarityCache(PCC, m).row(0) == {1: 1.0}
+
+    @pytest.mark.parametrize("bounds, values",
+                             [pytest.param(RatingScale(1.0, 5.0), (1.0, 5.0), id="1-5"), *EXTREMES])
+    def test_opposite_rows_score_minus_one(self, bounds, values):
+        m = build_matrix([("a", f"i{n}", v) for n, v in enumerate(values)]
+                         + [("b", f"i{n}", v) for n, v in enumerate(reversed(values))], bounds)
+        assert PCC.score("a", "b", m) == -1.0
+
+    @pytest.mark.parametrize("unit", [1e-62, 1e-64])
+    def test_score_does_not_depend_on_the_rating_unit(self, unit):
+        # a's squared deviations times b's fall below the normal float range,
+        # where a product keeps few significant bits, or to 0
+        xs, ys = (0.0, 1.0, 3.0, 1.7), (0.0, 1.0, 2.0, 5.3)
+        def score(x_unit, y_unit):
+            return PCC.score("a", "b", build_matrix(
+                [("a", f"i{n}", x * x_unit) for n, x in enumerate(xs)]
+                + [("b", f"i{n}", y * y_unit) for n, y in enumerate(ys)], RatingScale(0.0, 10.0)))
+        assert score(1e-100, unit) == pytest.approx(score(1.0, 1.0), abs=1e-12)
 
     def test_no_overlap_scores_zero(self, scale):
         m = build_matrix([("a", "i1", 2.0), ("b", "i2", 4.0)], scale)
