@@ -57,24 +57,36 @@ class TestPcc:
         for a, b in self.FROZEN:
             assert PCC.score(a, b, sample_matrix) == PCC.score(b, a, sample_matrix)
 
+    @staticmethod
+    def assert_identical_rows_score_one(bounds, values):
+        m = build_matrix([(u, f"i{n}", v) for u in "ab" for n, v in enumerate(values)], bounds)
+        assert PCC.score("a", "b", m) == 1.0
+        assert SimilarityCache(PCC, m).row(0) == {1: 1.0}
+
+    @staticmethod
+    def assert_opposite_rows_score_minus_one(bounds, values):
+        m = build_matrix([("a", f"i{n}", v) for n, v in enumerate(values)]
+                         + [("b", f"i{n}", v) for n, v in enumerate(reversed(values))], bounds)
+        assert PCC.score("a", "b", m) == -1.0
+
+    def test_identical_rows_score_one(self, scale):
+        self.assert_identical_rows_score_one(scale, (1.0, 3.0, 5.0))
+
+    def test_opposite_rows_score_minus_one(self, scale):
+        self.assert_opposite_rows_score_minus_one(scale, (1.0, 5.0))
+
     # in-scale ratings whose squared deviations multiply out of float range
     # (down to 0, up to inf) though each user's sum of them stays in it
     EXTREMES = [pytest.param(RatingScale(0.0, 10.0), (0.0, 1e-160, 2e-160), id="tiny"),
                 pytest.param(RatingScale(0.0, 1e200), (0.0, 1e150, 2e150), id="huge")]
 
-    @pytest.mark.parametrize("bounds, values",
-                             [pytest.param(RatingScale(1.0, 5.0), (1.0, 3.0, 5.0), id="1-5"), *EXTREMES])
-    def test_identical_rows_score_one(self, bounds, values):
-        m = build_matrix([(u, f"i{n}", v) for u in "ab" for n, v in enumerate(values)], bounds)
-        assert PCC.score("a", "b", m) == 1.0
-        assert SimilarityCache(PCC, m).row(0) == {1: 1.0}
+    @pytest.mark.parametrize("bounds, values", EXTREMES)
+    def test_identical_extreme_rows_score_one(self, bounds, values):
+        self.assert_identical_rows_score_one(bounds, values)
 
-    @pytest.mark.parametrize("bounds, values",
-                             [pytest.param(RatingScale(1.0, 5.0), (1.0, 5.0), id="1-5"), *EXTREMES])
-    def test_opposite_rows_score_minus_one(self, bounds, values):
-        m = build_matrix([("a", f"i{n}", v) for n, v in enumerate(values)]
-                         + [("b", f"i{n}", v) for n, v in enumerate(reversed(values))], bounds)
-        assert PCC.score("a", "b", m) == -1.0
+    @pytest.mark.parametrize("bounds, values", EXTREMES)
+    def test_opposite_extreme_rows_score_minus_one(self, bounds, values):
+        self.assert_opposite_rows_score_minus_one(bounds, values)
 
     @pytest.mark.parametrize("unit", [1e-62, 1e-64])
     def test_score_does_not_depend_on_the_rating_unit(self, unit):
