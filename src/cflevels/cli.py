@@ -286,8 +286,8 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     """
     matrix = load_matrix(args)
     methods = resolve_methods(args)
-    for method in methods:  # the whole file meets each floor; each split must too
-        method.adjust(0.0, 0, matrix)
+    # the whole file must pass each method's acceptance check; each split must too
+    SimilarityCache.siblings(methods, matrix)
     ks = args.k_sweep or [args.k]
     if args.folds is not None:
         splits = kfold_split(matrix, args.folds, args.seed)

@@ -31,3 +31,9 @@ class MalformedLineError(CfLevelsError):
 
 class ConfigError(CfLevelsError):
     """Invalid experiment configuration (bad flag value, bad config key)."""
+
+
+def _one_of(what: str, value: str, choices: tuple[str, ...]) -> None:
+    """Reject a named choice outside ``choices``: the one check of every such name."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {', '.join(choices)}")

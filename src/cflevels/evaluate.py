@@ -9,7 +9,7 @@ from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .cache import SimilarityCache
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, EmptyInputError, _one_of
 from .predict import _checked_cache, predict, recommend_top_n
 from .ratings import RatingRecord, RatingScale, RatingsMatrix
 from .similarity import SimilarityMethod
@@ -156,10 +156,8 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
         raise ValueError(f"ks must be one or more distinct k values >= 1, got {list(ks)}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if hit_def not in HIT_DEFS:
-        raise ValueError(f"unknown hit_def {hit_def!r}; expected one of {', '.join(HIT_DEFS)}")
-    if metrics not in METRIC_GROUPS:
-        raise ValueError(f"unknown metrics group {metrics!r}; expected one of {', '.join(METRIC_GROUPS)}")
+    _one_of("hit_def", hit_def, HIT_DEFS)
+    _one_of("metrics group", metrics, METRIC_GROUPS)
     if not math.isfinite(relevance):
         raise ValueError(f"relevance must be finite, got {relevance}")
     top = max(ks)

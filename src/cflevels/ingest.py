@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import MalformedLineError, OutOfScaleRatingError
+from .errors import MalformedLineError, OutOfScaleRatingError, _one_of
 from .ratings import RatingRecord, RatingScale, _record
 
 _ROLES = ("user", "item", "rating", "ignored")
@@ -41,8 +41,7 @@ class DatasetFormat(_Layout):
         if fmt.delimiter == "":
             raise ValueError("delimiter must be None or non-empty, got ''")
         for role in fmt.columns:
-            if role not in _ROLES:
-                raise ValueError(f"unknown column role {role!r}")
+            _one_of("column role", role, _ROLES)
         for role in ("user", "item", "rating"):
             if fmt.columns.count(role) != 1:
                 raise ValueError(f"columns must name {role!r} exactly once, got {fmt.columns}")
@@ -74,12 +73,12 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                   skip_bad_lines: bool = False) -> list[RatingRecord]:
     """Read one record per data line, validating field count and scale.
 
-    Bad lines (bytes that are not UTF-8, too few fields, an empty user or
-    item id, an unparsable or out-of-scale rating) raise with their line
-    number unless ``skip_bad_lines`` is set, in which case each is logged
-    and a final rejected count reported. Whitespace-only lines are skipped;
-    they carry no data either way. A leading UTF-8 byte-order mark is
-    dropped.
+    Bad lines (bytes that are not UTF-8, too few fields, an empty or
+    whitespace-only user or item id, an unparsable or out-of-scale rating)
+    raise with their line number unless ``skip_bad_lines`` is set, in which
+    case each is logged and a final rejected count reported. Any other id is
+    kept as written, unstripped. Whitespace-only lines are skipped; they
+    carry no data either way. A leading UTF-8 byte-order mark is dropped.
     """
     user_at = fmt.columns.index("user")
     item_at = fmt.columns.index("item")
@@ -100,7 +99,7 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                 parts = line.split(delimiter)
                 if len(parts) < width:
                     raise MalformedLineError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
-                if not (user := parts[user_at]) or not (item := parts[item_at]):
+                if not (user := parts[user_at]).strip() or not (item := parts[item_at]).strip():
                     raise MalformedLineError(f"{path}:{lineno}: empty user or item id")
                 try:
                     value = float(parts[rating_at])

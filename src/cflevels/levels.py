@@ -13,18 +13,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import TooFewItemsError, TooFewUsersError
+from .errors import TooFewItemsError, TooFewUsersError, _one_of
 
 MIN_CO_RATED = 5
 
 NEGATIVE_FORMS = ("eq4", "eq8", "alg1")
-
-
-def _check_form(negative_form: str) -> None:
-    """Reject a below-threshold formula name outside ``NEGATIVE_FORMS``."""
-    if negative_form not in NEGATIVE_FORMS:
-        raise ValueError(f"unknown negative_form {negative_form!r}; "
-                         f"expected one of {', '.join(NEGATIVE_FORMS)}")
 
 
 def _round_half_away(x: float) -> int:
@@ -113,7 +106,7 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
     s * (1/(1 + s^2) - 1), which flips sign. ``alg1``: the eq4 value divided
     by 6. The alternates exist for experimentation only.
     """
-    _check_form(negative_form)
+    _one_of("negative_form", negative_form, NEGATIVE_FORMS)
     divisor = table.divisor_for(co_rated)
     if divisor is not None:
         return score + score / divisor

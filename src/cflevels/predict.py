@@ -7,6 +7,7 @@ import math
 from typing import NamedTuple
 
 from .cache import SimilarityCache
+from .errors import _one_of
 from .ratings import RatingsMatrix
 from .similarity import SimilarityMethod
 
@@ -24,8 +25,7 @@ def _checked_cache(k: int, sim: SimilarityMethod, m: RatingsMatrix, cache, mode:
     """Check ``k`` and ``mode``; the cache to score through, fresh for None."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if mode not in PREDICTION_MODES:
-        raise ValueError(f"unknown prediction mode {mode!r}; expected one of {', '.join(PREDICTION_MODES)}")
+    _one_of("prediction mode", mode, PREDICTION_MODES)
     if cache is None:
         return SimilarityCache(sim, m)
     cache.check(sim, m)

@@ -21,7 +21,8 @@ import math
 import sys
 from typing import Callable
 
-from .levels import _check_form, apply_dynamic, build_level_table
+from .errors import _one_of
+from .levels import NEGATIVE_FORMS, apply_dynamic, build_level_table
 from .ratings import RatingsMatrix
 
 
@@ -165,6 +166,7 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     positive and finite, ``y`` finite. A bad knob of the named method raises
     ValueError before any pair is scored.
     """
+    _one_of("similarity method", name, METHOD_NAMES)
     if name == "pcc":
         return SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False)
     if name == "wpcc":
@@ -185,9 +187,7 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
             raise ValueError(f"correlation threshold y must be finite, got {y}")
         return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
                                 {"t": t, "y": y}, lifts_negatives=False)
-    if name == "dynamic":
-        _check_form(negative_form)
-        return SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
-            s, co, _band_table(m.user_count, m.item_count), negative_form),
-            {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8")
-    raise ValueError(f"unknown similarity method {name!r}; expected one of {', '.join(METHOD_NAMES)}")
+    _one_of("negative_form", negative_form, NEGATIVE_FORMS)  # dynamic, the last name
+    return SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
+        s, co, _band_table(m.user_count, m.item_count), negative_form),
+        {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8")

@@ -7,6 +7,7 @@ Ratings are represented as ``{user: {item: rating}}``.
 
 import math
 import random
+import sys
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,15 @@ def pearson(ratings, a, b):
     dy = math.fsum((y - mb) ** 2 for y in rb)
     if dx == 0.0 or dy == 0.0:
         return 0.0
-    return max(-1.0, min(1.0, num / math.sqrt(dx * dy)))
+    # the root of the product keeps the bits that top-k ties depend on; where
+    # the product leaves the normal float range, as with in-scale ratings
+    # near 1e-100 or 1e100, the two roots keep the score right
+    prod = dx * dy
+    if sys.float_info.min <= prod < math.inf:
+        den = math.sqrt(prod)
+    else:
+        den = math.sqrt(dx) * math.sqrt(dy)
+    return max(-1.0, min(1.0, num / den))
 
 
 def weighted_pearson(ratings, a, b, threshold):

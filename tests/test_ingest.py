@@ -58,6 +58,11 @@ class TestFormats:
         assert good._replace(delimiter=",").delimiter == ","
         assert pickle.loads(pickle.dumps(good)) == good
 
+    def test_unknown_role_names_the_roles(self):
+        with pytest.raises(ValueError) as err:
+            DatasetFormat._make((None, ("user", "item", "score"), FORMATS["custom"].scale))
+        assert str(err.value) == "unknown column role 'score'; expected one of user, item, rating, ignored"
+
 
 class TestParseRatings:
     def test_double_colon_with_timestamp(self, tmp_path):
@@ -110,7 +115,7 @@ class TestParseRatings:
         records = parse_ratings(str(path), FORMATS["epinions"])
         assert [r.user for r in records] == ["u1", "u1"]
 
-    @pytest.mark.parametrize("line", ["::i1::4", "u2::::3"])
+    @pytest.mark.parametrize("line", ["::i1::4", "u2::::3", "  ::i1::4", "u2::\t::3"])
     def test_empty_id_names_line(self, tmp_path, line):
         path = write(tmp_path, "empty.dat", f"u1::i1::5\n{line}\n")
         with pytest.raises(MalformedLineError) as err:

@@ -103,16 +103,30 @@ class TestPcc:
         m = build_matrix([("a", "i1", 2.0), ("b", "i2", 4.0)], scale)
         assert PCC.score("a", "b", m) == 0.0
 
-    def test_random_matrices_match_oracle(self, scale):
+    @staticmethod
+    def assert_random_matrices_match_oracle(bounds, unit):
         rng = random.Random(314)
         for _ in range(30):
-            ratings = oracles.random_ratings(rng)
-            m = build_matrix(oracles.ratings_to_records(ratings), scale)
+            ratings = {u: {i: v * unit for i, v in row.items()}
+                       for u, row in oracles.random_ratings(rng).items()}
+            m = build_matrix(oracles.ratings_to_records(ratings), bounds)
             users = sorted(ratings)
             for i, a in enumerate(users):
                 for b in users[i + 1:]:
                     want = oracles.pearson(ratings, a, b)
                     assert PCC.score(a, b, m) == pytest.approx(want, abs=1e-9)
+
+    def test_random_matrices_match_oracle(self, scale):
+        self.assert_random_matrices_match_oracle(scale, 1.0)
+
+    # the same matrices in other rating units; the squared deviations still
+    # sum to normal floats, as they do not at 1e-160 (subnormal: engine and
+    # oracle agree there, but both drift from the unit-1 score)
+    @pytest.mark.parametrize("bounds, unit", [
+        pytest.param(RatingScale(0.0, 10.0), 1e-100, id="tiny"),
+        pytest.param(RatingScale(0.0, 1e200), 1e100, id="huge")])
+    def test_scaled_random_matrices_match_oracle(self, bounds, unit):
+        self.assert_random_matrices_match_oracle(bounds, unit)
 
     def test_always_in_unit_interval(self, scale):
         rng = random.Random(99)
@@ -303,8 +317,10 @@ class TestMethodWrapper:
             plus_adjust(direct, 100.0, 2.0)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             make_method("cosine")
+        assert str(err.value) == ("unknown similarity method 'cosine'; "
+                                  "expected one of pcc, wpcc, spcc, plus, static, dynamic")
 
     def test_all_methods_symmetric(self, scale):
         rng = random.Random(4242)

@@ -3,7 +3,9 @@
 - the runtime imports only the standard library;
 - no module-level import goes unused;
 - every private name has a reader ("no code path without a caller");
-- every public method and property of a class has a reader.
+- every public method and property of a class has a reader;
+- every named choice is checked by ``errors._one_of``, the one place that
+  raises "unknown ...".
 
 Each rule lists its offenders as ``path:line: what``, so a failure names them.
 One more rule runs the package instead of parsing it: importing it, or its
@@ -108,6 +110,30 @@ def test_every_public_member_has_a_reader():
                         for f in cls.body
                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not f.name.startswith("_") and f.name not in read]
+    assert bad == []
+
+
+def test_only_one_of_rejects_an_unknown_name():
+    # a ValueError whose message starts "unknown " names a choice outside a
+    # set; errors._one_of raises it, so each choice is checked the same way
+    def message_head(node):
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+    errors = ROOT / "src" / "cflevels" / "errors.py"
+    exempt = {(errors, line) for node in TREES[errors].body
+              if isinstance(node, ast.FunctionDef) and node.name == "_one_of"
+              for line in range(node.lineno, node.end_lineno + 1)}
+    bad = []
+    for path in PACKAGE:
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, ast.Raise) and isinstance(call := node.exc, ast.Call) \
+                    and isinstance(call.func, ast.Name) and call.func.id == "ValueError" \
+                    and call.args and message_head(call.args[0]).startswith("unknown ") \
+                    and (path, node.lineno) not in exempt:
+                bad.append(f"{where(path, node)}: raises an unknown-name ValueError; "
+                           "use errors._one_of")
     assert bad == []
 
 
