@@ -19,10 +19,11 @@ or for the full row.
 Caches of several methods over one matrix can be siblings
 (:meth:`SimilarityCache.siblings`): one row builder serves them all. It
 builds a user's row for every sibling at once: one walk of the user's
-ratings over the inverted index gathers each co-rater's overlap, and the
-Pearson formula of :meth:`SimilarityMethod.score` makes it a (Pearson,
-co-rated count) base, so every entry equals the pair score bit for bit. The
-bases are dropped once the rows are filled. Every pair with a zero Pearson
+ratings over the inverted index (each item's raters, an ascending tuple of
+user indexes) gathers each co-rater's overlap, and the Pearson formula of
+:meth:`SimilarityMethod.score` makes it a (Pearson, co-rated count) base,
+so every entry equals the pair score bit for bit. The bases are dropped
+once the rows are filled. Every pair with a zero Pearson
 base is left out: users who share fewer than two items, or whose overlap
 has no variance; so is every pair with a covariance <= 0 when no sibling
 lifts negatives. A cache refuses a method that scores such a base above 0
@@ -141,7 +142,7 @@ class SimilarityCache:
         pool.difference_update(ib for ib, _ in covered)
         gathered = {ib: ([], []) for ib in pool}  # ib -> (a's, b's ratings) on the overlap
         for ii, x in ra.items():
-            for ib in by_item[ii] & pool:
+            for ib in pool.intersection(by_item[ii]):
                 xs, ys = gathered[ib]
                 xs.append(x)
                 ys.append(by_user[ib][ii])

@@ -282,7 +282,8 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
     Each call serves every k of the sweep from one pass over the fold's test
     records. A fold's methods share one sibling cache set, so each pair's
     base is computed once, and one fold is alive at a time. Rows come
-    method-major, then k, then fold.
+    method-major, then k, then fold. A holdout frees the whole-file matrix
+    once its split is cut; k folds are cut from it as each is reached.
     """
     matrix = load_matrix(args)
     methods = resolve_methods(args)
@@ -293,6 +294,7 @@ def run_sweep(args: argparse.Namespace, metrics: str) -> list[EvalReport]:
         splits = kfold_split(matrix, args.folds, args.seed)
     else:
         splits = [split_holdout(matrix, args.train, args.seed)]
+    del matrix  # a holdout's whole-file matrix goes now; kfold_split holds its own
     # topn's own knobs; evaluate leaves them at run_experiment's defaults
     knobs = {name: getattr(args, name) for name in ("r", "relevance", "hit_def")
              if hasattr(args, name)}

@@ -42,9 +42,9 @@ class EvalReport(namedtuple("EvalReport",
         return super().__new__(cls, method, k, {} if params is None else params, *rest, **named)
 
 
-def _shuffled_cells(m: RatingsMatrix, seed: int) -> list[tuple[int, int]]:
+def _shuffled_cells(m: RatingsMatrix, seed: int) -> list[int]:
     # cells in the canonical order of m.records(): the split depends on nothing but the seed
-    cells = [(ui, ii) for ui, row in enumerate(m._by_user) for ii in row]
+    cells = m._cells()
     random.Random(seed).shuffle(cells)
     return cells
 

@@ -79,6 +79,9 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
     case each is logged and a final rejected count reported. Any other id is
     kept as written, unstripped. Whitespace-only lines are skipped; they
     carry no data either way. A leading UTF-8 byte-order mark is dropped.
+
+    Records that repeat an id or a rating's text share one object for it, so
+    each distinct text is checked and converted once.
     """
     user_at = fmt.columns.index("user")
     item_at = fmt.columns.index("item")
@@ -87,6 +90,11 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
     lo, hi = fmt.scale.rmin, fmt.scale.rmax
     records: list[RatingRecord] = []
     rejected = 0
+    # repeats share one object: an id's text -> that id, a rating's text -> its
+    # value; keyed by text, not value, so -0 and 0 keep their signs. Two maps,
+    # since an id may read as a rating ("5"); a text joins one only once checked
+    ids: dict[str, str] = {}
+    values: dict[str, float] = {}
     # undecodable bytes become lone surrogates, so they fail on their own line
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -99,15 +107,19 @@ def parse_ratings(path: str, fmt: DatasetFormat, *,
                 parts = line.split(delimiter)
                 if len(parts) < width:
                     raise MalformedLineError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
-                if not (user := parts[user_at]).strip() or not (item := parts[item_at]).strip():
-                    raise MalformedLineError(f"{path}:{lineno}: empty user or item id")
-                try:
-                    value = float(parts[rating_at])
-                except ValueError:
-                    raise MalformedLineError(
-                        f"{path}:{lineno}: unparsable rating {parts[rating_at]!r}") from None
-                if not lo <= value <= hi:
-                    raise OutOfScaleRatingError(f"{path}:{lineno}: rating {value} outside scale [{lo}, {hi}]")
+                user, item = ids.get(parts[user_at]), ids.get(parts[item_at])
+                if user is None or item is None:
+                    if not (user := parts[user_at]).strip() or not (item := parts[item_at]).strip():
+                        raise MalformedLineError(f"{path}:{lineno}: empty user or item id")
+                    user, item = ids.setdefault(user, user), ids.setdefault(item, item)
+                if (value := values.get(text := parts[rating_at])) is None:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise MalformedLineError(f"{path}:{lineno}: unparsable rating {text!r}") from None
+                    if not lo <= value <= hi:
+                        raise OutOfScaleRatingError(f"{path}:{lineno}: rating {value} outside scale [{lo}, {hi}]")
+                    values[text] = value
             except (MalformedLineError, OutOfScaleRatingError) as exc:
                 if not skip_bad_lines:
                     raise

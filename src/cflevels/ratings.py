@@ -1,5 +1,8 @@
 """Sparse rating storage with forward and inverted indexes.
 
+The forward index maps each user index to ``{item index: rating}``, the
+inverted one each item index to a tuple of its raters' user indexes, ascending.
+
 The matrix is immutable once built, and :func:`build_matrix` is the one
 public way to build it: it checks every rating against the scale. A split
 cuts its train matrix from a built one. User and item identifiers are opaque
@@ -68,10 +71,10 @@ class RatingsMatrix:
     """Immutable user x item rating store.
 
     It holds a forward (user -> {item: rating}) and an inverted
-    (item -> {users}) index. A matrix is made by :func:`build_matrix`, which
-    checks and deduplicates records, or by a split, which cuts its train
-    matrix from the parent's rows (:meth:`_cut`). Calling the class raises
-    ``TypeError``.
+    (item -> (users, ascending)) index. A matrix is made by
+    :func:`build_matrix`, which checks and deduplicates records, or by a
+    split, which cuts its train matrix from the parent's rows
+    (:meth:`_cut`). Calling the class raises ``TypeError``.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -87,21 +90,32 @@ class RatingsMatrix:
         self._items: tuple[str, ...] = tuple(items)
         self._user_index = {u: n for n, u in enumerate(users)}
         self._item_index = {i: n for n, i in enumerate(items)}
-        by_item: list[set[int]] = [set() for _ in items]
+        by_item: list[list[int]] = [[] for _ in items]
         for ui, row in enumerate(rows):
             for ii in row:
-                by_item[ii].add(ui)
+                by_item[ii].append(ui)
         self._by_user = tuple(rows)
-        self._by_item = tuple(map(frozenset, by_item))
+        self._by_item = tuple(map(tuple, by_item))  # raters in ascending order
         self._user_means = tuple(math.fsum(row.values()) / len(row) for row in rows)
         return self
 
-    def _cut(self, cells: list[tuple[int, int]]) -> tuple[RatingsMatrix, list[RatingRecord]]:
-        """Every rating but ``cells``, indexed as :func:`build_matrix` would, and ``cells``' records."""
+    def _cells(self) -> list[int]:
+        """Each rating's cell, ``ui * item_count + ii``, in the order of :meth:`records`."""
+        width = len(self._items)
+        return [ui * width + ii for ui, row in enumerate(self._by_user) for ii in row]
+
+    def _cut(self, cells: list[int]) -> tuple[RatingsMatrix, list[RatingRecord]]:
+        """Every rating but ``cells``, indexed as :func:`build_matrix` would, and ``cells``' records.
+
+        A cell is one of :meth:`_cells`.
+        """
         users, items, rows = self._users, self._items, self._by_user
         gone: dict[int, set[int]] = {}
-        for ui, ii in cells:
+        test: list[RatingRecord] = []
+        for cell in cells:
+            ui, ii = divmod(cell, len(items))
             gone.setdefault(ui, set()).add(ii)
+            test.append(_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])))
         kept = {ui: left for ui, row in enumerate(rows)  # old user index -> its train ratings
                 if (left := {ii: v for ii, v in row.items() if ii not in gone[ui]} if ui in gone else row)}
         live = sorted(set().union(*kept.values()))
@@ -110,7 +124,7 @@ class RatingsMatrix:
             kept = {ui: {at[ii]: v for ii, v in row.items()} for ui, row in kept.items()}
         train = self._index(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live],
                             list(kept.values()))
-        return train, [_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])) for ui, ii in cells]
+        return train, test
 
     @cached_property
     def _masks(self) -> tuple[int | None, ...]:
@@ -182,6 +196,7 @@ def build_matrix(records: Iterable[RatingRecord], scale: RatingScale) -> Ratings
         rows.setdefault(str(user), {})[str(item)] = value
     users, items = sorted(rows), sorted(set().union(*rows.values()))
     at = {item: n for n, item in enumerate(items)}
+    # each string-keyed row is freed as its index form is made
     return RatingsMatrix._index(scale, users, items,
-                                [{at[i]: row[i] for i in sorted(row)} for row in map(rows.get, users)])
+                                [{at[i]: row[i] for i in sorted(row)} for row in map(rows.pop, users)])
 

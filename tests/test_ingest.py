@@ -1,6 +1,7 @@
 """Delimited rating-file parsing."""
 
 import logging
+import math
 import os
 import pickle
 import subprocess
@@ -84,6 +85,11 @@ class TestParseRatings:
     def test_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "gaps.txt", "a i1 3\n\n   \nb i1 4\n")
         assert len(parse_ratings(path, FORMATS["epinions"])) == 2
+        # with a tab delimiter, lines of only delimiters are blank too
+        fmt = DatasetFormat("\t", ("user", "item", "rating"), RatingScale(1, 5))
+        path = write(tmp_path, "tabs.tsv", "a\ti1\t3\n\t\t\n   \n\t\nb\ti1\t3\n \t \n")
+        records = parse_ratings(path, fmt)
+        assert [(r.user, r.item, r.value) for r in records] == [("a", "i1", 3.0), ("b", "i1", 3.0)]
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write(tmp_path, "extra.txt", "a i1 3 1999 junk\n")
@@ -115,7 +121,8 @@ class TestParseRatings:
         records = parse_ratings(str(path), FORMATS["epinions"])
         assert [r.user for r in records] == ["u1", "u1"]
 
-    @pytest.mark.parametrize("line", ["::i1::4", "u2::::3", "  ::i1::4", "u2::\t::3"])
+    # line 1's ids are known by then: a known id beside an empty one still fails
+    @pytest.mark.parametrize("line", ["::i1::4", "u2::::3", "  ::i1::4", "u2::\t::3", "u1::  ::4"])
     def test_empty_id_names_line(self, tmp_path, line):
         path = write(tmp_path, "empty.dat", f"u1::i1::5\n{line}\n")
         with pytest.raises(MalformedLineError) as err:
@@ -171,3 +178,49 @@ class TestParseRatings:
         first = parse_ratings(path, FORMATS["epinions"])
         second = parse_ratings(path, FORMATS["epinions"])
         assert first == second
+
+
+class TestSharedValues:
+    """Repeated ids and rating texts share one object; each text is checked once."""
+
+    def test_records_with_the_same_id_share_one_object(self, tmp_path):
+        path = write(tmp_path, "shared.txt", "u1 i1 3\nu2 i1 3\nu1 i2 3.0\nu2 i2 4\n")
+        a, b, c, d = parse_ratings(path, FORMATS["epinions"])
+        assert a.user is c.user and b.user is d.user
+        assert a.item is b.item and c.item is d.item
+        assert a.value is b.value  # one text, one float
+        assert c.value == a.value and type(c.value) is float
+
+    def test_id_equal_to_a_rating_text_stays_apart(self, tmp_path):
+        # user 5 and item 5 rated 5: the id stays a str, the rating a float
+        path = write(tmp_path, "five.dat", "5::5::5\n5::6::5\n6::5::4\n")
+        records = parse_ratings(path, FORMATS["movielens-1m"]._replace(
+            columns=("user", "item", "rating")))
+        assert [(r.user, r.item, r.value) for r in records] == [
+            ("5", "5", 5.0), ("5", "6", 5.0), ("6", "5", 4.0)]
+        for r in records:
+            assert type(r.user) is str and type(r.item) is str and type(r.value) is float
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        path = write(tmp_path, "zeros.dat", "a::i1::-0\nb::i1::0\nc::i2::-0\nd::i2::0.0\n")
+        records = parse_ratings(path, FORMATS["movietweetings"])
+        assert [math.copysign(1.0, r.value) for r in records] == [-1.0, 1.0, -1.0, 1.0]
+
+    def test_repeated_bad_rating_rejected_on_every_line(self, tmp_path, caplog):
+        path = write(tmp_path, "bad.txt", "a i1 x\nb i1 4\nc i1 x\nd i2 9\ne i2 9\nf i2 x\n")
+        with caplog.at_level(logging.WARNING, logger="cflevels.ingest"):
+            records = parse_ratings(path, FORMATS["epinions"], skip_bad_lines=True)
+        assert [(r.user, r.value) for r in records] == [("b", 4.0)]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"skipping bad line: {path}:1: unparsable rating 'x'",
+            f"skipping bad line: {path}:3: unparsable rating 'x'",
+            f"skipping bad line: {path}:4: rating 9.0 outside scale [1.0, 5.0]",
+            f"skipping bad line: {path}:5: rating 9.0 outside scale [1.0, 5.0]",
+            f"skipping bad line: {path}:6: unparsable rating 'x'",
+            f"{path}: rejected 5 bad line(s)"]
+        # without skipping, the first bad line raises, after repeats of good texts
+        with pytest.raises(MalformedLineError, match=":1: unparsable rating 'x'"):
+            parse_ratings(path, FORMATS["epinions"])
+        late = write(tmp_path, "late.txt", "a i1 4\nb i1 4\nc i2 4\nd i2 9\n")
+        with pytest.raises(OutOfScaleRatingError, match=":4: rating 9.0 outside"):
+            parse_ratings(late, FORMATS["epinions"])

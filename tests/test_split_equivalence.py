@@ -34,13 +34,23 @@ def layout(m):
         "user_index": list(m._user_index.items()),
         "item_index": list(m._item_index.items()),
         "rows": [list(row.items()) for row in m._by_user],
-        "by_item": [list(raters) for raters in m._by_item],
+        "by_item": m._by_item,
         "means": [mean.hex() for mean in m._user_means],
     }
 
 
+def assert_index_shape(m):
+    """Each item's raters are a tuple of user indexes, ascending."""
+    assert type(m._by_item) is tuple
+    for raters in m._by_item:
+        assert type(raters) is tuple and raters
+        assert list(raters) == sorted(set(raters))
+
+
 def assert_same_split(got, want):
     (train, test), (want_train, want_test) = got, want
+    assert_index_shape(train)
+    assert_index_shape(want_train)
     assert layout(train) == layout(want_train)
     assert test == want_test
     assert train.records() == want_train.records()
@@ -62,6 +72,7 @@ SHAPES = [(1, 3, 3, 0.6), (2, 4, 5, 0.5), (3, 6, 4, 0.4), (4, 12, 9, 0.3),
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[1]}x{s[2]}")
 def test_holdout_equals_rebuilt(shape, seed, scale):
     m = random_matrix(*shape, scale)
+    assert_index_shape(m)
     n = len(m.records())
     for ratio in (0.5, 0.8):
         n_train = int(round(n * ratio))
