@@ -133,16 +133,21 @@ class SimilarityCache:
         cover = None if items is None else frozenset(items)
         pool = set().union(*(by_item[ii] for ii in (ra if cover is None else cover)))
         pool.discard(ia)
-        masks = m._masks
-        if (mask := masks[ia]) is not None:  # a co-rater sharing < 2 items has Pearson 0
-            pool = {ib for ib in pool if (mask_b := masks[ib]) is None or (mask & mask_b).bit_count() >= 2}
-        covered = [  # (ib, b's finished rows): symmetric, they hold the pair
-            (ib, entry_b[1]) for ib in pool if (entry_b := done.get(ib)) is not None
-            and (entry_b[0] is None or not ra.keys().isdisjoint(entry_b[0]))]
-        pool.difference_update(ib for ib, _ in covered)
-        gathered = {ib: ([], []) for ib in pool}  # ib -> (a's, b's ratings) on the overlap
+        masks, rated = m._masks, ra.keys()
+        mask = masks[ia]
+        covered = []  # (ib, b's finished rows): symmetric, they hold the pair
+        gathered = {}  # ib -> (a's, b's ratings) on the overlap
+        for ib in pool:
+            # a co-rater sharing < 2 items has Pearson 0
+            if mask is not None and (mask_b := masks[ib]) is not None and (mask & mask_b).bit_count() < 2:
+                continue
+            entry_b = done.get(ib)
+            if entry_b is not None and (entry_b[0] is None or not rated.isdisjoint(entry_b[0])):
+                covered.append((ib, entry_b[1]))
+            else:
+                gathered[ib] = ([], [])
         for ii, x in ra.items():
-            for ib in pool.intersection(by_item[ii]):
+            for ib in gathered.keys() & by_item[ii]:
                 xs, ys = gathered[ib]
                 xs.append(x)
                 ys.append(by_user[ib][ii])

@@ -98,7 +98,11 @@ def nmae(mae_value: float, scale: RatingScale) -> float:
 def rmse(pairs: list[PredictionPair]) -> float:
     if not pairs:
         raise EmptyInputError("rmse needs at least one prediction pair")
-    return math.sqrt(math.fsum((p - r) ** 2 for p, r in pairs) / len(pairs))
+    # d * d is correctly rounded, where d ** 2 goes through the C library's pow
+    total = math.fsum([(d := p - r) * d for p, r in pairs])
+    if total == math.inf:  # a square past the float range, though the RMSE is at most the largest error
+        raise OverflowError("a squared prediction error is past the float range")
+    return math.sqrt(total / len(pairs))
 
 
 def precision_recall_f1(topn, relevant) -> tuple[float, float, float]:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
 import math
+from operator import mul
 from typing import NamedTuple
 
 from .cache import SimilarityCache
@@ -45,8 +45,7 @@ def _top_k(row: dict[int, float], items, k: int,
     """
     if len(items) == 1:
         (ii,) = items
-        best = heapq.nsmallest(k, [(-s, ib) for ib in m._by_item[ii]
-                                   if (s := row.get(ib)) is not None])
+        best = sorted([(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None])[:k]
         return {ii: best} if best else {}
     by_user = m._by_user
     wanted = set(items)
@@ -93,13 +92,14 @@ def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,
     indexes.
     """
     by_user, means = m._by_user, m._user_means
+    weights = [-neg for neg, _ in best]
     # row scores are positive and finite, so the total is > 0
-    weight_total = math.fsum(-neg for neg, _ in best)
+    weight_total = math.fsum(weights)
     if mode == "resnick":
-        num = math.fsum(-neg * (by_user[ib][ii] - means[ib]) for neg, ib in best)
+        num = math.fsum(map(mul, weights, [by_user[ib][ii] - means[ib] for _, ib in best]))
         raw = means[ia] + num / weight_total
     else:
-        num = math.fsum(-neg * by_user[ib][ii] for neg, ib in best)
+        num = math.fsum(map(mul, weights, [by_user[ib][ii] for _, ib in best]))
         raw = num / weight_total
     return m.scale.clamp(raw)
 

@@ -19,11 +19,15 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from operator import mul
 from typing import Callable
 
 from .errors import _one_of
 from .levels import NEGATIVE_FORMS, apply_dynamic, build_level_table
 from .ratings import RatingsMatrix
+
+# the smallest positive normal float
+_FLOAT_MIN = sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -34,22 +38,34 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
     """Pearson of a pair's ratings on an overlap of 2 or more items, as aligned lists.
 
     ``math.fsum`` keeps every sum exactly rounded, so the result does not
-    depend on the order of the items. It is 0 without variance on either
-    side, and, with ``keep_negative`` False, as soon as the covariance is <= 0.
+    depend on the order of the items. Each deviation from the mean is
+    computed once, and each square is the product ``d * d``: that is
+    correctly rounded, where ``d ** 2`` goes through the C library's
+    ``pow``, which is slower and may miss the last bit. It is 0 without
+    variance on either side, and, with ``keep_negative`` False, as soon as
+    the covariance is <= 0. A square past the float range raises
+    OverflowError, as ``** 2`` did.
     """
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    dxs = [x - mx for x in xs]
+    dys = [y - my for y in ys]
+    num = math.fsum(map(mul, dxs, dys))
     if num <= 0.0 and not keep_negative:
         return 0.0
-    dx = math.fsum((x - mx) ** 2 for x in xs)
-    dy = math.fsum((y - my) ** 2 for y in ys)
+    dx = math.fsum(map(mul, dxs, dxs))
+    dy = math.fsum(map(mul, dys, dys))
     if dx == 0.0 or dy == 0.0:
         return 0.0
     # dx * dy can leave the normal float range where dx and dy do not: take the roots apart then
     prod = dx * dy
-    den = math.sqrt(prod) if sys.float_info.min <= prod < math.inf else math.sqrt(dx) * math.sqrt(dy)
+    if _FLOAT_MIN <= prod < math.inf:
+        den = math.sqrt(prod)
+    elif max(dx, dy) == math.inf:  # a square past the float range: inf / inf, a NaN the clamp reads as -1
+        raise OverflowError("a squared rating deviation is past the float range")
+    else:
+        den = math.sqrt(dx) * math.sqrt(dy)
     # clamp: floating error can push |r| a hair past 1
     return min(1.0, max(-1.0, num / den))
 

@@ -35,8 +35,9 @@ def pearson(ratings, a, b):
     ma = math.fsum(ra) / len(ra)
     mb = math.fsum(rb) / len(rb)
     num = math.fsum((x - ma) * (y - mb) for x, y in zip(ra, rb))
-    dx = math.fsum((x - ma) ** 2 for x in ra)
-    dy = math.fsum((y - mb) ** 2 for y in rb)
+    # a product is correctly rounded; ** 2 goes through the C library's pow
+    dx = math.fsum((x - ma) * (x - ma) for x in ra)
+    dy = math.fsum((y - mb) * (y - mb) for y in rb)
     if dx == 0.0 or dy == 0.0:
         return 0.0
     # the root of the product keeps the bits that top-k ties depend on; where
@@ -45,6 +46,9 @@ def pearson(ratings, a, b):
     prod = dx * dy
     if sys.float_info.min <= prod < math.inf:
         den = math.sqrt(prod)
+    elif math.inf in (dx, dy):
+        # a square past the float range: num / den would be NaN
+        raise OverflowError("squared deviation past the float range")
     else:
         den = math.sqrt(dx) * math.sqrt(dy)
     return max(-1.0, min(1.0, num / den))

@@ -6,7 +6,9 @@ tables of ``perfbench/tracer.py``, patches ``SimilarityMethod.score``, binds
 and builds a matrix through top-level names in its set-up probe. A rename of
 any of these fails here instead of as a crashed benchmark run. Its recorded
 stdout digests are keyed by the sha256 of the ratings file it writes from
-``tests/_synth.planted_records``, so that data must not change by a byte.
+``tests/_synth.planted_records``, so that data must not change by a byte,
+and the CLI, run in-process on each recorded (workload, seed), must still
+print the recorded bytes.
 """
 
 import importlib
@@ -36,6 +38,8 @@ def load_bench(name, **imports):
 
 
 _tracer = load_bench("tracer")
+_run = load_bench("run", tracer=_tracer)
+_reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("home,attr,name", _tracer.COARSE + _tracer.HOT,
@@ -75,9 +79,22 @@ def test_setup_probe_names():
 
 @pytest.mark.parametrize("seed", [0, 3, 24])
 def test_planted_data_is_what_the_references_were_recorded_on(seed, tmp_path):
-    run = load_bench("run", tracer=_tracer)
-    table = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
-    for name, w in sorted(run.WORKLOADS.items()):
+    for name, w in sorted(_run.WORKLOADS.items()):
         records = _synth.planted_records(seed=seed, n_users=w.users, n_items=w.items)
-        data_sha = run.write_ratings(records, tmp_path / f"{name}.tsv")
-        assert table[name][data_sha]["seed"] == seed, name
+        data_sha = _run.write_ratings(records, tmp_path / f"{name}.tsv")
+        assert _reference[name][data_sha]["seed"] == seed, name
+
+
+@pytest.mark.parametrize("name,seed", sorted(
+    (name, entry["seed"]) for name, table in _reference.items() for entry in table.values()),
+    ids=str)
+def test_cli_prints_the_recorded_bytes(name, seed, tmp_path):
+    # every recorded digest, where a benchmark run checks one seed: a change
+    # that moves a last bit of any reported figure fails here
+    w = _run.WORKLOADS[name]
+    records = _synth.planted_records(seed=seed, n_users=w.users, n_items=w.items)
+    path = tmp_path / f"{name}.tsv"
+    want = _reference[name][_run.write_ratings(records, path)]["stdout_sha256"]
+    code, out, err, _ = _run.call_cli(w.argv(str(path), 1))
+    assert (code, err.decode()) == (0, "")
+    assert _run.sha256_bytes(out) == want

@@ -118,6 +118,10 @@ class TestErrorMetrics:
         assert rmse(pairs) == pytest.approx(1.5811388300841898, abs=1e-12)
         assert rmse([PredictionPair(4.0, 4.0)]) == 0.0
 
+    def test_rmse_square_past_the_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            rmse([PredictionPair(1e200, 0.0), PredictionPair(1.0, 1.0)])
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):
             mae([])

@@ -99,6 +99,17 @@ class TestPcc:
                 + [("b", f"i{n}", y * y_unit) for n, y in enumerate(ys)], RatingScale(0.0, 10.0)))
         assert score(1e-100, unit) == pytest.approx(score(1.0, 1.0), abs=1e-12)
 
+    def test_squares_past_the_float_range_raise(self):
+        # deviations of 1e200 square past the float range: an error, never a NaN clamped to -1
+        ratings = {u: {f"i{n}": v for n, v in enumerate((0.0, 1e200, 2e200))} for u in "ab"}
+        m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 1e300))
+        with pytest.raises(OverflowError):
+            PCC.score("a", "b", m)
+        with pytest.raises(OverflowError):
+            SimilarityCache(PCC, m).row(0)
+        with pytest.raises(OverflowError):
+            oracles.pearson(ratings, "a", "b")
+
     def test_no_overlap_scores_zero(self, scale):
         m = build_matrix([("a", "i1", 2.0), ("b", "i2", 4.0)], scale)
         assert PCC.score("a", "b", m) == 0.0
@@ -127,6 +138,20 @@ class TestPcc:
         pytest.param(RatingScale(0.0, 1e200), 1e100, id="huge")])
     def test_scaled_random_matrices_match_oracle(self, bounds, unit):
         self.assert_random_matrices_match_oracle(bounds, unit)
+
+    def test_float_ratings_match_oracle_exactly(self):
+        # fractional ratings have deviations whose squares ** 2 can round
+        # apart from d * d; top-k ties need engine and oracle to agree to the bit
+        rng = random.Random(2718)
+        for _ in range(40):
+            ratings = {f"u{u:02d}": {f"i{i:02d}": rng.uniform(0.0, 10.0)
+                                     for i in range(30) if rng.random() < 0.6}
+                       for u in range(12)}
+            m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 10.0))
+            users = sorted(ratings)
+            for i, a in enumerate(users):
+                for b in users[i + 1:]:
+                    assert PCC.score(a, b, m) == oracles.pearson(ratings, a, b), (a, b)
 
     def test_always_in_unit_interval(self, scale):
         rng = random.Random(99)
