@@ -23,7 +23,16 @@ ratings over the inverted index (each item's raters, an ascending tuple of
 user indexes) gathers each co-rater's overlap, and the Pearson formula of
 :meth:`SimilarityMethod.score` makes it a (Pearson, co-rated count) base,
 so every entry equals the pair score bit for bit. The bases are dropped
-once the rows are filled. Every pair with a zero Pearson
+once the rows are filled. A sibling set scores each distinct overlap once:
+on a matrix of at most 16 distinct ratings (``RatingsMatrix._codes``) the
+walk gathers one byte per co-rated item, the code of the pair's two
+ratings, and the sorted codes key a memo of bases that the set shares.
+``math.fsum`` makes a Pearson independent of item order, and whole-star
+ratings repeat overlaps, so most are read from the memo. ``-0.0`` and
+``0.0`` share a code, which can move only a zero base, left out anyway.
+Above 16 ratings, as in float-valued data, overlaps seldom repeat, and the
+walk gathers each co-rater's two lists of ratings and scores every overlap,
+which costs less than coding and keying them. Every pair with a zero Pearson
 base is left out: users who share fewer than two items, or whose overlap
 has no variance; so is every pair with a covariance <= 0 when no sibling
 lifts negatives. A cache refuses a method that scores such a base above 0
@@ -72,6 +81,7 @@ class SimilarityCache:
         # (covered item indexes or None for all, rows by slot)
         self._sims = (sim,)
         self._done: dict[int, tuple[frozenset[int] | None, tuple[dict[int, float], ...]]] = {}
+        self._memo: dict[bytes, float] = {}  # Pearson base by sorted overlap codes
         self._slot = 0
 
     @classmethod
@@ -83,9 +93,10 @@ class SimilarityCache:
         """
         sims = tuple(sims)
         done: dict[int, tuple[frozenset[int] | None, tuple[dict[int, float], ...]]] = {}
+        memo: dict[bytes, float] = {}
         caches = [cls(sim, m) for sim in sims]
         for slot, cache in enumerate(caches):
-            cache._sims, cache._done, cache._slot = sims, done, slot
+            cache._sims, cache._done, cache._memo, cache._slot = sims, done, memo, slot
         return caches
 
     @property
@@ -136,7 +147,7 @@ class SimilarityCache:
         masks, rated = m._masks, ra.keys()
         mask = masks[ia]
         covered = []  # (ib, b's finished rows): symmetric, they hold the pair
-        gathered = {}  # ib -> (a's, b's ratings) on the overlap
+        fresh = []  # co-raters whose overlap is gathered
         for ib in pool:
             # a co-rater sharing < 2 items has Pearson 0
             if mask is not None and (mask_b := masks[ib]) is not None and (mask & mask_b).bit_count() < 2:
@@ -145,18 +156,36 @@ class SimilarityCache:
             if entry_b is not None and (entry_b[0] is None or not rated.isdisjoint(entry_b[0])):
                 covered.append((ib, entry_b[1]))
             else:
-                gathered[ib] = ([], [])
-        for ii, x in ra.items():
-            for ib in gathered.keys() & by_item[ii]:
-                xs, ys = gathered[ib]
-                xs.append(x)
-                ys.append(by_user[ib][ii])
+                fresh.append(ib)
         keep_negative = any(sim.lifts_negatives for sim in self._sims)
         bases = []  # (ib, base, co) of every other co-rater, dropped with the build
-        for ib, (xs, ys) in gathered.items():
-            # Pearson is 0 below 2 items; a zero base never scores above 0, a negative one may (eq8)
-            if len(xs) >= 2 and (base := _pearson(xs, ys, keep_negative)) != 0.0:
-                bases.append((ib, base, len(xs)))
+        # Pearson is 0 below 2 items; a zero base never scores above 0, a negative one may (eq8)
+        if (codes := m._codes) is None:  # over 16 distinct ratings: (a's, b's ratings) on the overlap
+            gathered = {ib: ([], []) for ib in fresh}
+            for ii, x in ra.items():
+                for ib in gathered.keys() & by_item[ii]:
+                    xs, ys = gathered[ib]
+                    xs.append(x)
+                    ys.append(by_user[ib][ii])
+            for ib, (xs, ys) in gathered.items():
+                if len(xs) >= 2 and (base := _pearson(xs, ys, keep_negative)) != 0.0:
+                    bases.append((ib, base, len(xs)))
+        else:  # one code per co-rated item; fsum ignores order, so a sorted overlap keys its base
+            x_code, y_code, xs_of, ys_of = codes
+            gathered = {ib: [] for ib in fresh}
+            for ii, x in ra.items():
+                cx = x_code[x]
+                for ib in gathered.keys() & by_item[ii]:
+                    gathered[ib].append(cx + y_code[by_user[ib][ii]])
+            memo = self._memo
+            for ib, got in gathered.items():
+                if len(got) >= 2:
+                    key = bytes(sorted(got))
+                    if (base := memo.get(key)) is None:
+                        base = memo[key] = _pearson([xs_of[c] for c in key], [ys_of[c] for c in key],
+                                                    keep_negative)
+                    if base != 0.0:
+                        bases.append((ib, base, len(key)))
         filled = []
         for slot, sim in enumerate(self._sims):
             adjust = sim.adjust

@@ -96,7 +96,7 @@ class RatingsMatrix:
                 by_item[ii].append(ui)
         self._by_user = tuple(rows)
         self._by_item = tuple(map(tuple, by_item))  # raters in ascending order
-        self._user_means = tuple(math.fsum(row.values()) / len(row) for row in rows)
+        self._user_means = tuple(_mean(row.values()) for row in rows)
         return self
 
     def _cells(self) -> list[int]:
@@ -136,6 +136,27 @@ class RatingsMatrix:
         """
         return tuple(sum(1 << ii for ii in row) if max(row) < 64 * len(row) else None
                      for row in self._by_user)
+
+    @cached_property
+    def _codes(self) -> tuple[dict[float, int], dict[float, int],
+                              tuple[float, ...], tuple[float, ...]] | None:
+        """One byte per (x, y) rating pair, ``cx * V + cy``, over the V <= 16 distinct ratings.
+
+        ``(x codes, y codes, xs, ys)``: adding a's rating's x code to b's
+        rating's y code gives the pair's code, and ``xs[code]``, ``ys[code]``
+        give the ratings back. Built on first use, never by :meth:`_index`.
+        None when the matrix holds more than 16 distinct ratings. ``-0.0``
+        and ``0.0`` share one code.
+        """
+        seen: set[float] = set()
+        for row in self._by_user:
+            seen.update(row.values())
+            if len(seen) > 16:
+                return None
+        values = sorted(seen)
+        n = len(values)
+        return ({v: c * n for c, v in enumerate(values)}, {v: c for c, v in enumerate(values)},
+                tuple(values[c // n] for c in range(n * n)), tuple(values * n))
 
     # -- basic shape ---------------------------------------------------
 
@@ -182,6 +203,21 @@ class RatingsMatrix:
         if ui is None:
             raise UnknownUserError(f"unknown user {user!r}")
         return ui
+
+
+def _mean(values) -> float:
+    """The mean of a non-empty row's ratings, exactly summed.
+
+    A sum past the float range, as of (0, 1e307, 1.7e308), is taken over the
+    ratings scaled by a power of two below 1 / len, so it stays in range;
+    the scaling is exact away from subnormals.
+    """
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        k = n.bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / n, k)
 
 
 def build_matrix(records: Iterable[RatingRecord], scale: RatingScale) -> RatingsMatrix:

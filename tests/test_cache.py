@@ -61,13 +61,43 @@ def sibling_methods():
     return [make_method(name, **kw) for name, kw in CONFIGS]
 
 
+class CountingMemo(dict):
+    """A sibling set's Pearson memo that records every key looked up in it."""
+
+    def __init__(self, lookups):
+        super().__init__()
+        self.lookups = lookups
+
+    def get(self, key, default=None):
+        self.lookups.append(key)
+        return super().get(key, default)
+
+
 @pytest.fixture()
 def base_calls(monkeypatch):
-    """One entry per pair the row builder scores: a call of the Pearson formula."""
+    """One entry per pair the row builder scores: the memo key of its overlap.
+
+    The builder looks each gathered overlap of 2 or more items up in its
+    sibling set's memo, and scores it there on a miss, so on a matrix of at
+    most 16 distinct ratings one lookup is one pair scored. Every cache made
+    gets a counting memo, shared by its siblings.
+    """
     calls = []
-    pearson = cflevels.cache._pearson
-    monkeypatch.setattr(cflevels.cache, "_pearson",
-                        lambda *args: calls.append(1) or pearson(*args))
+    init, siblings = SimilarityCache.__init__, SimilarityCache.siblings.__func__
+
+    def counted_init(self, sim, m):
+        init(self, sim, m)
+        self._memo = CountingMemo(calls)
+
+    def counted_siblings(cls, sims, m):
+        caches = siblings(cls, sims, m)
+        memo = CountingMemo(calls)
+        for cache in caches:
+            cache._memo = memo
+        return caches
+
+    monkeypatch.setattr(SimilarityCache, "__init__", counted_init)
+    monkeypatch.setattr(SimilarityCache, "siblings", classmethod(counted_siblings))
     return calls
 
 
@@ -535,13 +565,18 @@ class TestBitsets:
     one set per matrix object, bounded by the input, and no pair count moves."""
 
     @pytest.mark.parametrize("methods", ["pcc", "pcc,dynamic"])
-    def test_bitsets_change_no_pair_count_on_a_planted_holdout(self, methods, base_calls):
+    def test_bitsets_change_no_pair_count_on_a_planted_holdout(self, methods, base_calls,
+                                                               monkeypatch):
         # every known test user's full row, each pair with 2+ co-rated items
         # scored once; 1,701 is also what a builder without bitsets scores here
         records = _synth.planted_records(seed=3, n_users=220, n_items=150)
         train, test = split_holdout(build_matrix(records, RatingScale(*_synth.SCALE)), 0.8, 42)
         sims = [make_method(name) for name in methods.split(",")]
         caches = SimilarityCache.siblings(sims, train)
+        runs = []
+        pearson = cflevels.cache._pearson
+        monkeypatch.setattr(cflevels.cache, "_pearson",
+                            lambda *args: runs.append(1) or pearson(*args))
         base_calls.clear()
         for sim, cache in zip(sims, caches):
             evaluate_split(train, test, sim, ks=(20,), r=5, relevance=4.0, cache=cache)
@@ -550,6 +585,8 @@ class TestBitsets:
         needed = {frozenset((ia, ib)) for ia in known for ib in range(train.user_count)
                   if ib != ia and len(by_user[ia].keys() & by_user[ib].keys()) >= 2}
         assert len(base_calls) == len(needed) == 1701
+        # the formula runs once per distinct overlap, which repeats here
+        assert len(runs) == len(set(base_calls)) == len(caches[0]._memo) < 0.5 * 1701
 
     def test_built_once_per_matrix_and_never_shared_with_a_cut(self, monkeypatch):
         prop = cflevels.ratings.RatingsMatrix.__dict__["_masks"]

@@ -137,6 +137,18 @@ class TestLookups:
             assert sample_matrix.mean_of(u) == pytest.approx(
                 oracles.full_mean(oracles.SAMPLE_RATINGS, u))
 
+    def test_mean_of_a_row_whose_sum_passes_the_float_range(self):
+        # the sums of a's and c's ratings overflow, their means do not; they
+        # are summed scaled by a power of two, which is exact, so a's mean is
+        # 16 times that of b, whose ratings are a's over 16 and sum in range
+        row = (0.0, 1e307, 1.7e308)
+        records = [(user, f"i{n}", v * f) for user, f in (("a", 1.0), ("b", 1 / 16))
+                   for n, v in enumerate(row)]
+        m = build_matrix(records + [("c", f"i{n}", 1.7e308) for n in range(5)],
+                         RatingScale(0.0, 1.7e308))
+        assert m.mean_of("a") == 16 * m.mean_of("b") == pytest.approx(6e307)
+        assert m.mean_of("c") == 1.7e308
+
 
 class TestCoRated:
     """The overlap of two users' rows in the forward index, as the row builder takes it."""

@@ -4,11 +4,13 @@ A row built by :class:`SimilarityCache` must equal the pair-by-pair row
 ``{ib: s for ib in raters if (s := sim.adjust(*_base(ra, rb), m)) > 0}``
 over the raters of the items it covers, whatever order rows are built and
 rebuilt in, whichever siblings share the builder, whether or not they let
-the builder stop a pair at a covariance <= 0, and whether or not the target
+the builder stop a pair at a covariance <= 0, whether or not the target
 and its co-raters have item bitsets to drop those sharing fewer than two
-items.
+items, and whether or not the matrix has few enough distinct ratings for
+the builder to score each distinct overlap once, from a memo.
 """
 
+import math
 import random
 
 import pytest
@@ -68,9 +70,20 @@ def wide_sparse(rng):
     return build_matrix(oracles.ratings_to_records(ratings), SCALE)
 
 
+def valued(rng, values, scale, n_users=24, n_items=16, density=0.6):
+    """A random matrix whose ratings are drawn from ``values``, each used at least once."""
+    ratings = {f"v{u:02d}": {f"i{ii:02d}": rng.choice(values) for ii in range(n_items)
+                             if rng.random() < density} for u in range(n_users)}
+    for n, v in enumerate(values):
+        ratings[f"v{n % n_users:02d}"][f"i{n % n_items:02d}"] = v
+    return build_matrix(oracles.ratings_to_records(ratings), scale)
+
+
 def matrices():
     """Random matrices of several densities, planted-cluster ones, two whose
-    users have bitsets in part or not at all, and a heavy-tailed sparse one."""
+    users have bitsets in part or not at all, a heavy-tailed sparse one, and
+    three that pin the memo of overlap codes: 16 distinct ratings, which
+    take it, 17, which do not, and -0.0 beside 0.0, which share a code."""
     rng = random.Random(20)
     for density in (0.2, 0.45, 0.8):
         ratings = oracles.random_ratings(rng, n_users=24, n_items=16, density=density)
@@ -80,10 +93,13 @@ def matrices():
     yield mixed_bitsets(rng)
     yield wide_sparse(rng)
     yield build_matrix(_synth.zipf_records(seed=13, n_users=150, n_items=900), SCALE)
+    yield valued(rng, [1 + 0.25 * n for n in range(16)], SCALE)
+    yield valued(rng, [1 + 0.25 * n for n in range(17)], SCALE)
+    yield valued(rng, [-1.0, -0.0, 0.0, 1.0], RatingScale(-1.0, 1.0), density=0.3)
 
 
 MATRICES = list(matrices())
-MIXED, WIDE, ZIPF = MATRICES[-3:]
+MIXED, WIDE, ZIPF, SIXTEEN, SEVENTEEN, SIGNED_ZEROS = MATRICES[-6:]
 
 
 def brute_row(sim, m, ia, items=None):
@@ -203,3 +219,29 @@ def test_zipf_matrix_is_the_sparse_regime():
     for ia, mask in enumerate(ZIPF._masks):
         entries[mask is None] += len(cache.row(ia))
     assert min(entries.values()) > 100
+
+
+def test_matrices_take_the_memo_up_to_16_distinct_ratings():
+    # the shapes the rows above are checked on: 16 distinct ratings get a
+    # one-byte code per (x, y) pair, 17 keep the two float lists; -0.0 and
+    # 0.0 share one code, which can move only a zero base, left out anyway
+    assert SIXTEEN._codes is not None and SEVENTEEN._codes is None
+    assert [len({v for row in m._by_user for v in row.values()})
+            for m in (SIXTEEN, SEVENTEEN)] == [16, 17]
+    signs = {math.copysign(1.0, v) for row in SIGNED_ZEROS._by_user for v in row.values() if v == 0.0}
+    assert signs == {-1.0, 1.0}
+    x_code, y_code, _, _ = SIGNED_ZEROS._codes
+    assert len(y_code) == 3 and x_code[-0.0] == x_code[0.0] and y_code[-0.0] == y_code[0.0]
+    # overlaps that share a key but not the signs of their zeros
+    caches = SimilarityCache.siblings(SIBLING_SETS["eq8-mixed"](), SIGNED_ZEROS)
+    by_user, signs = SIGNED_ZEROS._by_user, {}
+    for ia, ra in enumerate(by_user):
+        caches[0].row(ia)
+        for ib, rb in enumerate(by_user):
+            pairs = [(ra[ii], rb[ii]) for ii in ra.keys() & rb.keys()]
+            key = bytes(sorted(x_code[x] + y_code[y] for x, y in pairs))
+            signs.setdefault(key, set()).add(tuple(sorted(
+                (x_code[x] + y_code[y], math.copysign(1.0, x), math.copysign(1.0, y))
+                for x, y in pairs)))
+    assert set(caches[0]._memo) <= set(signs)
+    assert sum(len(found) > 1 for key, found in signs.items() if len(key) >= 2) > 10
