@@ -1,6 +1,6 @@
 """Command-line surface: band inspection, evaluation sweeps, recommendations.
 
-Value precedence everywhere is defaults < config file < command-line flags.
+Value precedence everywhere: defaults < --format preset < config file < flags.
 """
 
 from __future__ import annotations
@@ -21,8 +21,13 @@ from .predict import PREDICTION_MODES, recommend_top_n
 from .ratings import RatingScale, build_matrix
 from .similarity import METHOD_NAMES, make_method
 
-# a similarity knob's default: the --format preset's override, else make_method's
-KNOB_DEFAULTS = dict(make_method.__kwdefaults__)
+# every value's lowest layer: make_method's knobs and each flag's default; a
+# flag with neither defaults to None
+DEFAULTS = {**make_method.__kwdefaults__, "format": "custom", "method": "pcc",
+            "prediction": "resnick", "k": 40, "train": 0.8, "seed": 42, "jobs": 1,
+            "out_format": "csv", "metric": "all", "hit_def": "correct",
+            "skip_bad_lines": False, "timing": False}
+# the layer above DEFAULTS, per --format, with the format's delimiter and scale
 PRESET_PARAMS = {
     "movietweetings": {"big_t": 10},
     "epinions": {"big_t": 5, "t": 5, "y": 0.15},
@@ -80,11 +85,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
 
     # the flag groups several commands share, each declared once; a parent's
-    # Action objects are shared by every subcommand that lists it
-    dataset = argparse.ArgumentParser(add_help=False)
+    # Action objects are shared by every subcommand that lists it. No flag has
+    # a default, so a parse holds only what argv gave: resolve() adds the rest
+    unset = {"argument_default": argparse.SUPPRESS}
+    dataset = argparse.ArgumentParser(add_help=False, **unset)
     dataset.add_argument("--ratings", help="path to the delimited ratings file")
-    dataset.add_argument("--format", choices=FORMATS, default="custom",
-                         help="file layout preset (default: %(default)s)")
+    dataset.add_argument("--format", choices=FORMATS,
+                         help=f"file layout preset (default: {DEFAULTS['format']})")
     dataset.add_argument("--delimiter", type=_checked(str, bool, "non-empty"),
                          help="field delimiter override (custom default: any whitespace)")
     dataset.add_argument("--scale-min", type=_FINITE, help="lowest valid rating")
@@ -93,9 +100,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          help="log and skip malformed lines instead of failing")
     dataset.add_argument("--config", help="flat key=value file merged below flags")
 
-    method = argparse.ArgumentParser(add_help=False)
-    method.add_argument("--method", choices=METHOD_NAMES, default="pcc",
-                        help="similarity method (default: %(default)s)")
+    method = argparse.ArgumentParser(add_help=False, **unset)
+    method.add_argument("--method", choices=METHOD_NAMES,
+                        help=f"similarity method (default: {DEFAULTS['method']})")
     method.add_argument("--t", type=_AT_LEAST_1,
                         help="co-rated threshold of the static method (default: per --format)")
     method.add_argument("--y", type=_FINITE,
@@ -103,59 +110,59 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                              "(default: per --format)")
     method.add_argument("--T", type=_AT_LEAST_1, dest="big_t",
                         help="co-rated cutoff of the wpcc method (default: per --format)")
-    method.add_argument("--alpha", type=_POSITIVE, default=KNOB_DEFAULTS["alpha"],
-                        help="power-law scale factor (default: %(default)s)")
-    method.add_argument("--beta", type=_POSITIVE, default=KNOB_DEFAULTS["beta"],
-                        help="power-law exponent (default: %(default)s)")
+    method.add_argument("--alpha", type=_POSITIVE,
+                        help=f"power-law scale factor (default: {DEFAULTS['alpha']})")
+    method.add_argument("--beta", type=_POSITIVE,
+                        help=f"power-law exponent (default: {DEFAULTS['beta']})")
     method.add_argument("--negative-form", choices=NEGATIVE_FORMS,
-                        default=KNOB_DEFAULTS["negative_form"],
-                        help="dynamic method's below-threshold formula (default: %(default)s)")
-    method.add_argument("--prediction", choices=PREDICTION_MODES, default="resnick",
-                        help="rating combiner (default: %(default)s)")
-    method.add_argument("--k", type=_AT_LEAST_1, default=40,
-                        help="neighborhood size (default: %(default)s)")
+                        help="dynamic method's below-threshold formula "
+                             f"(default: {DEFAULTS['negative_form']})")
+    method.add_argument("--prediction", choices=PREDICTION_MODES,
+                        help=f"rating combiner (default: {DEFAULTS['prediction']})")
+    method.add_argument("--k", type=_AT_LEAST_1,
+                        help=f"neighborhood size (default: {DEFAULTS['k']})")
 
-    experiment = argparse.ArgumentParser(add_help=False)
+    experiment = argparse.ArgumentParser(add_help=False, **unset)
     experiment.add_argument("--methods", type=parse_methods,
                             help="comma-separated method list (overrides --method)")
     experiment.add_argument("--k-sweep", type=parse_k_sweep,
                             help="inclusive start:stop:step neighborhood sweep")
     experiment.add_argument("--train", type=_checked(float, lambda v: 0 < v < 1, "in (0,1)"),
-                            default=0.8, help="holdout training fraction (default: %(default)s)")
+                            help=f"holdout training fraction (default: {DEFAULTS['train']})")
     experiment.add_argument("--folds", type=_checked(int, lambda v: v >= 2, ">= 2"),
                             help="cross-validate with this many folds instead of a holdout")
-    experiment.add_argument("--seed", type=int, default=42,
-                            help="split shuffle seed (default: %(default)s)")
-    experiment.add_argument("--jobs", type=_AT_LEAST_1, default=1,
+    experiment.add_argument("--seed", type=int,
+                            help=f"split shuffle seed (default: {DEFAULTS['seed']})")
+    experiment.add_argument("--jobs", type=_AT_LEAST_1,
                             help="kept for existing command lines: folds run in order, "
                                  "so the value changes neither output nor speed")
     experiment.add_argument("--output", help="write rows here instead of stdout")
-    experiment.add_argument("--out-format", choices=("csv", "json"), default="csv",
-                            help="row format (default: %(default)s)")
+    experiment.add_argument("--out-format", choices=("csv", "json"),
+                            help=f"row format (default: {DEFAULTS['out_format']})")
     experiment.add_argument("--timing", action="store_true",
                             help="fill the seconds column with measured wall time")
 
-    levels = subs.add_parser("levels", parents=[dataset],
+    levels = subs.add_parser("levels", parents=[dataset], **unset,
                              help="print the co-rated bands a dataset derives")
     levels.set_defaults(handler=cmd_levels)
 
-    evaluate = subs.add_parser("evaluate", parents=[dataset, method, experiment],
+    evaluate = subs.add_parser("evaluate", parents=[dataset, method, experiment], **unset,
                                help="rating-error benchmark (MAE/NMAE/RMSE)")
     evaluate.set_defaults(handler=cmd_sweep)
-    evaluate.add_argument("--metric", choices=(*ERROR_METRICS, "all"), default="all",
-                          help="report only this error metric (default: %(default)s)")
+    evaluate.add_argument("--metric", choices=(*ERROR_METRICS, "all"),
+                          help=f"report only this error metric (default: {DEFAULTS['metric']})")
 
-    topn = subs.add_parser("topn", parents=[dataset, method, experiment],
+    topn = subs.add_parser("topn", parents=[dataset, method, experiment], **unset,
                            help="recommendation-quality benchmark (precision/recall/F1/hit rate)")
     topn.set_defaults(handler=cmd_sweep)
     topn.add_argument("--r", type=_AT_LEAST_1, help="recommendations per user (required)")
     topn.add_argument("--relevance", type=_FINITE,
                       help="test rating at or above this counts as relevant "
                            "(default: top quarter of the scale)")
-    topn.add_argument("--hit-def", choices=HIT_DEFS, default="correct",
-                      help="what counts as a user's hit (default: %(default)s)")
+    topn.add_argument("--hit-def", choices=HIT_DEFS,
+                      help=f"what counts as a user's hit (default: {DEFAULTS['hit_def']})")
 
-    recommend = subs.add_parser("recommend", parents=[dataset, method],
+    recommend = subs.add_parser("recommend", parents=[dataset, method], **unset,
                                 help="print one user's top-N items")
     recommend.set_defaults(handler=cmd_recommend)
     recommend.add_argument("--user", help="user id to recommend for (required)")
@@ -165,7 +172,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 # ---------------------------------------------------------------------------
-# config file merge and default resolution
+# value resolution: defaults < --format preset < config file < flags
 # ---------------------------------------------------------------------------
 
 def read_config(path: str) -> dict[str, str]:
@@ -210,50 +217,35 @@ def _convert_config_value(action: argparse.Action, raw: str, path: str, key: str
 _NARROWED_BY = {"k_sweep": "k", "methods": "method"}
 
 
-def apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                 sub: argparse.ArgumentParser, argv) -> None:
-    """Set ``args`` from ``args.config``'s entries, checked like ``sub``'s flags; ``argv``'s flags win."""
-    options: dict[str, argparse.Action] = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                options[opt[2:].replace("-", "_")] = action
-    values = {}
-    for key, raw in read_config(args.config).items():
-        action = options.get(key)
-        if action is None or key in ("config", "help"):
-            raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        values[action.dest] = _convert_config_value(action, raw, args.config, key)
-    # the dests argv itself sets: parse it again with sub's defaults suppressed,
-    # then put them back, as the flag-group parents share these actions
-    defaults = {action: action.default for action in sub._actions}
-    for action in defaults:
-        action.default = argparse.SUPPRESS
-    try:
-        given = vars(parser.parse_args(argv))
-    finally:
-        for action, default in defaults.items():
-            action.default = default
-    for dest, value in values.items():
-        if dest not in given and _NARROWED_BY.get(dest) not in given:
-            setattr(args, dest, value)
-
-
-def fill_defaults(args: argparse.Namespace) -> None:
-    """Fill unset values from --format's preset or make_method; require --ratings,
-    --user and --r; then require --scale-min below --scale-max."""
-    fmt = FORMATS[args.format]
-    unset = {**KNOB_DEFAULTS, **PRESET_PARAMS.get(args.format, {}), "delimiter": fmt.delimiter,
-             "scale_min": fmt.scale.rmin, "scale_max": fmt.scale.rmax}
-    for dest, value in unset.items():
-        if getattr(args, dest, 0) is None:
-            setattr(args, dest, value)
+def resolve(given: dict, sub: argparse.ArgumentParser) -> argparse.Namespace:
+    """``sub``'s values as ``DEFAULTS`` < --format's preset < --config's entries,
+    each checked like its flag, < ``given``, the flags argv set; then require
+    --ratings, --user and --r, and --scale-min below --scale-max."""
+    options = {opt[2:].replace("-", "_"): action for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    config = {}
+    if "config" in given:
+        path = given["config"]
+        for key, raw in read_config(path).items():
+            action = options.get(key)
+            if action is None or key in ("config", "help"):
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+            config[action.dest] = _convert_config_value(action, raw, path, key)
+    name = given.get("format", config.get("format", DEFAULTS["format"]))
+    fmt = FORMATS[name]
+    values = {**DEFAULTS, **PRESET_PARAMS.get(name, {}), "delimiter": fmt.delimiter,
+              "scale_min": fmt.scale.rmin, "scale_max": fmt.scale.rmax,
+              **{dest: value for dest, value in config.items()
+                 if _NARROWED_BY.get(dest) not in given}, **given}
+    dests = [action.dest for action in sub._actions if action.dest != "help"]
+    args = argparse.Namespace(**{dest: values.get(dest) for dest in ("command", "handler", *dests)})
     for dest in ("ratings", "user", "r"):  # a command without the flag has no dest
         if getattr(args, dest, 0) is None:
             raise ConfigError(f"--{dest} is required")
     if args.scale_min >= args.scale_max:
         raise ConfigError("--scale-min must be below --scale-max, "
                           f"got {args.scale_min} >= {args.scale_max}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +383,8 @@ def main(argv=None) -> int:
     """
     parser, by_name = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            apply_config(args, parser, by_name[args.command], argv)
-        fill_defaults(args)
+        given = vars(parser.parse_args(argv))
+        args = resolve(given, by_name[given["command"]])
         code = args.handler(args)
         sys.stdout.flush()
         return code

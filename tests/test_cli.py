@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from cflevels import RatingsMatrix, build_level_table
-from cflevels.cli import main, parse_k_sweep
+from cflevels.cli import build_parser, main, parse_k_sweep
 
 SAMPLE_LINES = "\n".join(f"{u} {i} {v:g}" for u, i, v in oracles.SAMPLE_RECORDS) + "\n"
 
@@ -321,6 +321,28 @@ class TestConfigFile:
         _, rows = rows_of(capsys.readouterr().out)
         assert [(r[0], r[1]) for r in rows] == want
 
+    def test_flag_equal_to_its_default_beats_entry(self, bench_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 7\n", encoding="utf-8")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg),
+                     "--k", "40"]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert [(r[0], r[1]) for r in rows] == [("pcc", "40")]
+
+    def test_narrowed_away_entry_still_checked(self, bench_file, tmp_path, capsys):
+        # --k overrides the file's k-sweep, but a bad k-sweep is still an error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k-sweep = 5:1:1\n", encoding="utf-8")
+        assert main(["evaluate", "--ratings", bench_file, "--config", str(cfg),
+                     "--k", "10"]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["levels", "evaluate", "topn", "recommend"])
+    def test_parse_holds_only_what_argv_gave(self, command):
+        # a flag default would beat the config entry below it, so none has one
+        parser, _ = build_parser()
+        assert set(vars(parser.parse_args([command]))) == {"command", "handler"}
+
     def test_sweep_flags_beat_narrow_entries(self, bench_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 10\nmethod = static\n", encoding="utf-8")
@@ -462,6 +484,19 @@ class TestPresets:
         assert rc == 0
         _, rows = rows_of(capsys.readouterr().out)
         assert rows[0][2] == "T=30"
+
+    @pytest.mark.parametrize("entry, flags, want", [
+        ("format = epinions", [], "T=5"),  # the file's format picks the preset
+        ("T = 7", ["--format", "epinions"], "T=7"),  # the file's entry beats the preset
+    ], ids=["config-format", "config-over-preset"])
+    def test_config_layers_over_preset(self, entry, flags, want, bench_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        rc = main(["evaluate", "--ratings", bench_file, "--config", str(cfg),
+                   "--method", "wpcc", *flags])
+        assert rc == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert rows[0][2] == want
 
     def test_custom_default_wpcc_cutoff(self, bench_file, capsys):
         rc = main(["evaluate", "--ratings", bench_file, "--method", "wpcc"])
