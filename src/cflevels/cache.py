@@ -22,8 +22,13 @@ builds a user's row for every sibling at once: one walk of the user's
 ratings over the inverted index (each item's raters, an ascending tuple of
 user indexes) gathers each co-rater's overlap, and the Pearson formula of
 :meth:`SimilarityMethod.score` makes it a (Pearson, co-rated count) base,
-so every entry equals the pair score bit for bit. The bases are dropped
-once the rows are filled. A sibling set scores each distinct overlap once:
+so every entry equals the pair score bit for bit. Each method fills its
+row from the bases through ``SimilarityMethod._scorer``, made when its cache
+is made: for :func:`~cflevels.similarity.make_method`'s methods it reads a
+table of what depends only on the co-rated count, over the counts from 0 to
+the longest user row, the same one the cache's acceptance probe reads; a
+hand-made method calls ``adjust`` per base. The bases are dropped once the
+rows are filled. A sibling set scores each distinct overlap once:
 on a matrix of at most 16 distinct ratings (``RatingsMatrix._codes``) the
 walk gathers one byte per co-rated item, the code of the pair's two
 ratings, and the sorted codes key a memo of bases that the set shares.
@@ -66,20 +71,25 @@ class SimilarityCache:
         # derives dynamic's bands, or refuses m, up front. Rows leave out every
         # pair with a zero base, and with lifts_negatives False every negative
         # one, so such a base must score <= 0 at each co-rated count a pair
-        # can have: at most the longest user row
-        probes = (0.0,) if sim.lifts_negatives else (0.0, -1e-9, -1.0)
-        for co in range(max(map(len, m._by_user), default=0) + 1):
-            for base in probes:
-                if sim.adjust(base, co, m) > 0.0:
-                    raise ValueError(
-                        f"method {sim.name!r} scores a {'negative' if base else 'zero'} Pearson "
-                        f"base above 0 at co-rated count {co}, so its similarity rows would leave "
-                        f"out pairs it rates{', as lifts_negatives=False' if base else ''}")
+        # can have: at most the longest user row. The probe reads the scorer
+        # that fills the rows, so it checks the very table they are made from
+        n = max(map(len, m._by_user), default=0) + 1
+        score = sim._scorer(m, n)
+        probes = [(co, base) for co in range(n)
+                  for base in ((0.0,) if sim.lifts_negatives else (0.0, -1e-9, -1.0))]
+        if above := score([(i, base, co) for i, (co, base) in enumerate(probes)]):
+            co, base = probes[min(above)]
+            raise ValueError(
+                f"method {sim.name!r} scores a {'negative' if base else 'zero'} Pearson "
+                f"base above 0 at co-rated count {co}, so its similarity rows would leave "
+                f"out pairs it rates{', as lifts_negatives=False' if base else ''}")
         self.sim = sim
         self.m = m
-        # shared by siblings: their methods by slot, and each built user's
-        # (covered item indexes or None for all, rows by slot)
-        self._sims = (sim,)
+        # shared by siblings: their row scorers by slot, whether any keeps a
+        # negative base, and each built user's (covered item indexes or None
+        # for all, rows by slot)
+        self._scorers = (score,)
+        self._keep_negative = sim.lifts_negatives
         self._done: dict[int, tuple[frozenset[int] | None, tuple[dict[int, float], ...]]] = {}
         self._memo: dict[bytes, float] = {}  # Pearson base by sorted overlap codes
         self._slot = 0
@@ -91,12 +101,14 @@ class SimilarityCache:
         Building a user's row for any of them builds it for all, from one
         (Pearson, co-rated count) base per co-rater.
         """
-        sims = tuple(sims)
+        caches = [cls(sim, m) for sim in sims]
+        scorers = tuple(cache._scorers[0] for cache in caches)
+        keep_negative = any(cache._keep_negative for cache in caches)
         done: dict[int, tuple[frozenset[int] | None, tuple[dict[int, float], ...]]] = {}
         memo: dict[bytes, float] = {}
-        caches = [cls(sim, m) for sim in sims]
         for slot, cache in enumerate(caches):
-            cache._sims, cache._done, cache._memo, cache._slot = sims, done, memo, slot
+            cache._scorers, cache._keep_negative, cache._done, cache._memo, cache._slot = (
+                scorers, keep_negative, done, memo, slot)
         return caches
 
     @property
@@ -157,7 +169,7 @@ class SimilarityCache:
                 covered.append((ib, entry_b[1]))
             else:
                 fresh.append(ib)
-        keep_negative = any(sim.lifts_negatives for sim in self._sims)
+        keep_negative = self._keep_negative
         bases = []  # (ib, base, co) of every other co-rater, dropped with the build
         # Pearson is 0 below 2 items; a zero base never scores above 0, a negative one may (eq8)
         if (codes := m._codes) is None:  # over 16 distinct ratings: (a's, b's ratings) on the overlap
@@ -187,9 +199,8 @@ class SimilarityCache:
                     if base != 0.0:
                         bases.append((ib, base, len(key)))
         filled = []
-        for slot, sim in enumerate(self._sims):
-            adjust = sim.adjust
-            row = {ib: s for ib, base, co in bases if (s := adjust(base, co, m)) > 0.0}
+        for slot, score in enumerate(self._scorers):
+            row = score(bases)
             row.update((ib, s) for ib, rows_b in covered if (s := rows_b[slot].get(ia)) is not None)
             filled.append(row)
         entry = (cover, tuple(filled))

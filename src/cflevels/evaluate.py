@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import namedtuple
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .cache import SimilarityCache
@@ -83,10 +84,22 @@ def kfold_split(m: RatingsMatrix, folds: int, seed: int) -> Iterator[tuple[Ratin
 # metrics
 # ---------------------------------------------------------------------------
 
+def _mae(errors: list[float]) -> float:
+    return math.fsum(map(abs, errors)) / len(errors)
+
+
+def _rmse(errors: list[float]) -> float:
+    # d * d is correctly rounded, where d ** 2 goes through the C library's pow
+    total = math.fsum(map(mul, errors, errors))
+    if total == math.inf:  # a square past the float range, though the RMSE is at most the largest error
+        raise OverflowError("a squared prediction error is past the float range")
+    return math.sqrt(total / len(errors))
+
+
 def mae(pairs: list[PredictionPair]) -> float:
     if not pairs:
         raise EmptyInputError("mae needs at least one prediction pair")
-    return math.fsum(abs(p - r) for p, r in pairs) / len(pairs)
+    return _mae([p - r for p, r in pairs])
 
 
 def nmae(mae_value: float, scale: RatingScale) -> float:
@@ -98,11 +111,7 @@ def nmae(mae_value: float, scale: RatingScale) -> float:
 def rmse(pairs: list[PredictionPair]) -> float:
     if not pairs:
         raise EmptyInputError("rmse needs at least one prediction pair")
-    # d * d is correctly rounded, where d ** 2 goes through the C library's pow
-    total = math.fsum([(d := p - r) * d for p, r in pairs])
-    if total == math.inf:  # a square past the float range, though the RMSE is at most the largest error
-        raise OverflowError("a squared prediction error is past the float range")
-    return math.sqrt(total / len(pairs))
+    return _rmse([p - r for p, r in pairs])
 
 
 def precision_recall_f1(topn, relevant) -> tuple[float, float, float]:
@@ -151,9 +160,12 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
     ``method`` and ``train``. Each test record is predicted once at the
     largest k, and that value serves every k at or above its support, since
     the top k raters are then all of its positive raters; only a smaller k
-    predicts it again. Top-N ranks each known test user once per k against
-    one relevant set. Every argument, the cache included, is checked before
-    any row is built, whatever the test records.
+    predicts it again. So the predicted records keep one list of errors, and
+    a k copies it only to patch the errors of the records it predicted
+    again: its MAE and RMSE are C-level passes over that list. Top-N ranks
+    each known test user once per k against one relevant set. Every
+    argument, the cache included, is checked before any row is built,
+    whatever the test records.
     """
     ks = tuple(ks)
     if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
@@ -164,14 +176,16 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
     _one_of("metrics group", metrics, METRIC_GROUPS)
     if not math.isfinite(relevance):
         raise ValueError(f"relevance must be finite, got {relevance}")
-    top = max(ks)
+    top, low = max(ks), min(ks)
     cache = _checked_cache(top, method, train, cache, prediction)
 
     accuracy, topn = metrics != "topn", metrics != "accuracy"
     by_user: dict[str, list[RatingRecord]] = {}
     for rec in test:
         by_user.setdefault(rec.user, []).append(rec)
-    pairs: list[list[PredictionPair]] = [[] for _ in ks]
+    errors: list[float] = []  # predicted minus actual rating of each predicted record, at the largest k
+    # (index into errors, error) of each record that a k predicts again, below its support
+    again: list[list[tuple[int, float]]] = [[] for _ in ks]
     per_user: list[list[tuple[float, float, float]]] = [[] for _ in ks]
     hit_counts: list[list[int]] = [[] for _ in ks]
     misses = 0
@@ -190,12 +204,12 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                 if p is None:
                     misses += 1
                     continue
-                for k, k_pairs in zip(ks, pairs):
-                    if k < p.support:
-                        q = predict(user, rec.item, k, method, train, cache, prediction)
-                    else:
-                        q = p
-                    k_pairs.append(PredictionPair(q.value, rec.value))
+                if p.support > low:
+                    for k, k_again in zip(ks, again):
+                        if k < p.support:
+                            q = predict(user, rec.item, k, method, train, cache, prediction)
+                            k_again.append((len(errors), q.value - rec.value))
+                errors.append(p.value - rec.value)
         if topn:
             relevant = {rec.item for rec in recs if rec.value >= relevance}
             for k, k_users, k_hits in zip(ks, per_user, hit_counts):
@@ -207,13 +221,18 @@ def evaluate_split(train: RatingsMatrix, test: list[RatingRecord],
                     k_users.append(precision_recall_f1(ranked, relevant))
 
     outs: list[dict] = []
-    for k_pairs, k_users, k_hits in zip(pairs, per_user, hit_counts):
+    for k_again, k_users, k_hits in zip(again, per_user, hit_counts):
         out = {**dict.fromkeys(METRICS), "coverage": 0}
         if accuracy:
             out["coverage"] = misses
-            if k_pairs:
-                m_value = mae(k_pairs)
-                out.update(mae=m_value, nmae=nmae(m_value, train.scale), rmse=rmse(k_pairs))
+            if errors:
+                k_errors = errors
+                if k_again:
+                    k_errors = errors.copy()
+                    for i, error in k_again:
+                        k_errors[i] = error
+                m_value = _mae(k_errors)
+                out.update(mae=m_value, nmae=nmae(m_value, train.scale), rmse=_rmse(k_errors))
         if topn:
             precision = math.fsum(p for p, _, _ in k_users) / len(k_users) if k_users else 0.0
             recall = math.fsum(r_ for _, r_, _ in k_users) / len(k_users) if k_users else 0.0

@@ -34,18 +34,24 @@ def _checked_cache(k: int, sim: SimilarityMethod, m: RatingsMatrix, cache, mode:
 
 def _top_k(row: dict[int, float], items, k: int,
            m: RatingsMatrix) -> dict[int, list[tuple[float, int]]]:
-    """The top k raters in ``row`` of each item index in ``items``, best first.
+    """The top k raters in ``row`` of each item index in ``items``.
 
     The one place neighborhoods are formed. Maps each item with at least one
     rater in ``row`` to its neighbors as (-score, user index). User indexes
-    follow sorted user ids, so ties break on ascending id. One item ranks its
-    raters from the inverted index. Several share one walk of the row, sorted
-    once best first: each neighbor joins every wanted item it rated, and an
-    item stops being wanted once it has k, so the walk ends when none is left.
+    follow sorted user ids, so ties break on ascending id. One item takes its
+    raters from the inverted index and sorts them best first only when more
+    than k are positive, to cut them, since :func:`_estimate` sums them in
+    any order. Several share one walk of the row, sorted once best first:
+    each neighbor joins every wanted item it rated, and an item stops being
+    wanted once it has k, so the walk ends when none is left. So a list is
+    best first when it was cut or walked; one item's uncut list is in index
+    order.
     """
     if len(items) == 1:
         (ii,) = items
-        best = sorted([(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None])[:k]
+        best = [(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None]
+        if len(best) > k:
+            best = sorted(best)[:k]
         return {ii: best} if best else {}
     by_user = m._by_user
     wanted = set(items)
@@ -78,7 +84,7 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
         return ()
     ia = m._require_user(a)
     users = m.users()
-    best = _top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii, ())
+    best = sorted(_top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii, ()))
     return tuple((users[ib], -neg) for neg, ib in best)
 
 
@@ -86,8 +92,9 @@ def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,
               mode: str) -> float:
     """The clamped prediction of user ``ia`` on item ``ii`` from its neighbors.
 
-    ``best`` is a non-empty neighborhood from :func:`_top_k`; its length is
-    the prediction's support. The one place neighbors are combined:
+    ``best`` is a non-empty neighborhood from :func:`_top_k`, in any order,
+    since every sum is a ``math.fsum``; its length is the prediction's
+    support. The one place neighbors are combined:
     :func:`predict` and :func:`recommend_top_n` both call it on matrix
     indexes.
     """

@@ -28,6 +28,11 @@ from .ratings import RatingsMatrix
 
 # the smallest positive normal float
 _FLOAT_MIN = sys.float_info.min
+# a deviation below this has a subnormal square, which has lost bits
+_TINY_DEVIATION = 2.0 ** -511
+# each nonzero deviation from a mean of at least this is at least 2 ** -503:
+# near the mean it is exact, a multiple of the rating's ulp
+_TINY_MEAN = 2.0 ** -450
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +49,18 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
     ``pow``, which is slower and may miss the last bit. It is 0 without
     variance on either side, and, with ``keep_negative`` False, as soon as
     the covariance is <= 0. A square past the float range raises
-    OverflowError, as ``** 2`` did.
+    OverflowError, as ``** 2`` did. Deviations whose squares would fall
+    below the normal float range, as with ratings near 1e-160, are scaled
+    by a power of two first, which is exact and leaves the result as it is
+    for the same ratings at unit scale.
     """
     n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     dxs = [x - mx for x in xs]
     dys = [y - my for y in ys]
+    if abs(mx) < _TINY_MEAN or abs(my) < _TINY_MEAN:  # rare: only then can a deviation be tiny
+        dxs, dys = _unit_scaled(dxs), _unit_scaled(dys)
     num = math.fsum(map(mul, dxs, dys))
     if num <= 0.0 and not keep_negative:
         return 0.0
@@ -68,6 +78,15 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
         den = math.sqrt(dx) * math.sqrt(dy)
     # clamp: floating error can push |r| a hair past 1
     return min(1.0, max(-1.0, num / den))
+
+
+def _unit_scaled(ds: list[float]) -> list[float]:
+    """``ds`` times the power of two that brings the largest into [0.5, 1), if its square is subnormal."""
+    top = max(map(abs, ds))
+    if not 0.0 < top < _TINY_DEVIATION:
+        return ds
+    e = -math.frexp(top)[1]
+    return [math.ldexp(d, e) for d in ds]
 
 
 def _base(ra: dict[int, float], rb: dict[int, float]) -> tuple[float, int]:
@@ -151,6 +170,10 @@ class SimilarityMethod:
     matrix too small for it, fails there. ``lifts_negatives`` says whether
     ``adjust`` may score a negative base above 0: of :func:`make_method`'s
     methods only dynamic ``eq8`` does; a hand-made one is assumed to.
+    A cache fills its rows through ``_scorer``, which here calls ``adjust``
+    once per base; :func:`make_method`'s methods replace it with one that
+    reads a table of what depends only on the co-rated count, made once per
+    (method, matrix), and gives the same bits.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
@@ -165,8 +188,49 @@ class SimilarityMethod:
         return self.adjust(*_base(m._by_user[m._require_user(a)],
                                   m._by_user[m._require_user(b)]), m)
 
+    def _scorer(self, m: RatingsMatrix, n: int):
+        """A function from (user index, base, co-rated count < ``n``) triples to their scores above 0."""
+        adjust = self.adjust
+        return lambda bases: {ib: s for ib, base, co in bases if (s := adjust(base, co, m)) > 0.0}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimilarityMethod({self.name!r}, {self.params!r})"
+
+
+def _tabled(method: SimilarityMethod, scorer) -> SimilarityMethod:
+    """``method`` filling rows through ``scorer(m, n)`` in place of an ``adjust`` call per base."""
+    method._scorer = scorer
+    return method
+
+
+def _positive(bases) -> dict[int, float]:  # pcc: the base itself
+    return {ib: base for ib, base, co in bases if base > 0.0}
+
+
+def _linear(method: SimilarityMethod) -> SimilarityMethod:
+    """``method``, whose ``adjust`` is the base times a factor of the count (wpcc, spcc),
+    scoring from a table of ``adjust(1.0, co, m)``, which is that factor exactly."""
+    adjust = method.adjust
+
+    def scorer(m, n):
+        factors = [adjust(1.0, co, m) for co in range(n)]
+        return lambda bases: {ib: s for ib, base, co in bases if (s := factors[co] * base) > 0.0}
+    return _tabled(method, scorer)
+
+
+def _banded(method: SimilarityMethod, divisor, floor: float = -math.inf,
+            eq4: bool = True) -> SimilarityMethod:
+    """``method``, whose ``adjust`` is ``base + base / d`` at a count whose ``divisor(m, co)``
+    is a d and a base of at least ``floor``, else a shrink (static, dynamic), scoring from a
+    table of those divisors; the eq4 shrink is taken in line, any other from ``adjust``."""
+    adjust = method.adjust
+
+    def scorer(m, n):
+        divisors = [divisor(m, co) for co in range(n)]
+        return lambda bases: {ib: s for ib, base, co in bases if (
+            s := base + base / d if (d := divisors[co]) is not None and base >= floor
+            else base * (1.0 / (1.0 + base * base)) if eq4 else adjust(base, co, m)) > 0.0}
+    return _tabled(method, scorer)
 
 
 def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
@@ -184,13 +248,15 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     """
     _one_of("similarity method", name, METHOD_NAMES)
     if name == "pcc":
-        return SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False)
+        return _tabled(SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False),
+                       lambda m, n: _positive)
     if name == "wpcc":
         _check_count("WPCC threshold", big_t)
-        return SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t), {"T": big_t},
-                                lifts_negatives=False)
+        return _linear(SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t),
+                                        {"T": big_t}, lifts_negatives=False))
     if name == "spcc":
-        return SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co), lifts_negatives=False)
+        return _linear(SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co),
+                                        lifts_negatives=False))
     if name == "plus":
         if not (0 < alpha < math.inf and 0 < beta < math.inf):
             raise ValueError("power-law parameters must be positive and finite, "
@@ -201,9 +267,13 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
         _check_count("co-rated threshold t", t)
         if not math.isfinite(y):
             raise ValueError(f"correlation threshold y must be finite, got {y}")
-        return SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
-                                {"t": t, "y": y}, lifts_negatives=False)
+        # doubling is base + base / 1, exactly
+        return _banded(SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
+                                        {"t": t, "y": y}, lifts_negatives=False),
+                       lambda m, co: 1 if co >= t else None, y)
     _one_of("negative_form", negative_form, NEGATIVE_FORMS)  # dynamic, the last name
-    return SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
+    return _banded(SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
         s, co, _band_table(m.user_count, m.item_count), negative_form),
-        {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8")
+        {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8"),
+        lambda m, co: _band_table(m.user_count, m.item_count).divisor_for(co),
+        eq4=negative_form == "eq4")

@@ -19,6 +19,17 @@ def overlap(ratings, a, b):
     return sorted(set(ratings[a]) & set(ratings[b]))
 
 
+def unit_scaled(deviations):
+    """Deviations whose largest square is below the normal float range (2 ** -1022),
+    as with ratings near 1e-160, scaled by the power of two that brings the
+    largest into [0.5, 1): exact, and the correlation is unmoved by it."""
+    top = max(abs(d) for d in deviations)
+    if top == 0.0 or top * top >= sys.float_info.min:
+        return deviations
+    exponent = math.frexp(top)[1]
+    return [math.ldexp(d, -exponent) for d in deviations]
+
+
 def pearson(ratings, a, b):
     """Pearson correlation over the co-rated items, means over that set.
 
@@ -34,10 +45,12 @@ def pearson(ratings, a, b):
     rb = [ratings[b][i] for i in items]
     ma = math.fsum(ra) / len(ra)
     mb = math.fsum(rb) / len(rb)
-    num = math.fsum((x - ma) * (y - mb) for x, y in zip(ra, rb))
+    da = unit_scaled([x - ma for x in ra])
+    db = unit_scaled([y - mb for y in rb])
+    num = math.fsum(x * y for x, y in zip(da, db))
     # a product is correctly rounded; ** 2 goes through the C library's pow
-    dx = math.fsum((x - ma) * (x - ma) for x in ra)
-    dy = math.fsum((y - mb) * (y - mb) for y in rb)
+    dx = math.fsum(x * x for x in da)
+    dy = math.fsum(y * y for y in db)
     if dx == 0.0 or dy == 0.0:
         return 0.0
     # the root of the product keeps the bits that top-k ties depend on; where

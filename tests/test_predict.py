@@ -10,6 +10,7 @@ import oracles
 from cflevels import (PREDICTION_MODES, Prediction, RatingScale, SimilarityCache,
                       SimilarityMethod, UnknownUserError, build_matrix, make_method,
                       neighborhood_for_item, predict, recommend_top_n)
+from cflevels.predict import _estimate
 
 PCC = make_method("pcc")
 
@@ -201,6 +202,36 @@ class TestIndexPath:
                                 assert got.support == len(hood)
                                 predicted += 1
         assert predicted > 1000
+
+    def test_uncut_neighborhood_predicts_the_bits_of_the_sorted_one(self):
+        # with all of an item's positive raters in its top k, predict combines
+        # them in user index order, unsorted; on float ratings, where a plain
+        # sum would depend on that order, it must give the bits of the
+        # best-first list. The matrices are those of test_similarity.py's
+        # TestPcc::test_float_ratings_match_oracle_exactly
+        rng = random.Random(2718)
+        predicted = unsorted = 0
+        for _ in range(40):
+            ratings = {f"u{u:02d}": {f"i{i:02d}": rng.uniform(0.0, 10.0)
+                                     for i in range(30) if rng.random() < 0.6}
+                       for u in range(12)}
+            m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 10.0))
+            cache = SimilarityCache(PCC, m)
+            for ia, a in enumerate(m.users()):
+                row = cache.row(ia)
+                for ii, item in enumerate(m.items()):
+                    raters = [(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None]
+                    if not raters:
+                        continue
+                    best = sorted(raters)
+                    unsorted += raters != best
+                    for mode in PREDICTION_MODES:
+                        want = _estimate(best, ia, ii, m, mode)
+                        for k in (len(best), len(best) + 1, 40):
+                            got = predict(a, item, k, PCC, m, cache, mode)
+                            assert got.value.hex() == want.hex() and got.support == len(best)
+                            predicted += 1
+        assert unsorted > 1000 and predicted > 10000
 
 
 class TestRecommendTopN:

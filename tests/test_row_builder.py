@@ -35,6 +35,11 @@ SIBLING_SETS = {
                           make_method("static", t=1, y=-0.5), make_method("dynamic")],
     "hand-made-alone": lambda: [FLIPPED],
     "hand-made-mixed": lambda: [make_method("pcc"), FLIPPED, make_method("wpcc")],
+    # knobs at which a method's per-count table holds more than one value
+    # over the counts of BANDED, the matrix on which dynamic has three bands
+    "tabled": lambda: [make_method("wpcc", big_t=1), make_method("wpcc", big_t=5),
+                       make_method("static", t=3), make_method("spcc"), make_method("dynamic"),
+                       make_method("dynamic", negative_form="alg1")],
 }
 
 
@@ -79,11 +84,27 @@ def valued(rng, values, scale, n_users=24, n_items=16, density=0.6):
     return build_matrix(oracles.ratings_to_records(ratings), scale)
 
 
+def banded(rng):
+    """Forty users who rate from 15% to 90% of 40 shared items and 75 items of their own.
+
+    The 3,040 items and 40 users give dynamic three bands (co-rated counts 5,
+    6-11 and 12 up), and the pairs' co-rated counts run from 0 to over 30.
+    """
+    ratings = {}
+    for u in range(40):
+        p = rng.uniform(0.15, 0.9)
+        row = {f"c{ii:02d}": float(rng.randint(1, 5)) for ii in range(40) if rng.random() < p}
+        row.update({f"t{u:02d}{j:02d}": float(rng.randint(1, 5)) for j in range(75)})
+        ratings[f"b{u:02d}"] = row
+    return build_matrix(oracles.ratings_to_records(ratings), SCALE)
+
+
 def matrices():
     """Random matrices of several densities, planted-cluster ones, two whose
-    users have bitsets in part or not at all, a heavy-tailed sparse one, and
+    users have bitsets in part or not at all, a heavy-tailed sparse one,
     three that pin the memo of overlap codes: 16 distinct ratings, which
-    take it, 17, which do not, and -0.0 beside 0.0, which share a code."""
+    take it, 17, which do not, and -0.0 beside 0.0, which share a code; and
+    one on which dynamic derives three bands."""
     rng = random.Random(20)
     for density in (0.2, 0.45, 0.8):
         ratings = oracles.random_ratings(rng, n_users=24, n_items=16, density=density)
@@ -96,10 +117,11 @@ def matrices():
     yield valued(rng, [1 + 0.25 * n for n in range(16)], SCALE)
     yield valued(rng, [1 + 0.25 * n for n in range(17)], SCALE)
     yield valued(rng, [-1.0, -0.0, 0.0, 1.0], RatingScale(-1.0, 1.0), density=0.3)
+    yield banded(random.Random(21))
 
 
 MATRICES = list(matrices())
-MIXED, WIDE, ZIPF, SIXTEEN, SEVENTEEN, SIGNED_ZEROS = MATRICES[-6:]
+MIXED, WIDE, ZIPF, SIXTEEN, SEVENTEEN, SIGNED_ZEROS, BANDED = MATRICES[-7:]
 
 
 def brute_row(sim, m, ia, items=None):
@@ -245,3 +267,31 @@ def test_matrices_take_the_memo_up_to_16_distinct_ratings():
                 for x, y in pairs)))
     assert set(caches[0]._memo) <= set(signs)
     assert sum(len(found) > 1 for key, found in signs.items() if len(key) >= 2) > 10
+
+
+# every make_method method, with knobs that make its table hold several values
+TABLED = [make_method(name, **kw) for name, kw in (
+    ("pcc", {}), ("wpcc", {}), ("wpcc", {"big_t": 1}), ("wpcc", {"big_t": 5}), ("spcc", {}),
+    ("plus", {}), ("plus", {"alpha": 3.0, "beta": 0.5}), ("static", {}), ("static", {"t": 3}),
+    ("static", {"t": 1, "y": -0.5}), ("dynamic", {}), ("dynamic", {"negative_form": "eq8"}),
+    ("dynamic", {"negative_form": "alg1"}))]
+
+
+@pytest.mark.parametrize("sim", TABLED, ids=[f"{sim.name}-{sim.params}" for sim in TABLED])
+def test_row_scorer_gives_the_bits_of_adjust(sim):
+    # the row builder scores each base through the method's scorer, which
+    # reads a table of what depends only on the co-rated count; at every
+    # count a pair can have, and one past it, each score above 0 must be
+    # adjust's, and no other base may score
+    bases = [0.0, 5e-324, 1e-300, 0.2, 0.5, 1.0]
+    if "y" in sim.params:
+        y = sim.params["y"]
+        bases += [math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf)]
+    bases += [-base for base in bases]
+    for m in (BANDED, MATRICES[3], SIGNED_ZEROS):
+        n = max(map(len, m._by_user)) + 2
+        triples = [(i, base, co) for i, (co, base) in enumerate(
+            (co, base) for co in range(n) for base in bases)]
+        want = {i: s for i, base, co in triples if (s := sim.adjust(base, co, m)) > 0.0}
+        assert sim._scorer(m, n)(triples) == want
+        assert len(want) > n

@@ -99,6 +99,28 @@ class TestPcc:
                 + [("b", f"i{n}", y * y_unit) for n, y in enumerate(ys)], RatingScale(0.0, 10.0)))
         assert score(1e-100, unit) == pytest.approx(score(1.0, 1.0), abs=1e-12)
 
+    def test_subnormal_scale_scores_the_unit_scale_bits(self):
+        # deviations of ratings near 1e-160 square below the normal float
+        # range, and near 2 ** -600 to 0; Pearson scales them by a power of
+        # two first, which keeps every bit of the unit-scale score where the
+        # ratings scale exactly, and all but rounding where they do not
+        rng = random.Random(160)
+        positive = 0
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            ratings = {u: {f"i{i:02d}": float(rng.randint(0, 10)) for i in range(n)} for u in "ab"}
+            want = oracles.pearson(ratings, "a", "b")
+            positive += want > 0.0
+            for unit, tolerance in ((2.0 ** -600, 0.0), (1e-160, 1e-12)):
+                scaled = {u: {i: v * unit for i, v in row.items()} for u, row in ratings.items()}
+                m = build_matrix(oracles.ratings_to_records(scaled), RatingScale(0.0, 10.0))
+                got = PCC.score("a", "b", m)
+                assert abs(got - want) <= tolerance, (ratings, unit)
+                assert got == oracles.pearson(scaled, "a", "b")
+                # the row builder stops a pair at a covariance <= 0, which must not underflow
+                assert SimilarityCache(PCC, m).row(0) == ({1: got} if got > 0.0 else {})
+        assert positive > 100
+
     def test_squares_past_the_float_range_raise(self):
         # deviations of 1e200 square past the float range: an error, never a NaN clamped to -1
         ratings = {u: {f"i{n}": v for n, v in enumerate((0.0, 1e200, 2e200))} for u in "ab"}
@@ -131,8 +153,8 @@ class TestPcc:
         self.assert_random_matrices_match_oracle(scale, 1.0)
 
     # the same matrices in other rating units; the squared deviations still
-    # sum to normal floats, as they do not at 1e-160 (subnormal: engine and
-    # oracle agree there, but both drift from the unit-1 score)
+    # sum to normal floats, as they do not at 1e-160 (subnormal: both scale
+    # the deviations first, see test_subnormal_scale_scores_the_unit_scale_bits)
     @pytest.mark.parametrize("bounds, unit", [
         pytest.param(RatingScale(0.0, 10.0), 1e-100, id="tiny"),
         pytest.param(RatingScale(0.0, 1e200), 1e100, id="huge")])
