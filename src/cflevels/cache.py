@@ -24,11 +24,11 @@ user indexes) gathers each co-rater's overlap, and the Pearson formula of
 :meth:`SimilarityMethod.score` makes it a (Pearson, co-rated count) base,
 so every entry equals the pair score bit for bit. Each method fills its
 row from the bases through ``SimilarityMethod._scorer``, made when its cache
-is made: for :func:`~cflevels.similarity.make_method`'s methods it reads a
-table of what depends only on the co-rated count, over the counts from 0 to
-the longest user row, the same one the cache's acceptance probe reads; a
-hand-made method calls ``adjust`` per base. The bases are dropped once the
-rows are filled. A sibling set scores each distinct overlap once:
+is made: for :func:`~cflevels.similarity.make_method`'s methods but plus it
+reads a table of what depends only on the co-rated count, over the counts
+from 0 to the longest user row, the same one the cache's acceptance probe
+reads; plus and hand-made methods call ``adjust`` per base. The bases go
+once the rows are filled. A sibling set scores each distinct overlap once:
 on a matrix of at most 16 distinct ratings (``RatingsMatrix._codes``) the
 walk gathers one byte per co-rated item, the code of the pair's two
 ratings, and the sorted codes key a memo of bases that the set shares.

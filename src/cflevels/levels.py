@@ -17,7 +17,15 @@ from .errors import TooFewItemsError, TooFewUsersError, _one_of
 
 MIN_CO_RATED = 5
 
-NEGATIVE_FORMS = ("eq4", "eq8", "alg1")
+
+def _eq4(s: float) -> float:
+    return s * (1.0 / (1.0 + s * s))
+
+
+# each negative_form's shrink of a correlation below MIN_CO_RATED
+_SHRINKS = {"eq4": _eq4, "eq8": lambda s: s * (1.0 / (1.0 + s * s) - 1.0),
+            "alg1": lambda s: _eq4(s) / 6.0}
+NEGATIVE_FORMS = tuple(_SHRINKS)
 
 
 def _round_half_away(x: float) -> int:
@@ -101,18 +109,13 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
                   negative_form: str = "eq4") -> float:
     """Adjust a correlation by its band: boost in band k by score/k, shrink below.
 
-    ``negative_form`` selects the below-threshold formula. ``eq4`` (default,
-    the only sign/order-preserving one): s / (1 + s^2). ``eq8``:
-    s * (1/(1 + s^2) - 1), which flips sign. ``alg1``: the eq4 value divided
-    by 6. The alternates exist for experimentation only.
+    ``negative_form`` picks the shrink below from ``_SHRINKS``, which the row
+    builder reads too. ``eq4`` (default, the only sign/order-preserving one):
+    s / (1 + s^2). ``eq8``: s * (1/(1 + s^2) - 1), which flips sign. ``alg1``:
+    the eq4 value divided by 6. The alternates are for experimentation only.
     """
     _one_of("negative_form", negative_form, NEGATIVE_FORMS)
     divisor = table.divisor_for(co_rated)
     if divisor is not None:
         return score + score / divisor
-    shrunk = score * (1.0 / (1.0 + score * score))
-    if negative_form == "eq4":
-        return shrunk
-    if negative_form == "eq8":
-        return score * (1.0 / (1.0 + score * score) - 1.0)
-    return shrunk / 6.0  # alg1
+    return _SHRINKS[negative_form](score)

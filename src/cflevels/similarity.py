@@ -23,7 +23,7 @@ from operator import mul
 from typing import Callable
 
 from .errors import _one_of
-from .levels import NEGATIVE_FORMS, apply_dynamic, build_level_table
+from .levels import _SHRINKS, NEGATIVE_FORMS, apply_dynamic, build_level_table
 from .ratings import RatingsMatrix
 
 # the smallest positive normal float
@@ -141,12 +141,12 @@ def apply_static(score: float, co_rated: int, t: int, y: float) -> float:
     """Double the score when both thresholds clear; otherwise shrink it.
 
     Positive branch: co_rated >= t and score >= y -> 2 * score.
-    Negative branch: score / (1 + score^2), which shrinks magnitude and
-    preserves sign.
+    Negative branch: dynamic's eq4 shrink, score / (1 + score^2), which
+    shrinks magnitude and preserves sign.
     """
     if co_rated >= t and score >= y:
         return score + score
-    return score * (1.0 / (1.0 + score * score))
+    return _SHRINKS["eq4"](score)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +171,9 @@ class SimilarityMethod:
     ``adjust`` may score a negative base above 0: of :func:`make_method`'s
     methods only dynamic ``eq8`` does; a hand-made one is assumed to.
     A cache fills its rows through ``_scorer``, which here calls ``adjust``
-    once per base; :func:`make_method`'s methods replace it with one that
-    reads a table of what depends only on the co-rated count, made once per
-    (method, matrix), and gives the same bits.
+    once per base, as plus keeps; :func:`make_method`'s other methods read a
+    factor (pcc, wpcc, spcc) or a divisor (static, dynamic) from a table by
+    co-rated count, made once per (method, matrix), and give the same bits.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
@@ -203,13 +203,10 @@ def _tabled(method: SimilarityMethod, scorer) -> SimilarityMethod:
     return method
 
 
-def _positive(bases) -> dict[int, float]:  # pcc: the base itself
-    return {ib: base for ib, base, co in bases if base > 0.0}
-
-
 def _linear(method: SimilarityMethod) -> SimilarityMethod:
-    """``method``, whose ``adjust`` is the base times a factor of the count (wpcc, spcc),
-    scoring from a table of ``adjust(1.0, co, m)``, which is that factor exactly."""
+    """``method``, whose ``adjust`` is the base times a factor of the count (pcc, wpcc,
+    spcc), scoring from a table of ``adjust(1.0, co, m)``, which is that factor exactly:
+    pcc's is 1.0, and ``1.0 * base`` is the base."""
     adjust = method.adjust
 
     def scorer(m, n):
@@ -218,18 +215,16 @@ def _linear(method: SimilarityMethod) -> SimilarityMethod:
     return _tabled(method, scorer)
 
 
-def _banded(method: SimilarityMethod, divisor, floor: float = -math.inf,
-            eq4: bool = True) -> SimilarityMethod:
+def _banded(method: SimilarityMethod, divisor, shrink,
+            floor: float = -math.inf) -> SimilarityMethod:
     """``method``, whose ``adjust`` is ``base + base / d`` at a count whose ``divisor(m, co)``
-    is a d and a base of at least ``floor``, else a shrink (static, dynamic), scoring from a
-    table of those divisors; the eq4 shrink is taken in line, any other from ``adjust``."""
-    adjust = method.adjust
-
+    is a d and a base of at least ``floor``, else ``shrink(base)`` (static, dynamic),
+    scoring from a table of those divisors."""
     def scorer(m, n):
         divisors = [divisor(m, co) for co in range(n)]
         return lambda bases: {ib: s for ib, base, co in bases if (
             s := base + base / d if (d := divisors[co]) is not None and base >= floor
-            else base * (1.0 / (1.0 + base * base)) if eq4 else adjust(base, co, m)) > 0.0}
+            else shrink(base)) > 0.0}
     return _tabled(method, scorer)
 
 
@@ -248,8 +243,7 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     """
     _one_of("similarity method", name, METHOD_NAMES)
     if name == "pcc":
-        return _tabled(SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False),
-                       lambda m, n: _positive)
+        return _linear(SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False))
     if name == "wpcc":
         _check_count("WPCC threshold", big_t)
         return _linear(SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t),
@@ -270,10 +264,10 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
         # doubling is base + base / 1, exactly
         return _banded(SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
                                         {"t": t, "y": y}, lifts_negatives=False),
-                       lambda m, co: 1 if co >= t else None, y)
+                       lambda m, co: 1 if co >= t else None, _SHRINKS["eq4"], y)
     _one_of("negative_form", negative_form, NEGATIVE_FORMS)  # dynamic, the last name
     return _banded(SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
         s, co, _band_table(m.user_count, m.item_count), negative_form),
         {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8"),
         lambda m, co: _band_table(m.user_count, m.item_count).divisor_for(co),
-        eq4=negative_form == "eq4")
+        _SHRINKS[negative_form])

@@ -5,8 +5,8 @@ import random
 import pytest
 
 import oracles
-from cflevels import (Band, TooFewItemsError, TooFewUsersError, apply_dynamic,
-                      build_level_table, build_matrix, derive_dvi,
+from cflevels import (MIN_CO_RATED, Band, TooFewItemsError, TooFewUsersError, apply_dynamic,
+                      apply_static, build_level_table, build_matrix, derive_dvi,
                       derive_dvu, derive_step, make_method, similarity)
 
 # (users, items) -> (dvu, dvi, step, bands); frozen from the oracle
@@ -106,6 +106,24 @@ class TestApplyDynamic:
         assert apply_dynamic(0.4, 3, table, "eq4") == pytest.approx(0.3448275862068966, abs=1e-12)
         assert apply_dynamic(0.4, 3, table, "eq8") == pytest.approx(-0.05517241379310347, abs=1e-12)
         assert apply_dynamic(0.4, 3, table, "alg1") == pytest.approx(0.0574712643678161, abs=1e-12)
+
+    def test_negative_forms_bit_for_bit(self):
+        # each shrink against its formula as written, compared by its bits,
+        # so a moved last bit or the sign of a zero shows; static's shrink is eq4
+        formulas = {"eq4": lambda s: s * (1.0 / (1.0 + s * s)),
+                    "eq8": lambda s: s * (1.0 / (1.0 + s * s) - 1.0),
+                    "alg1": lambda s: s * (1.0 / (1.0 + s * s)) / 6.0}
+        eq4 = formulas["eq4"]
+        table = build_level_table(39363, 22610)
+        for size in (0.0, 5e-324, 1e-300, 0.2, 0.4, 1.0):
+            for s in (size, -size):
+                for form, formula in formulas.items():
+                    for co in range(MIN_CO_RATED):
+                        assert apply_dynamic(s, co, table, form).hex() == formula(s).hex()
+                assert apply_static(s, 3, 10, 0.2).hex() == eq4(s).hex()
+                assert apply_static(s, 10, 10, 2.0).hex() == eq4(s).hex()
+        assert [apply_dynamic(0.4, 3, table, form) for form in formulas] == [
+            0.3448275862068966, -0.055172413793103475, 0.0574712643678161]
 
     def test_eq4_keeps_sign_and_shrinks(self):
         table = build_level_table(39363, 22610)

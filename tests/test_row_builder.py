@@ -17,8 +17,10 @@ import pytest
 
 import _synth
 import cflevels.cache
+import cflevels.similarity
 import oracles
-from cflevels import RatingScale, SimilarityCache, SimilarityMethod, build_matrix, make_method
+from cflevels import (MIN_CO_RATED, RatingScale, SimilarityCache, SimilarityMethod, build_matrix,
+                      make_method)
 from cflevels.similarity import _base
 
 SCALE = RatingScale(*_synth.SCALE)
@@ -295,3 +297,25 @@ def test_row_scorer_gives_the_bits_of_adjust(sim):
         want = {i: s for i, base, co in triples if (s := sim.adjust(base, co, m)) > 0.0}
         assert sim._scorer(m, n)(triples) == want
         assert len(want) > n
+
+
+@pytest.mark.parametrize("form", ["eq8", "alg1"])
+def test_dynamic_rows_shrink_from_the_table_without_calling_adjust(form, monkeypatch):
+    # below MIN_CO_RATED every negative form's shrink comes from the table
+    # the band divisors sit beside, so filling a row calls no apply_dynamic
+    calls = []
+    dynamic = cflevels.similarity.apply_dynamic
+    monkeypatch.setattr(cflevels.similarity, "apply_dynamic",
+                        lambda *args: calls.append(args) or dynamic(*args))
+    sim = make_method("dynamic", negative_form=form)
+    cache = SimilarityCache(sim, BANDED)
+    for ia in range(BANDED.user_count):
+        cache.row(ia)
+    assert calls == []
+    # the rows hold shrunk scores, and the counter sees adjust's calls
+    by_user = BANDED._by_user
+    shrunk = sum(1 for ia, row in cache.rows.items() for ib in row
+                 if len(by_user[ia].keys() & by_user[ib].keys()) < MIN_CO_RATED)
+    assert shrunk > 50
+    sim.adjust(0.4, MIN_CO_RATED - 1, BANDED)
+    assert len(calls) == 1
