@@ -6,6 +6,11 @@ width from dividing that by log10 of the user count. Pairs whose co-rated
 count lands in band ``k`` get their correlation boosted by a factor
 ``1 + 1/k``; pairs below the minimum co-rated threshold (5) are shrunk
 instead.
+
+That banded rule, ``s + s / d`` at a count with a divisor ``d`` and a score
+``s`` at or above a floor, else a shrink from ``_SHRINKS``, is written once,
+in ``_banded_rule``: dynamic applies it with its band divisors and no floor,
+static with divisor 1 from ``t`` co-rated items up and floor ``y``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ def _eq4(s: float) -> float:
 _SHRINKS = {"eq4": _eq4, "eq8": lambda s: s * (1.0 / (1.0 + s * s) - 1.0),
             "alg1": lambda s: _eq4(s) / 6.0}
 NEGATIVE_FORMS = tuple(_SHRINKS)
+
+
+def _banded_rule(score: float, divisor: int | None, floor: float, shrink) -> float:
+    """``score + score / divisor`` when there is a divisor and ``score >= floor``, else ``shrink(score)``."""
+    return score + score / divisor if divisor is not None and score >= floor else shrink(score)
 
 
 def _round_half_away(x: float) -> int:
@@ -115,7 +125,4 @@ def apply_dynamic(score: float, co_rated: int, table: LevelTable,
     the eq4 value divided by 6. The alternates are for experimentation only.
     """
     _one_of("negative_form", negative_form, NEGATIVE_FORMS)
-    divisor = table.divisor_for(co_rated)
-    if divisor is not None:
-        return score + score / divisor
-    return _SHRINKS[negative_form](score)
+    return _banded_rule(score, table.divisor_for(co_rated), -math.inf, _SHRINKS[negative_form])

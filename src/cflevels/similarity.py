@@ -23,7 +23,7 @@ from operator import mul
 from typing import Callable
 
 from .errors import _one_of
-from .levels import _SHRINKS, NEGATIVE_FORMS, apply_dynamic, build_level_table
+from .levels import _SHRINKS, NEGATIVE_FORMS, _banded_rule, build_level_table
 from .ratings import RatingsMatrix
 
 # the smallest positive normal float
@@ -49,23 +49,29 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
     ``pow``, which is slower and may miss the last bit. It is 0 without
     variance on either side, and, with ``keep_negative`` False, as soon as
     the covariance is <= 0. A square past the float range raises
-    OverflowError, as ``** 2`` did. Deviations whose squares would fall
+    OverflowError, as ``** 2`` did; so does a sum that ``math.fsum`` cannot
+    take, of the ratings or of the deviation products, with the library's
+    message in place of fsum's. Deviations whose squares would fall
     below the normal float range, as with ratings near 1e-160, are scaled
     by a power of two first, which is exact and leaves the result as it is
     for the same ratings at unit scale.
     """
     n = len(xs)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    dxs = [x - mx for x in xs]
-    dys = [y - my for y in ys]
-    if abs(mx) < _TINY_MEAN or abs(my) < _TINY_MEAN:  # rare: only then can a deviation be tiny
-        dxs, dys = _unit_scaled(dxs), _unit_scaled(dys)
-    num = math.fsum(map(mul, dxs, dys))
-    if num <= 0.0 and not keep_negative:
-        return 0.0
-    dx = math.fsum(map(mul, dxs, dxs))
-    dy = math.fsum(map(mul, dys, dys))
+    try:
+        mx = math.fsum(xs) / n
+        my = math.fsum(ys) / n
+        dxs = [x - mx for x in xs]
+        dys = [y - my for y in ys]
+        if abs(mx) < _TINY_MEAN or abs(my) < _TINY_MEAN:  # rare: only then can a deviation be tiny
+            dxs, dys = _unit_scaled(dxs), _unit_scaled(dys)
+        num = math.fsum(map(mul, dxs, dys))
+        if num <= 0.0 and not keep_negative:
+            return 0.0
+        dx = math.fsum(map(mul, dxs, dxs))
+        dy = math.fsum(map(mul, dys, dys))
+    except (ValueError, OverflowError):  # fsum's inf - inf, or a partial sum past the float range
+        raise OverflowError("a sum of ratings or of rating deviation products "
+                            "is past the float range") from None
     if dx == 0.0 or dy == 0.0:
         return 0.0
     # dx * dy can leave the normal float range where dx and dy do not: take the roots apart then
@@ -140,13 +146,12 @@ def plus_adjust(score: float, alpha: float, beta: float) -> float:
 def apply_static(score: float, co_rated: int, t: int, y: float) -> float:
     """Double the score when both thresholds clear; otherwise shrink it.
 
-    Positive branch: co_rated >= t and score >= y -> 2 * score.
+    Positive branch: co_rated >= t and score >= y -> 2 * score, the banded
+    rule at divisor 1 (``score + score / 1`` is ``score + score`` exactly).
     Negative branch: dynamic's eq4 shrink, score / (1 + score^2), which
     shrinks magnitude and preserves sign.
     """
-    if co_rated >= t and score >= y:
-        return score + score
-    return _SHRINKS["eq4"](score)
+    return _banded_rule(score, 1 if co_rated >= t else None, y, _SHRINKS["eq4"])
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,9 @@ class SimilarityMethod:
     once per base, as plus keeps; :func:`make_method`'s other methods read a
     factor (pcc, wpcc, spcc) or a divisor (static, dynamic) from a table by
     co-rated count, made once per (method, matrix), and give the same bits.
+    Static's and dynamic's ``adjust`` is the one banded rule,
+    ``levels._banded_rule``, which ``apply_static`` and ``apply_dynamic``
+    call too; their row tables apply an inline copy of it per base.
     """
 
     def __init__(self, name: str, adjust: Callable[[float, int, RatingsMatrix], float],
@@ -197,35 +205,36 @@ class SimilarityMethod:
         return f"SimilarityMethod({self.name!r}, {self.params!r})"
 
 
-def _tabled(method: SimilarityMethod, scorer) -> SimilarityMethod:
-    """``method`` filling rows through ``scorer(m, n)`` in place of an ``adjust`` call per base."""
-    method._scorer = scorer
-    return method
-
-
-def _linear(method: SimilarityMethod) -> SimilarityMethod:
-    """``method``, whose ``adjust`` is the base times a factor of the count (pcc, wpcc,
-    spcc), scoring from a table of ``adjust(1.0, co, m)``, which is that factor exactly:
+def _linear(name: str, params: dict[str, object] | None, adjust) -> SimilarityMethod:
+    """A method whose ``adjust`` is the base times a factor of the count (pcc, wpcc, spcc),
+    scoring rows from a table of ``adjust(1.0, co, m)``, which is that factor exactly:
     pcc's is 1.0, and ``1.0 * base`` is the base."""
-    adjust = method.adjust
+    method = SimilarityMethod(name, adjust, params, lifts_negatives=False)
 
     def scorer(m, n):
         factors = [adjust(1.0, co, m) for co in range(n)]
         return lambda bases: {ib: s for ib, base, co in bases if (s := factors[co] * base) > 0.0}
-    return _tabled(method, scorer)
+    method._scorer = scorer
+    return method
 
 
-def _banded(method: SimilarityMethod, divisor, shrink,
-            floor: float = -math.inf) -> SimilarityMethod:
-    """``method``, whose ``adjust`` is ``base + base / d`` at a count whose ``divisor(m, co)``
-    is a d and a base of at least ``floor``, else ``shrink(base)`` (static, dynamic),
-    scoring from a table of those divisors."""
+def _banded(name: str, params: dict[str, object], divisor, shrink, floor: float,
+            lifts_negatives: bool) -> SimilarityMethod:
+    """A method whose ``adjust`` is the banded rule at ``divisor(m, co)`` (static, dynamic),
+    scoring rows from a table of those divisors through an inline copy of the rule."""
+    method = SimilarityMethod(
+        name, lambda s, co, m: _banded_rule(s, divisor(m, co), floor, shrink), params,
+        lifts_negatives=lifts_negatives)
+
     def scorer(m, n):
+        # the rule inline: a call per base added 10-50 ns to each (2-CPU host, CPython
+        # 3.11); test_row_scorer_gives_the_bits_of_adjust holds this copy to adjust
         divisors = [divisor(m, co) for co in range(n)]
         return lambda bases: {ib: s for ib, base, co in bases if (
             s := base + base / d if (d := divisors[co]) is not None and base >= floor
             else shrink(base)) > 0.0}
-    return _tabled(method, scorer)
+    method._scorer = scorer
+    return method
 
 
 def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
@@ -243,14 +252,12 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
     """
     _one_of("similarity method", name, METHOD_NAMES)
     if name == "pcc":
-        return _linear(SimilarityMethod("pcc", lambda s, co, m: s, lifts_negatives=False))
+        return _linear("pcc", None, lambda s, co, m: s)
     if name == "wpcc":
         _check_count("WPCC threshold", big_t)
-        return _linear(SimilarityMethod("wpcc", lambda s, co, m: apply_wpcc(s, co, big_t),
-                                        {"T": big_t}, lifts_negatives=False))
+        return _linear("wpcc", {"T": big_t}, lambda s, co, m: apply_wpcc(s, co, big_t))
     if name == "spcc":
-        return _linear(SimilarityMethod("spcc", lambda s, co, m: apply_spcc(s, co),
-                                        lifts_negatives=False))
+        return _linear("spcc", None, lambda s, co, m: apply_spcc(s, co))
     if name == "plus":
         if not (0 < alpha < math.inf and 0 < beta < math.inf):
             raise ValueError("power-law parameters must be positive and finite, "
@@ -261,13 +268,9 @@ def make_method(name: str, *, t: int = 10, y: float = 0.20, big_t: int = 50,
         _check_count("co-rated threshold t", t)
         if not math.isfinite(y):
             raise ValueError(f"correlation threshold y must be finite, got {y}")
-        # doubling is base + base / 1, exactly
-        return _banded(SimilarityMethod("static", lambda s, co, m: apply_static(s, co, t, y),
-                                        {"t": t, "y": y}, lifts_negatives=False),
-                       lambda m, co: 1 if co >= t else None, _SHRINKS["eq4"], y)
+        return _banded("static", {"t": t, "y": y}, lambda m, co: 1 if co >= t else None,
+                       _SHRINKS["eq4"], y, lifts_negatives=False)
     _one_of("negative_form", negative_form, NEGATIVE_FORMS)  # dynamic, the last name
-    return _banded(SimilarityMethod("dynamic", lambda s, co, m: apply_dynamic(
-        s, co, _band_table(m.user_count, m.item_count), negative_form),
-        {"negative_form": negative_form}, lifts_negatives=negative_form == "eq8"),
-        lambda m, co: _band_table(m.user_count, m.item_count).divisor_for(co),
-        _SHRINKS[negative_form])
+    return _banded("dynamic", {"negative_form": negative_form},
+                   lambda m, co: _band_table(m.user_count, m.item_count).divisor_for(co),
+                   _SHRINKS[negative_form], -math.inf, lifts_negatives=negative_form == "eq8")

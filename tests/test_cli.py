@@ -197,6 +197,19 @@ class TestExitCodes:
                      "--alpha", "1e308"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_covariance_past_the_float_range_gives_the_librarys_message(self, tmp_path, capsys):
+        # deviation products of opposite signs overflow to inf and -inf, whose
+        # sum math.fsum refuses before any square is checked
+        rng = random.Random(1)
+        path = tmp_path / "huge.txt"
+        path.write_text("".join(f"u{u:02d} i{i} {rng.uniform(0, 10) * 6.25e298!r}\n"
+                                for u in range(12) for i in range(8)), encoding="utf-8")
+        assert main(["evaluate", "--ratings", str(path), "--method", "pcc", "--k", "5",
+                     "--scale-min", "0", "--scale-max", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a sum of ratings or of rating deviation products is past the float range\n"
+        assert "fsum" not in err
+
     def test_method_knobs_checked_before_the_file_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
         assert main(["evaluate", "--ratings", missing, "--method", "static", "--t", "0"]) == 2

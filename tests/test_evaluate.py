@@ -16,7 +16,9 @@ from cflevels import (ConfigError, EmptyInputError, EvalReport, PredictionPair, 
                       RatingScale, SimilarityCache, average_report, build_matrix,
                       default_relevance_threshold, evaluate_split, hit_rate, kfold_split,
                       mae, make_method, nmae, predict, precision_recall_f1,
-                      render_csv, render_json, rmse, run_experiment, split_holdout)
+                      recommend_top_n, render_csv, render_json, rmse, run_experiment,
+                      split_holdout)
+from cflevels.cli import main
 
 
 class TestHoldoutSplit:
@@ -213,6 +215,30 @@ class TestRunExperiment:
         assert rep.f1 == pytest.approx(want["f1"], abs=1e-9)
         assert rep.hit_rate_pct == pytest.approx(want["hit_rate_pct"], abs=1e-9)
         assert rep.coverage == want["coverage_misses"]
+
+    def test_coverage_hit_counts_test_users_given_any_recommendation(self, scale, tmp_path,
+                                                                      capsys):
+        # under hit_def "coverage" a test user hits when it gets at least one
+        # recommendation, relevant or not; a user unknown to train gets none
+        ratings = oracles.random_ratings(random.Random(2), n_users=40, n_items=30, density=0.2)
+        records = oracles.ratings_to_records(ratings)
+        train, test = split_holdout(build_matrix(records, scale), 0.8, 42)
+        pcc = make_method("pcc")
+        users = sorted({rec.user for rec in test})
+        known = [u for u in users if u in train._user_index]
+        given = [u for u in known if recommend_top_n(u, 5, 3, pcc, train)]
+        assert len(users) > len(known) > len(given) > 0
+        want = 100.0 * len(given) / len(users)
+        (rep,) = run_experiment(train, test, pcc, ks=(3,), r=5, hit_def="coverage")
+        assert rep.hit_rate_pct == want
+        (correct,) = run_experiment(train, test, pcc, ks=(3,), r=5)
+        assert correct.hit_rate_pct < want
+        path = tmp_path / "ratings.txt"
+        path.write_text("".join(f"{u} {i} {v:g}\n" for u, i, v in records), encoding="utf-8")
+        assert main(["topn", "--ratings", str(path), "--r", "5", "--k", "3", "--seed", "42",
+                     "--hit-def", "coverage", "--out-format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["hit_rate_pct"] == want
 
     def test_identical_config_identical_report(self, scale):
         rng = random.Random(321)

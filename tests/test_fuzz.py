@@ -3,6 +3,8 @@
 The bytes mix well-formed lines with the inputs that have broken parsers
 before: a UTF-8 byte-order mark, empty ids, NaN and infinite ratings,
 truncated lines, stray carriage returns and bytes that are not UTF-8.
+Well-formed small matrices on scales from 1e-300 to 1e300 reach the float
+range's edges, where a run may fail only with the library's own message.
 """
 
 import contextlib
@@ -78,3 +80,35 @@ def test_evaluate_exits_with_a_documented_code(ratings_path, data, extra):
     assert code in (0, 1, 2)
     if code != 0:
         assert "error: " in err.getvalue()
+
+
+@st.composite
+def scaled_ratings(draw):
+    """A small matrix's lines and its scale, the ratings ``unit * [lo, 10]`` for a unit of 1e-300 to 1e300."""
+    unit = draw(st.sampled_from([1e-300, 2.0 ** -600, 1e-160, 1.0, 1e160, 1e300]))
+    lo = draw(st.sampled_from([0.0, -10.0]))
+    n_users, n_items = draw(st.integers(3, 15)), draw(st.integers(3, 12))
+    lines = [f"u{u} i{i} {unit * draw(st.floats(lo, 10.0))!r}\n"
+             for u in range(n_users) for i in range(n_items) if draw(st.integers(0, 2))]
+    return "".join(lines), repr(unit * lo), repr(unit * 10.0)
+
+
+@FUZZ
+@given(data=scaled_ratings(), method=st.sampled_from(["pcc", "dynamic"]),
+       split=st.sampled_from([[], ["--folds", "2"]]))
+def test_scale_edges_give_only_the_librarys_messages(ratings_path, data, method, split):
+    # ratings near 1e-300 square below the float range, near 1e300 above it:
+    # a run may fail there, but only with one line of the library's own
+    text, rmin, rmax = data
+    ratings_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--ratings", str(ratings_path), "--method", method, "--k", "5",
+                     f"--scale-min={rmin}", f"--scale-max={rmax}"] + split)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "fsum" not in lines[0] and "math" not in lines[0]

@@ -302,11 +302,11 @@ def test_row_scorer_gives_the_bits_of_adjust(sim):
 @pytest.mark.parametrize("form", ["eq8", "alg1"])
 def test_dynamic_rows_shrink_from_the_table_without_calling_adjust(form, monkeypatch):
     # below MIN_CO_RATED every negative form's shrink comes from the table
-    # the band divisors sit beside, so filling a row calls no apply_dynamic
+    # the band divisors sit beside, so filling a row calls no banded rule
     calls = []
-    dynamic = cflevels.similarity.apply_dynamic
-    monkeypatch.setattr(cflevels.similarity, "apply_dynamic",
-                        lambda *args: calls.append(args) or dynamic(*args))
+    rule = cflevels.similarity._banded_rule
+    monkeypatch.setattr(cflevels.similarity, "_banded_rule",
+                        lambda *args: calls.append(args) or rule(*args))
     sim = make_method("dynamic", negative_form=form)
     cache = SimilarityCache(sim, BANDED)
     for ia in range(BANDED.user_count):

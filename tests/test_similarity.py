@@ -132,6 +132,21 @@ class TestPcc:
         with pytest.raises(OverflowError):
             oracles.pearson(ratings, "a", "b")
 
+    @pytest.mark.parametrize("values", [((0.0, 1e300, 2e300), (0.0, 1e300, 0.0)),
+                                        ((1.7e308, 1.7e308, 1e308), (1e308, 1e308, 1.7e308))],
+                             ids=["covariance", "rating-sum"])
+    def test_sums_fsum_refuses_raise_the_librarys_message(self, values):
+        # deviation products of opposite signs that overflow to inf and -inf,
+        # or ratings whose sum leaves the float range: math.fsum raises its
+        # own ValueError or OverflowError, which _pearson words as the library's
+        ratings = {u: {f"i{n}": v for n, v in enumerate(row)} for u, row in zip("ab", values)}
+        m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 1.7e308))
+        message = "a sum of ratings or of rating deviation products is past the float range"
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            PCC.score("a", "b", m)
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            SimilarityCache(PCC, m).row(0)
+
     def test_no_overlap_scores_zero(self, scale):
         m = build_matrix([("a", "i1", 2.0), ("b", "i2", 4.0)], scale)
         assert PCC.score("a", "b", m) == 0.0
