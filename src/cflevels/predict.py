@@ -32,39 +32,69 @@ def _checked_cache(k: int, sim: SimilarityMethod, m: RatingsMatrix, cache, mode:
     return cache
 
 
-def _top_k(row: dict[int, float], items, k: int,
-           m: RatingsMatrix) -> dict[int, list[tuple[float, int]]]:
-    """The top k raters in ``row`` of each item index in ``items``.
+def _top_k(ia: int, row: dict[int, float], items, k: int, m: RatingsMatrix,
+           mode: str | None = None) -> list:
+    """Each item's top k raters in ``row``, user ``ia``'s row, combined as they are formed.
 
-    The one place neighborhoods are formed. Maps each item with at least one
-    rater in ``row`` to its neighbors as (-score, user index). User indexes
-    follow sorted user ids, so ties break on ascending id. One item takes its
-    raters from the inverted index and sorts them best first only when more
-    than k are positive, to cut them, since :func:`_estimate` sums them in
-    any order. Several share one walk of the row, sorted once best first:
-    each neighbor joins every wanted item it rated, and an item stops being
-    wanted once it has k, so the walk ends when none is left. So a list is
-    best first when it was cut or walked; one item's uncut list is in index
-    order.
+    The one place neighborhoods are formed and combined. Returns
+    (-value, item index, support) for each item index in ``items`` with at
+    least one rater in ``row``; support is the number of neighbors. A
+    neighbor ``b`` brings its score ``s`` and, under ``resnick``, its
+    deviation ``r_bi - mean_b``, or under ``weighted_mean`` its rating
+    ``r_bi``; the value is ``mean_a + fsum(s * d) / fsum(s)``, without
+    ``mean_a`` under ``weighted_mean``, clamped to the rating scale as
+    ``RatingScale.clamp`` does. Every sum is a ``math.fsum``, so the order
+    of a neighborhood cannot move a bit. Neighbors are taken best first,
+    ties on ascending user index, which follows sorted user ids.
+
+    One item takes its raters from the inverted index and sorts them best
+    first only when more than k are positive, to cut them. Several share
+    one walk of the row, sorted once best first: as the walk hands a
+    neighbor over, its score and deviation join every wanted item it rated,
+    and an item stops being wanted once it has k, so the walk ends when
+    none is left. One pass then turns each item's two lists into its value,
+    with no function call per item. Without ``mode``, for
+    :func:`neighborhood_for_item`, one item's neighborhood comes back
+    uncombined, as (-score, user index) pairs, best first only when cut.
     """
+    by_user = m._by_user
+    means = m._user_means if mode == "resnick" else None
     if len(items) == 1:
         (ii,) = items
         best = [(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None]
         if len(best) > k:
             best = sorted(best)[:k]
-        return {ii: best} if best else {}
-    by_user = m._by_user
-    wanted = set(items)
-    found: dict[int, list[tuple[float, int]]] = {}
-    for neg, ib in sorted([(-s, ib) for ib, s in row.items()]):
-        if not wanted:
-            break
-        for ii in by_user[ib].keys() & wanted:
-            best = found.setdefault(ii, [])
-            best.append((neg, ib))
-            if len(best) == k:
-                wanted.remove(ii)
-    return found
+        if mode is None or not best:
+            return best
+        found = {ii: ([-neg for neg, _ in best],
+                      [by_user[ib][ii] - means[ib] for _, ib in best] if means
+                      else [by_user[ib][ii] for _, ib in best])}
+    else:
+        wanted = set(items)
+        found = {}
+        for neg, ib in sorted([(-s, ib) for ib, s in row.items()]):
+            if not wanted:
+                break
+            s, rb = -neg, by_user[ib]
+            mb = means[ib] if means else 0.0  # r - 0.0 is r, bit for bit
+            for ii in rb.keys() & wanted:
+                hood = found.get(ii)
+                if hood is None:
+                    hood = found[ii] = ([], [])
+                weights, devs = hood
+                weights.append(s)
+                devs.append(rb[ii] - mb)
+                if len(weights) == k:
+                    wanted.remove(ii)
+    mean = means[ia] if means else -0.0  # -0.0 + x is x for every float x
+    lo, hi = m.scale.rmin, m.scale.rmax
+    fsum = math.fsum
+    combined = []
+    # row scores are positive and finite, so each weight total is > 0
+    for ii, (weights, devs) in found.items():
+        value = min(hi, max(lo, mean + fsum(map(mul, weights, devs)) / fsum(weights)))
+        combined.append((-value, ii, len(weights)))
+    return combined
 
 
 def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
@@ -84,31 +114,8 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
         return ()
     ia = m._require_user(a)
     users = m.users()
-    best = sorted(_top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii, ()))
+    best = sorted(_top_k(ia, cache.row(ia, (ii,)), (ii,), k, m))
     return tuple((users[ib], -neg) for neg, ib in best)
-
-
-def _estimate(best: list[tuple[float, int]], ia: int, ii: int, m: RatingsMatrix,
-              mode: str) -> float:
-    """The clamped prediction of user ``ia`` on item ``ii`` from its neighbors.
-
-    ``best`` is a non-empty neighborhood from :func:`_top_k`, in any order,
-    since every sum is a ``math.fsum``; its length is the prediction's
-    support. The one place neighbors are combined:
-    :func:`predict` and :func:`recommend_top_n` both call it on matrix
-    indexes.
-    """
-    by_user, means = m._by_user, m._user_means
-    weights = [-neg for neg, _ in best]
-    # row scores are positive and finite, so the total is > 0
-    weight_total = math.fsum(weights)
-    if mode == "resnick":
-        num = math.fsum(map(mul, weights, [by_user[ib][ii] - means[ib] for _, ib in best]))
-        raw = means[ia] + num / weight_total
-    else:
-        num = math.fsum(map(mul, weights, [by_user[ib][ii] for _, ib in best]))
-        raw = num / weight_total
-    return m.scale.clamp(raw)
 
 
 def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -128,10 +135,11 @@ def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,
     ia, ii = m._user_index.get(a), m._item_index.get(item)
     if ia is None or ii is None:
         return None
-    best = _top_k(cache.row(ia, (ii,)), (ii,), k, m).get(ii)
-    if best is None:
+    combined = _top_k(ia, cache.row(ia, (ii,)), (ii,), k, m, mode)
+    if not combined:
         return None
-    return Prediction(_estimate(best, ia, ii, m, mode), len(best))
+    ((neg, _, support),) = combined
+    return Prediction(-neg, support)
 
 
 def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMatrix,
@@ -146,8 +154,9 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     second pool on the same cache reuses it. Without a cache the call makes
     one, so each (a, rater) pair is scored once.
     The whole pool's neighborhoods come from one best-first walk of that
-    row (:func:`_top_k`), and each is combined exactly as :func:`predict`
-    combines it.
+    row (:func:`_top_k`), which adds each neighbor's score and deviation to
+    every item it serves as it hands the neighbor over, then combines every
+    item in one pass, exactly as it combines :func:`predict`'s one item.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -155,12 +164,13 @@ def recommend_top_n(a: str, r: int, k: int, sim: SimilarityMethod, m: RatingsMat
     cache = _checked_cache(k, sim, m, cache, mode)
     rated = m._by_user[ia]
     if candidates is None:
-        pool = [ii for ii in range(m.item_count) if ii not in rated]
+        pool = set(range(m.item_count))
+        pool.difference_update(rated)
     else:
         index = m._item_index
         pool = {ii for i in candidates if (ii := index.get(i)) is not None and ii not in rated}
-    hoods = _top_k(cache.row(ia), pool, k, m)
+    ranked = _top_k(ia, cache.row(ia), pool, k, m, mode)
     # item indexes follow sorted item ids, so ties break on ascending id
-    ranked = sorted((-_estimate(best, ia, ii, m, mode), ii) for ii, best in hoods.items())
+    ranked.sort()
     items = m.items()
-    return tuple((items[ii], -neg) for neg, ii in ranked[:r])
+    return tuple((items[ii], -neg) for neg, ii, _ in ranked[:r])

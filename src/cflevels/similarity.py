@@ -24,7 +24,7 @@ from typing import Callable
 
 from .errors import _one_of
 from .levels import _SHRINKS, NEGATIVE_FORMS, _banded_rule, build_level_table
-from .ratings import RatingsMatrix
+from .ratings import RatingsMatrix, _mean
 
 # the smallest positive normal float
 _FLOAT_MIN = sys.float_info.min
@@ -49,17 +49,22 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
     ``pow``, which is slower and may miss the last bit. It is 0 without
     variance on either side, and, with ``keep_negative`` False, as soon as
     the covariance is <= 0. A square past the float range raises
-    OverflowError, as ``** 2`` did; so does a sum that ``math.fsum`` cannot
-    take, of the ratings or of the deviation products, with the library's
-    message in place of fsum's. Deviations whose squares would fall
-    below the normal float range, as with ratings near 1e-160, are scaled
-    by a power of two first, which is exact and leaves the result as it is
-    for the same ratings at unit scale.
+    OverflowError, as ``** 2`` did; so does a sum of deviation products
+    that ``math.fsum`` cannot take, with the library's message in place of
+    fsum's. A mean whose rating sum leaves the float range is taken as
+    ``ratings._mean`` takes it, from sums scaled by a power of two.
+    Deviations whose squares would fall below the normal float range, as
+    with ratings near 1e-160, are scaled by a power of two first, which is
+    exact and leaves the result as it is for the same ratings at unit
+    scale.
     """
     n = len(xs)
     try:
         mx = math.fsum(xs) / n
         my = math.fsum(ys) / n
+    except OverflowError:  # rare: a rating sum past the float range, where the mean is not
+        mx, my = _mean(xs), _mean(ys)
+    try:
         dxs = [x - mx for x in xs]
         dys = [y - my for y in ys]
         if abs(mx) < _TINY_MEAN or abs(my) < _TINY_MEAN:  # rare: only then can a deviation be tiny
@@ -126,9 +131,22 @@ def apply_wpcc(score: float, co_rated: int, threshold: int) -> float:
     return score
 
 
+@functools.cache
+def _exp_half(co_rated: int) -> float:
+    """``exp(-co_rated / 2)`` correctly rounded, so it is the same on every host.
+
+    Taken through ``decimal``'s correctly rounded exp at 40 digits, not the
+    C library's ``exp``, then rounded once more to a float; and kept per
+    count, so a row table and :func:`apply_spcc` share it. A count whose exp
+    underflows gives 0.0, as ``math.exp`` does.
+    """
+    from decimal import Context, Decimal  # lazily: most runs never score spcc
+    return float(Decimal(-co_rated / 2.0).exp(Context(prec=40)))
+
+
 def apply_spcc(score: float, co_rated: int) -> float:
     """Damp ``score`` by a sigmoid of the co-rated count (factor in (0.5, 1))."""
-    return score * (1.0 / (1.0 + math.exp(-co_rated / 2.0)))
+    return score * (1.0 / (1.0 + _exp_half(co_rated)))
 
 
 def plus_adjust(score: float, alpha: float, beta: float) -> float:

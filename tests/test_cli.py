@@ -210,6 +210,20 @@ class TestExitCodes:
         assert err == "error: a sum of ratings or of rating deviation products is past the float range\n"
         assert "fsum" not in err
 
+    def test_rating_sum_past_the_float_range_evaluates(self, tmp_path, capsys):
+        # one user rates every item 1.7e308, in scale: its rating sums leave the
+        # float range, but its means and Pearson bases (0, no variance) do not
+        rng = random.Random(5)
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"u{u:02d} i{i} {rng.randint(1, 5)}\n"
+                                for u in range(10) for i in range(6))
+                        + "".join(f"big i{i} 1.7e308\n" for i in range(6)), encoding="utf-8")
+        for method in ("pcc", "dynamic"):
+            assert main(["evaluate", "--ratings", str(path), "--method", method, "--k", "5",
+                         "--scale-min", "0", "--scale-max", "1.7e308"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith("method,")
+
     def test_method_knobs_checked_before_the_file_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.txt")
         assert main(["evaluate", "--ratings", missing, "--method", "static", "--t", "0"]) == 2

@@ -10,7 +10,6 @@ import oracles
 from cflevels import (PREDICTION_MODES, Prediction, RatingScale, SimilarityCache,
                       SimilarityMethod, UnknownUserError, build_matrix, make_method,
                       neighborhood_for_item, predict, recommend_top_n)
-from cflevels.predict import _estimate
 
 PCC = make_method("pcc")
 
@@ -217,7 +216,8 @@ class TestIndexPath:
                        for u in range(12)}
             m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 10.0))
             cache = SimilarityCache(PCC, m)
-            for ia, a in enumerate(m.users()):
+            users = m.users()
+            for ia, a in enumerate(users):
                 row = cache.row(ia)
                 for ii, item in enumerate(m.items()):
                     raters = [(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None]
@@ -225,8 +225,9 @@ class TestIndexPath:
                         continue
                     best = sorted(raters)
                     unsorted += raters != best
+                    hood = [(users[ib], -neg) for neg, ib in best]
                     for mode in PREDICTION_MODES:
-                        want = _estimate(best, ia, ii, m, mode)
+                        want = self.reference(a, item, hood, m, mode)
                         for k in (len(best), len(best) + 1, 40):
                             got = predict(a, item, k, PCC, m, cache, mode)
                             assert got.value.hex() == want.hex() and got.support == len(best)
@@ -309,6 +310,36 @@ class TestRecommendTopN:
                     got = recommend_top_n(user, m.item_count, k, sim, m, candidates,
                                           cache, mode)
                     assert got == self.by_predict(user, k, sim, m, candidates, mode, cache)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_float_ratings_rank_the_bits_of_predict(self, k):
+        # float ratings, where a sum's bits could depend on the order of its
+        # terms, and many positive raters per item, so the walk cuts most
+        # neighborhoods at k: every ranked value must be predict's, bit for bit
+        rng = random.Random(5150)
+        ranked = cut = 0
+        for _ in range(3):
+            ratings = {f"u{u:02d}": {f"i{i:02d}": rng.uniform(0.0, 10.0)
+                                     for i in range(30) if rng.random() < 0.6}
+                       for u in range(24)}
+            m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 10.0))
+            cache = SimilarityCache(PCC, m)
+            pool = set(m.items()[::2]) | {"unknown-item"}
+            for ia, user in enumerate(m.users()):
+                row = cache.row(ia)
+                for mode in PREDICTION_MODES:
+                    for candidates in (None, pool):
+                        got = recommend_top_n(user, m.item_count, k, PCC, m, candidates,
+                                              cache, mode)
+                        assert [i for i, _ in got] == [
+                            i for i, _ in self.by_predict(user, k, PCC, m, candidates, mode, cache)]
+                        for item, value in got:
+                            want = predict(user, item, k, PCC, m, cache, mode)
+                            assert value.hex() == want.value.hex()
+                            raters = sum(ib in row for ib in m._by_item[m._item_index[item]])
+                            cut += raters > k
+                        ranked += len(got)
+        assert ranked > 1000 and cut > ranked // 2
 
     def test_tie_at_the_kth_slot_goes_to_the_lower_user_id(self, scale):
         # b1 and b2 rate a's items alike, so they tie behind c for the second of

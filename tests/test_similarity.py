@@ -1,5 +1,6 @@
 """Similarity measures against the brute-force oracle and each other."""
 
+import decimal
 import math
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 import oracles
 from cflevels import (NEGATIVE_FORMS, RatingScale, SimilarityCache, apply_spcc, apply_static,
                       apply_wpcc, build_matrix, make_method, plus_adjust)
+from cflevels.similarity import _exp_half
 
 PCC = make_method("pcc")
 
@@ -133,12 +135,14 @@ class TestPcc:
             oracles.pearson(ratings, "a", "b")
 
     @pytest.mark.parametrize("values", [((0.0, 1e300, 2e300), (0.0, 1e300, 0.0)),
-                                        ((1.7e308, 1.7e308, 1e308), (1e308, 1e308, 1.7e308))],
+                                        ((1.7e308, 1.7e308, 0.0, 0.0),
+                                         (0.0, 1.7e308, 0.0, 1.7e308))],
                              ids=["covariance", "rating-sum"])
     def test_sums_fsum_refuses_raise_the_librarys_message(self, values):
         # deviation products of opposite signs that overflow to inf and -inf,
-        # or ratings whose sum leaves the float range: math.fsum raises its
-        # own ValueError or OverflowError, which _pearson words as the library's
+        # also after rating sums that leave the float range (the means are
+        # then taken from scaled sums): math.fsum raises its own ValueError,
+        # which _pearson words as the library's
         ratings = {u: {f"i{n}": v for n, v in enumerate(row)} for u, row in zip("ab", values)}
         m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 1.7e308))
         message = "a sum of ratings or of rating deviation products is past the float range"
@@ -146,6 +150,14 @@ class TestPcc:
             PCC.score("a", "b", m)
         with pytest.raises(OverflowError, match=f"^{message}$"):
             SimilarityCache(PCC, m).row(0)
+
+    def test_rating_sum_past_the_float_range_scores_zero(self):
+        # a's ratings sum past the float range, though their mean does not: a
+        # has no variance on the overlap, so the pair scores 0, as at any scale
+        m = build_matrix([("a", "x", 1.7e308), ("a", "y", 1.7e308),
+                          ("b", "x", 1.0), ("b", "y", 5.0)], RatingScale(0.0, 1.7e308))
+        assert PCC.score("a", "b", m) == 0.0
+        assert SimilarityCache(PCC, m).row(0) == {}
 
     def test_no_overlap_scores_zero(self, scale):
         m = build_matrix([("a", "i1", 2.0), ("b", "i2", 4.0)], scale)
@@ -254,6 +266,20 @@ class TestSpcc:
         out = apply_spcc(s, co)
         assert abs(out) <= abs(s)
         assert out * s >= 0.0
+
+    def test_factor_takes_a_correctly_rounded_exp(self):
+        # exp(-co / 2) is the 100-digit value rounded to a float, whatever the
+        # host's C library gives; the factor keeps its float steps 1 / (1 + e):
+        # rounding the whole factor once would move counts 4, 5, 6, 10, ...
+        with decimal.localcontext() as ctx:
+            ctx.prec = 100
+            for co in range(3000):  # subnormal from 1,417, 0.0 from 1,491
+                e = float((decimal.Decimal(-co) / 2).exp())
+                assert _exp_half(co) == e
+                assert apply_spcc(1.0, co) == 1.0 / (1.0 + e)
+                assert apply_spcc(-0.75, co) == -0.75 * (1.0 / (1.0 + e))
+        assert _exp_half(1500) == _exp_half(20000) == 0.0
+        assert apply_spcc(0.5, 20000) == 0.5
 
     def test_matrix_layer_matches_oracle(self, sample_matrix):
         for a in sample_matrix.users():
