@@ -192,7 +192,8 @@ class SimilarityCache:
             memo = self._memo
             for ib, got in gathered.items():
                 if len(got) >= 2:
-                    key = bytes(sorted(got))
+                    got.sort()  # in place: the list is not read again
+                    key = bytes(got)
                     if (base := memo.get(key)) is None:
                         base = memo[key] = _pearson([xs_of[c] for c in key], [ys_of[c] for c in key],
                                                     keep_negative)

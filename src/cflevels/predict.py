@@ -44,31 +44,38 @@ def _top_k(ia: int, row: dict[int, float], items, k: int, m: RatingsMatrix,
     ``r_bi``; the value is ``mean_a + fsum(s * d) / fsum(s)``, without
     ``mean_a`` under ``weighted_mean``, clamped to the rating scale as
     ``RatingScale.clamp`` does. Every sum is a ``math.fsum``, so the order
-    of a neighborhood cannot move a bit. Neighbors are taken best first,
-    ties on ascending user index, which follows sorted user ids.
+    of a neighborhood cannot move a bit, nor, through :func:`_scaled_ratio`,
+    decide whether a sum fails. Neighbors are taken best first, ties on
+    ascending user index, which follows sorted user ids.
 
-    One item takes its raters from the inverted index and sorts them best
-    first only when more than k are positive, to cut them. Several share
-    one walk of the row, sorted once best first: as the walk hands a
-    neighbor over, its score and deviation join every wanted item it rated,
-    and an item stops being wanted once it has k, so the walk ends when
-    none is left. One pass then turns each item's two lists into its value,
-    with no function call per item. Without ``mode``, for
-    :func:`neighborhood_for_item`, one item's neighborhood comes back
-    uncombined, as (-score, user index) pairs, best first only when cut.
+    One item walks its raters once into its two lists, and ranks them only
+    when more than k are positive, to cut them. Several share one walk of
+    the row, sorted once best first: as the walk hands a neighbor over, its
+    score and deviation join every wanted item it rated, and an item stops
+    being wanted once it has k, so the walk ends when none is left. One
+    pass then turns each item's two lists into its value, with no function
+    call per item. Without ``mode``, for :func:`neighborhood_for_item`, one
+    item's neighborhood comes back uncombined, as (-score, user index)
+    pairs, best first.
     """
     by_user = m._by_user
     means = m._user_means if mode == "resnick" else None
     if len(items) == 1:
         (ii,) = items
-        best = [(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None]
-        if len(best) > k:
-            best = sorted(best)[:k]
-        if mode is None or not best:
-            return best
-        found = {ii: ([-neg for neg, _ in best],
-                      [by_user[ib][ii] - means[ib] for _, ib in best] if means
-                      else [by_user[ib][ii] for _, ib in best])}
+        raters = m._by_item[ii]
+        if mode is None:
+            return sorted([(-s, ib) for ib in raters if (s := row.get(ib)) is not None])[:k]
+        weights, devs = [], []
+        for ib in raters:
+            if (s := row.get(ib)) is not None:
+                weights.append(s)
+                devs.append(by_user[ib][ii] - (means[ib] if means else 0.0))
+        if len(weights) > k:
+            # best first; a stable sort keeps ties in the walk's ascending user order
+            best = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)[:k]
+            weights = [weights[n] for n in best]
+            devs = [devs[n] for n in best]
+        found = {ii: (weights, devs)} if weights else {}
     else:
         wanted = set(items)
         found = {}
@@ -92,9 +99,26 @@ def _top_k(ia: int, row: dict[int, float], items, k: int, m: RatingsMatrix,
     combined = []
     # row scores are positive and finite, so each weight total is > 0
     for ii, (weights, devs) in found.items():
-        value = min(hi, max(lo, mean + fsum(map(mul, weights, devs)) / fsum(weights)))
-        combined.append((-value, ii, len(weights)))
+        try:
+            value = mean + fsum(map(mul, weights, devs)) / fsum(weights)
+        except (OverflowError, ValueError):  # rare: a sum past the float range in this order
+            value = mean + _scaled_ratio(weights, devs)
+        combined.append((-min(hi, max(lo, value)), ii, len(weights)))
     return combined
+
+
+def _scaled_ratio(weights: list[float], devs: list[float]) -> float:
+    """``fsum(w * d) / fsum(w)`` from terms scaled by powers of two, for sums past the float range.
+
+    Each list's largest magnitude is brought into [0.5, 1), so no product or
+    sum overflows; as in ``ratings._mean``, the scaling is exact away from
+    subnormals, so every order of the terms gives the same bits.
+    """
+    ew = math.frexp(max(weights))[1]
+    ed = math.frexp(max(map(abs, devs)))[1]
+    ws = [math.ldexp(w, -ew) for w in weights]
+    ds = [math.ldexp(d, -ed) for d in devs]
+    return math.ldexp(math.fsum(map(mul, ws, ds)) / math.fsum(ws), ed)
 
 
 def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
@@ -114,8 +138,7 @@ def neighborhood_for_item(a: str, item: str, k: int, sim: SimilarityMethod,
         return ()
     ia = m._require_user(a)
     users = m.users()
-    best = sorted(_top_k(ia, cache.row(ia, (ii,)), (ii,), k, m))
-    return tuple((users[ib], -neg) for neg, ib in best)
+    return tuple((users[ib], -neg) for neg, ib in _top_k(ia, cache.row(ia, (ii,)), (ii,), k, m))
 
 
 def predict(a: str, item: str, k: int, sim: SimilarityMethod, m: RatingsMatrix,

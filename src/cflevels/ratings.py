@@ -1,14 +1,17 @@
 """Sparse rating storage with forward and inverted indexes.
 
 The forward index maps each user index to ``{item index: rating}``, the
-inverted one each item index to a tuple of its raters' user indexes, ascending.
+inverted one each item index to a tuple of its raters' user indexes,
+ascending. The inverted index and the user means are built the first time
+they are read, so a matrix that is only split never builds them.
 
 The matrix is immutable once built, and :func:`build_matrix` is the one
 public way to build it: it checks every rating against the scale. A split
-cuts its train matrix from a built one. User and item identifiers are opaque
-strings at the boundary and are mapped to dense integer indexes internally;
-every internal iteration runs in sorted index order so that floating-point
-accumulations are identical from run to run regardless of hash seeding.
+cuts its train matrix from a built one, sharing every row it does not cut.
+User and item identifiers are opaque strings at the boundary and are mapped
+to dense integer indexes internally; every internal iteration runs in
+sorted index order so that floating-point accumulations are identical from
+run to run regardless of hash seeding.
 """
 
 from __future__ import annotations
@@ -71,10 +74,10 @@ class RatingsMatrix:
     """Immutable user x item rating store.
 
     It holds a forward (user -> {item: rating}) and an inverted
-    (item -> (users, ascending)) index. A matrix is made by
-    :func:`build_matrix`, which checks and deduplicates records, or by a
-    split, which cuts its train matrix from the parent's rows
-    (:meth:`_cut`). Calling the class raises ``TypeError``.
+    (item -> (users, ascending)) index, the latter built when first read.
+    A matrix is made by :func:`build_matrix`, which checks and deduplicates
+    records, or by a split, which cuts its train matrix from the parent's
+    rows (:meth:`_cut`). Calling the class raises ``TypeError``.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -83,21 +86,29 @@ class RatingsMatrix:
     @classmethod
     def _index(cls, scale: RatingScale, users: list[str], items: list[str],
                rows: list[dict[int, float]]) -> RatingsMatrix:
-        """Index sorted ids and each user's non-empty row, keyed by item index in order; no checks."""
+        """Hold sorted ids and each user's non-empty row, keyed by item index in order; no checks."""
         self = cls.__new__(cls)
         self._scale = scale
         self._users: tuple[str, ...] = tuple(users)
         self._items: tuple[str, ...] = tuple(items)
         self._user_index = {u: n for n, u in enumerate(users)}
         self._item_index = {i: n for n, i in enumerate(items)}
-        by_item: list[list[int]] = [[] for _ in items]
-        for ui, row in enumerate(rows):
+        self._by_user = tuple(rows)
+        return self
+
+    @cached_property
+    def _by_item(self) -> tuple[tuple[int, ...], ...]:
+        """Per item index, the indexes of its raters, ascending; built on first use."""
+        by_item: list[list[int]] = [[] for _ in self._items]
+        for ui, row in enumerate(self._by_user):
             for ii in row:
                 by_item[ii].append(ui)
-        self._by_user = tuple(rows)
-        self._by_item = tuple(map(tuple, by_item))  # raters in ascending order
-        self._user_means = tuple(_mean(row.values()) for row in rows)
-        return self
+        return tuple(map(tuple, by_item))
+
+    @cached_property
+    def _user_means(self) -> tuple[float, ...]:
+        """Per user index, the mean of its ratings; built on first use."""
+        return tuple(_mean(row.values()) for row in self._by_user)
 
     def _cells(self) -> list[int]:
         """Each rating's cell, ``ui * item_count + ii``, in the order of :meth:`records`."""
@@ -107,23 +118,31 @@ class RatingsMatrix:
     def _cut(self, cells: list[int]) -> tuple[RatingsMatrix, list[RatingRecord]]:
         """Every rating but ``cells``, indexed as :func:`build_matrix` would, and ``cells``' records.
 
-        A cell is one of :meth:`_cells`.
+        A cell is one of :meth:`_cells`. Each is popped from a copy of its
+        user's row, which gives its record's rating; untouched rows are
+        shared, and this matrix is left as it was. Users left with no rating
+        go; items are re-indexed only when the cut's inverted index shows one
+        with no rater.
         """
-        users, items, rows = self._users, self._items, self._by_user
-        gone: dict[int, set[int]] = {}
+        users, items, parent = self._users, self._items, self._by_user
+        width = len(items)
+        rows = list(parent)
         test: list[RatingRecord] = []
         for cell in cells:
-            ui, ii = divmod(cell, len(items))
-            gone.setdefault(ui, set()).add(ii)
-            test.append(_record(RatingRecord, (users[ui], items[ii], rows[ui][ii])))
-        kept = {ui: left for ui, row in enumerate(rows)  # old user index -> its train ratings
-                if (left := {ii: v for ii, v in row.items() if ii not in gone[ui]} if ui in gone else row)}
-        live = sorted(set().union(*kept.values()))
-        if len(live) < len(items):
+            ui, ii = divmod(cell, width)
+            row = rows[ui]
+            if row is parent[ui]:
+                row = rows[ui] = row.copy()
+            test.append(_record(RatingRecord, (users[ui], items[ii], row.pop(ii))))
+        if not all(rows):
+            users = [u for u, row in zip(users, rows) if row]
+            rows = [row for row in rows if row]
+        train = self._index(self._scale, users, items, rows)
+        if not all(train._by_item):
+            live = [ii for ii, raters in enumerate(train._by_item) if raters]
             at = {ii: n for n, ii in enumerate(live)}
-            kept = {ui: {at[ii]: v for ii, v in row.items()} for ui, row in kept.items()}
-        train = self._index(self._scale, [users[ui] for ui in kept], [items[ii] for ii in live],
-                            list(kept.values()))
+            train = self._index(self._scale, users, [items[ii] for ii in live],
+                                [{at[ii]: v for ii, v in row.items()} for row in rows])
         return train, test
 
     @cached_property

@@ -75,8 +75,7 @@ def _pearson(xs: list[float], ys: list[float], keep_negative: bool = True) -> fl
         dx = math.fsum(map(mul, dxs, dxs))
         dy = math.fsum(map(mul, dys, dys))
     except (ValueError, OverflowError):  # fsum's inf - inf, or a partial sum past the float range
-        raise OverflowError("a sum of ratings or of rating deviation products "
-                            "is past the float range") from None
+        raise OverflowError("a sum of rating deviation products is past the float range") from None
     if dx == 0.0 or dy == 0.0:
         return 0.0
     # dx * dy can leave the normal float range where dx and dy do not: take the roots apart then

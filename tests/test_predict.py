@@ -202,12 +202,15 @@ class TestIndexPath:
                                 predicted += 1
         assert predicted > 1000
 
-    def test_uncut_neighborhood_predicts_the_bits_of_the_sorted_one(self):
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["k=positives-1", "k=positives", "k=positives+1"])
+    def test_uncut_neighborhood_predicts_the_bits_of_the_sorted_one(self, extra):
         # with all of an item's positive raters in its top k, predict combines
         # them in user index order, unsorted; on float ratings, where a plain
         # sum would depend on that order, it must give the bits of the
-        # best-first list. The matrices are those of test_similarity.py's
-        # TestPcc::test_float_ratings_match_oracle_exactly
+        # best-first list. One below that, the last of them is cut and the
+        # rest combine best first. neighborhood_for_item must list the same
+        # neighbors at the same k. The matrices are those of
+        # test_similarity.py's TestPcc::test_float_ratings_match_oracle_exactly
         rng = random.Random(2718)
         predicted = unsorted = 0
         for _ in range(40):
@@ -221,18 +224,38 @@ class TestIndexPath:
                 row = cache.row(ia)
                 for ii, item in enumerate(m.items()):
                     raters = [(-s, ib) for ib in m._by_item[ii] if (s := row.get(ib)) is not None]
-                    if not raters:
+                    k = len(raters) + extra
+                    if not raters or k < 1:
                         continue
                     best = sorted(raters)
                     unsorted += raters != best
-                    hood = [(users[ib], -neg) for neg, ib in best]
+                    hood = tuple((users[ib], -neg) for neg, ib in best[:k])
+                    assert neighborhood_for_item(a, item, k, PCC, m, cache) == hood
                     for mode in PREDICTION_MODES:
                         want = self.reference(a, item, hood, m, mode)
-                        for k in (len(best), len(best) + 1, 40):
-                            got = predict(a, item, k, PCC, m, cache, mode)
-                            assert got.value.hex() == want.hex() and got.support == len(best)
-                            predicted += 1
-        assert unsorted > 1000 and predicted > 10000
+                        got = predict(a, item, k, PCC, m, cache, mode)
+                        assert got.value.hex() == want.hex() and got.support == len(hood)
+                        predicted += 1
+        assert unsorted > 1000 and predicted > 4000
+
+    def test_sums_past_the_float_range_predict_in_any_neighbor_order(self, scale):
+        # plus at alpha 1e308 scores b, c and d near the float maximum, so the
+        # neighborhood's sums of weights and of weighted deviations leave the
+        # float range; they are then taken scaled by powers of two, and predict
+        # and the ranking walk, which sum in different orders, give one finite
+        # value, what alpha 1 gives within rounding
+        m = build_matrix([("a", "i1", 1.0), ("a", "i2", 2.0), ("a", "i3", 3.0),
+                          ("b", "i1", 1.0), ("b", "i2", 2.0), ("b", "i3", 3.0), ("b", "i4", 5.0),
+                          ("c", "i1", 1.0), ("c", "i2", 2.0), ("c", "i3", 3.0), ("c", "i4", 4.0),
+                          ("d", "i1", 1.0), ("d", "i2", 2.5), ("d", "i3", 3.0), ("d", "i4", 1.0)],
+                         scale)
+        huge, unit = make_method("plus", alpha=1e308), make_method("plus", alpha=1.0)
+        for mode in PREDICTION_MODES:
+            got = predict("a", "i4", 40, huge, m, mode=mode)
+            assert got.support == 3 and math.isfinite(got.value)
+            assert recommend_top_n("a", 5, 40, huge, m, mode=mode) == (("i4", got.value),)
+            assert got.value == pytest.approx(predict("a", "i4", 40, unit, m, mode=mode).value,
+                                              abs=1e-12)
 
 
 class TestRecommendTopN:
@@ -341,9 +364,11 @@ class TestRecommendTopN:
                         ranked += len(got)
         assert ranked > 1000 and cut > ranked // 2
 
-    def test_tie_at_the_kth_slot_goes_to_the_lower_user_id(self, scale):
-        # b1 and b2 rate a's items alike, so they tie behind c for the second of
-        # k=2 slots on both x and y; b1 must take it, whatever the record order
+    @pytest.mark.parametrize("k", [2, 3, 4], ids=["k=positives-1", "k=positives", "k=positives+1"])
+    def test_tie_at_the_kth_slot_goes_to_the_lower_user_id(self, scale, k):
+        # b1 and b2 rate a's items alike, so they tie behind c, and all three
+        # score positive, on both x and y; at k=2 b1 must take the second
+        # slot, whatever the record order, and at 3 and 4 nobody is cut
         tied = [("a", "i1", 1.0), ("a", "i2", 3.0), ("a", "i3", 5.0),
                 ("c", "i1", 1.0), ("c", "i2", 3.0), ("c", "i3", 5.0),
                 ("c", "x", 3.0), ("c", "y", 3.0),
@@ -353,15 +378,23 @@ class TestRecommendTopN:
                 ("b1", "x", 5.0), ("b1", "y", 2.0)]
         m = build_matrix(tied, scale)
         assert 0.0 < PCC.score("a", "b1", m) == PCC.score("a", "b2", m) < PCC.score("a", "c", m)
-        assert [b for b, _ in neighborhood_for_item("a", "x", 2, PCC, m)] == ["c", "b1"]
+        cut = k == 2
         without_b1 = build_matrix([t for t in tied if t[0] != "b1"], scale)
         without_b2 = build_matrix([t for t in tied if t[0] != "b2"], scale)
+        for item in ("x", "y"):
+            hood = neighborhood_for_item("a", item, k, PCC, m)
+            assert [b for b, _ in hood] == (["c", "b1"] if cut else ["c", "b1", "b2"])
+            for mode in PREDICTION_MODES:
+                got = predict("a", item, k, PCC, m, mode=mode)
+                assert got.support == len(hood)
+                assert (got == predict("a", item, k, PCC, without_b2, mode=mode)) == cut
+                assert got != predict("a", item, k, PCC, without_b1, mode=mode)
         for mode in PREDICTION_MODES:
-            got = recommend_top_n("a", 5, 2, PCC, m, mode=mode)
+            got = recommend_top_n("a", 5, k, PCC, m, mode=mode)
             assert sorted(i for i, _ in got) == ["x", "y"]
-            assert got == self.by_predict("a", 2, PCC, m, None, mode)
-            assert got == recommend_top_n("a", 5, 2, PCC, without_b2, mode=mode)
-            assert got != recommend_top_n("a", 5, 2, PCC, without_b1, mode=mode)
+            assert got == self.by_predict("a", k, PCC, m, None, mode)
+            assert (got == recommend_top_n("a", 5, k, PCC, without_b2, mode=mode)) == cut
+            assert got != recommend_top_n("a", 5, k, PCC, without_b1, mode=mode)
 
     def test_never_recommends_rated_items(self, scale):
         rng = random.Random(31)

@@ -145,7 +145,7 @@ class TestPcc:
         # which _pearson words as the library's
         ratings = {u: {f"i{n}": v for n, v in enumerate(row)} for u, row in zip("ab", values)}
         m = build_matrix(oracles.ratings_to_records(ratings), RatingScale(0.0, 1.7e308))
-        message = "a sum of ratings or of rating deviation products is past the float range"
+        message = "a sum of rating deviation products is past the float range"
         with pytest.raises(OverflowError, match=f"^{message}$"):
             PCC.score("a", "b", m)
         with pytest.raises(OverflowError, match=f"^{message}$"):

@@ -148,3 +148,39 @@ def test_empty_part_texts_unchanged(scale):
     with pytest.raises(ConfigError) as caught:
         kfold_split(m, 12, 1)
     assert str(caught.value) == "12 folds of 10 ratings leave 2 with nothing to test"
+
+
+def test_inverted_index_and_means_are_built_when_read(scale):
+    m = build_matrix(_synth.planted_records(seed=3, n_users=60, n_items=40), scale)
+    assert "_by_item" not in vars(m) and "_user_means" not in vars(m)
+    raters = m._by_item
+    assert "_by_item" in vars(m) and "_user_means" not in vars(m)
+    assert m._by_item is raters
+    means = m._user_means
+    assert m._user_means is means and m.mean_of(m.users()[0]) == means[0]
+
+
+def test_splits_never_build_the_whole_files_index(scale):
+    m = build_matrix(_synth.planted_records(seed=3, n_users=60, n_items=40), scale)
+    splits = [split_holdout(m, 0.8, 42), *kfold_split(m, 5, 42)]
+    assert "_by_item" not in vars(m) and "_user_means" not in vars(m)
+    for train, _ in splits:
+        assert_index_shape(train)
+
+
+def test_cut_shares_untouched_rows_and_leaves_the_parent_as_it_was(scale):
+    m = build_matrix(_synth.planted_records(seed=3, n_users=60, n_items=40), scale)
+    rows = m._by_user
+    before = [list(row.items()) for row in rows]
+    shared = reindexed = 0
+    for train, test in [split_holdout(m, 0.8, 42), *kfold_split(m, 5, 42)]:
+        # an item left with no rater shifts the item indexes, so every row is new
+        same_items = train.items() == m.items()
+        reindexed += not same_items
+        touched = {rec.user for rec in test}
+        for user, row in zip(train.users(), train._by_user):
+            is_parents = row is rows[m._user_index[user]]
+            assert is_parents == (same_items and user not in touched)
+            shared += is_parents
+    assert shared > 0 and reindexed > 0
+    assert m._by_user is rows and [list(row.items()) for row in rows] == before
